@@ -7,16 +7,21 @@ l-infinity radius R (the field margin), which is the honest finite-window
 version of the construction: the per-site probability that a farther vertex
 would have dominated is bounded and reported, never ignored.
 
-The kernel groups vertices by effective integer reach e = min(floor(L), R).
-A vertex of reach e stamps its own length over the block of sites at
-offsets {0} x [1, e]^(d-1) on each side.  Dense reach levels are swept with
-separable trailing-window maximum filters; rare long reaches are painted
-directly.  Both paths are exact and are cross-checked against brute
+The kernel evaluates each supremum on a target box only (the window for a
+forest, the whole array for `lambda_field`), reading the target plus a
+trailing halo of min(R, margin) sites on the perpendicular axes.  It groups
+vertices by effective integer reach e = min(floor(L), R).  A vertex of
+reach e stamps its own length over the block of sites at offsets
+{0} x [1, e]^(d-1) on each side.  Each reach level is swept with separable
+trailing-window maximum filters, cropped to the target after every pass;
+only in d=2 are reaches above 4 painted instead, one clipped segment per
+vertex.  Both paths are exact and are cross-checked against brute
 enumeration in the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -31,22 +36,23 @@ FOREST_VERSION = 1
 
 UNCERTAIN_BIT = 0x80
 
-# reach levels with at most this many vertices are painted site by site
-_PAINT_COUNT_CUTOFF = 4096
 # d=2 segment painting takes over above this reach
 _SEGMENT_LEVEL_CUTOFF = 4
 
 
-def _trailing_max(arr: np.ndarray, width: int, axis: int) -> np.ndarray:
-    """out[x] = max over arr[x - width .. x - 1] along `axis`, -inf padded."""
-    shifted = np.full_like(arr, -np.inf)
-    src = [slice(None)] * arr.ndim
-    dst = [slice(None)] * arr.ndim
-    src[axis] = slice(0, arr.shape[axis] - 1)
-    dst[axis] = slice(1, None)
-    shifted[tuple(dst)] = arr[tuple(src)]
-    return maximum_filter1d(shifted, size=width, axis=axis, mode="constant",
-                            cval=-np.inf, origin=(width - 1) // 2)
+def _trailing_max(arr: np.ndarray, width: int, axis: int, halo: int) -> np.ndarray:
+    """out[t] = max over arr[halo + t - width .. halo + t - 1] along `axis`.
+
+    Entries before the array count as -inf; the leading `halo` entries are
+    cropped, so the output is `halo` shorter than `arr` along `axis`.
+    """
+    filt = np.moveaxis(maximum_filter1d(arr, size=width, axis=axis, mode="constant",
+                                        cval=-np.inf, origin=(width - 1) // 2), axis, 0)
+    if halo:
+        return np.moveaxis(filt[halo - 1:-1], 0, axis)
+    out = np.full_like(filt, -np.inf)
+    out[1:] = filt[:-1]
+    return np.moveaxis(out, 0, axis)
 
 
 def _paint_segments(out_flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
@@ -65,85 +71,72 @@ def _paint_segments(out_flat: np.ndarray, starts: np.ndarray, lengths: np.ndarra
     np.maximum.at(out_flat, idx, np.repeat(values, lengths))
 
 
-def directed_supremum(values: np.ndarray, axis_i: int, reach_cap: int) -> np.ndarray:
+def directed_supremum(slab: np.ndarray, axis_i: int, reach_cap: int,
+                      halo: tuple[int, ...]) -> np.ndarray:
     """Per-site sup of L(y) over vertices whose side `axis_i` covers the site.
 
-    `values` is the length field over a box; vertex y covers x on side i
-    when x - y is zero on axis i and lies in [1, min(floor(L(y)), cap)] on
-    every other axis.  Orientation is the positive one; callers reflect the
-    array for the opposite orientation.  Returns -inf where no in-box vertex
-    covers a site.
+    The result covers a target box.  `slab` is the length field over that
+    box, widened by `halo[j]` leading entries on each axis j other than
+    axis_i (halo[axis_i - 1] is 0).  Vertex y covers x on side i when x - y
+    is zero on axis i and lies in [1, min(floor(L(y)), cap)] on every other
+    axis.  Orientation is the positive one; callers reflect the array for
+    the opposite orientation.  Returns -inf where no slab vertex covers a
+    site.
     """
-    d = values.ndim
+    d = slab.ndim
     ax = axis_i - 1
     perp = [j for j in range(d) if j != ax]
-    reach = np.minimum(np.floor(values).astype(np.int64), reach_cap)
-    out = np.full_like(values, -np.inf)
-    counts = np.bincount(reach.ravel().clip(min=0))
-
-    paint_sites: list[tuple[np.ndarray, ...]] = []
-    for level in range(1, counts.size):
-        n_level = int(counts[level])
-        if n_level == 0:
-            continue
-        if d == 2 and level > _SEGMENT_LEVEL_CUTOFF:
-            paint_sites.append(np.nonzero(reach == level))
-            continue
-        if d > 2 and n_level <= _PAINT_COUNT_CUTOFF:
-            paint_sites.append(np.nonzero(reach == level))
-            continue
-        masked = np.where(reach == level, values, -np.inf)
+    reach = np.minimum(np.floor(slab).astype(np.int64), reach_cap)
+    out = np.full(tuple(n - c for n, c in zip(slab.shape, halo)), -np.inf)
+    levels = np.flatnonzero(np.bincount(reach.ravel().clip(min=0)))
+    levels = levels[levels > 0]
+    for level in map(int, levels if d > 2 else levels[levels <= _SEGMENT_LEVEL_CUTOFF]):
+        # vertices deeper in the halo than `level` cannot reach the target
+        h = [min(c, level) for c in halo]
+        near = tuple(slice(c - e, None) for c, e in zip(halo, h))
+        masked = np.where(reach[near] == level, slab[near], -np.inf)
         for j in perp:
-            masked = _trailing_max(masked, level, j)
+            masked = _trailing_max(masked, level, j, h[j])
         np.maximum(out, masked, out=out)
-
-    if paint_sites:
-        if d == 2:
-            p = perp[0]
-            # paint along a contiguous last axis
-            if p == 1:
-                canvas = out
-            else:
-                canvas = np.ascontiguousarray(out.T)
-            m = canvas.shape[1]
-            flat = canvas.reshape(-1)
-            for where in paint_sites:
-                rows, cols = (where if p == 1 else (where[1], where[0]))
-                r = reach[where]
-                lens = np.minimum(r, m - 1 - cols)
-                starts = rows * m + cols + 1
-                _paint_segments(flat, starts, lens, values[where])
-            if p == 0:
-                np.maximum(out, canvas.T, out=out)
-        else:
-            for where in paint_sites:
-                coords = np.stack(where, axis=1)
-                rs = reach[where]
-                vs = values[where]
-                for c, r, v in zip(coords, rs, vs):
-                    sl = []
-                    for j in range(d):
-                        if j == ax:
-                            sl.append(int(c[j]))
-                        else:
-                            sl.append(slice(c[j] + 1, min(c[j] + int(r) + 1, values.shape[j])))
-                    block = out[tuple(sl)]
-                    np.maximum(block, v, out=block)
+    if d == 2:
+        # longer reaches: one segment per vertex, clipped to the target and
+        # painted level by level along the perpendicular axis laid out last
+        p = perp[0]
+        canvas, lr, ls = ((out, reach, slab) if p == 1 else
+                          (np.ascontiguousarray(out.T), reach.T, slab.T))
+        m = canvas.shape[1]
+        rows, cols = np.nonzero(lr > _SEGMENT_LEVEL_CUTOFF)
+        r, v = lr[rows, cols], ls[rows, cols]
+        start = np.maximum(cols + 1 - halo[p], 0)
+        lens = np.minimum(cols + 1 - halo[p] + r, m) - start
+        for level in levels[levels > _SEGMENT_LEVEL_CUTOFF]:
+            g = r == level
+            _paint_segments(canvas.reshape(-1), rows[g] * m + start[g], lens[g], v[g])
+        if p == 0:
+            np.maximum(out, canvas.T, out=out)
     return out
+
+
+def _axis_suprema(values: np.ndarray, zeta: int, reach_cap: int, margin: int = 0):
+    """Yield lambda_1 .. lambda_d over the box of `values` less a `margin` shell.
+
+    Each supremum reads the target plus a trailing halo of min(cap, margin)
+    sites on the axes perpendicular to its own.
+    """
+    d = values.ndim
+    flip = (slice(None, None, -1),) * d
+    work = values if zeta == 1 else values[flip]
+    for ax in range(d):
+        halo = tuple(0 if j == ax else min(reach_cap, margin) for j in range(d))
+        slab = work[tuple(slice(margin - c, n - margin)
+                          for c, n in zip(halo, values.shape))]
+        lam = directed_supremum(np.ascontiguousarray(slab), ax + 1, reach_cap, halo)
+        yield lam if zeta == 1 else lam[flip]
 
 
 def lambda_field(values: np.ndarray, zeta: int, reach_cap: int) -> np.ndarray:
     """All-axis truncated suprema, shape (d, *values.shape)."""
-    d = values.ndim
-    flip = tuple(slice(None, None, -1) for _ in range(d))
-    work = values if zeta == 1 else np.ascontiguousarray(values[flip])
-    out = np.empty((d,) + values.shape)
-    for i in range(1, d + 1):
-        lam = directed_supremum(work, i, reach_cap)
-        if zeta == -1:
-            lam = lam[flip]
-        out[i - 1] = lam
-    return out
+    return np.stack(list(_axis_suprema(values, zeta, reach_cap)))
 
 
 @dataclass(frozen=True)
@@ -173,6 +166,7 @@ class Forest:
         return tuple(c + (self.zeta if k == j - 1 else 0) for k, c in enumerate(x))
 
 
+@functools.lru_cache
 def miss_probability_bound(tail_weight: float, tail_start: int, dim: int, radius: int) -> float:
     """Upper bound on P[some vertex beyond radius R dominates a side supremum].
 
@@ -249,13 +243,15 @@ def build_forest(field, zeta: int, radius: int | None = None) -> Forest:
     if radius > p.window.margin:
         raise ValueError(f"radius {radius} exceeds margin {p.window.margin}; "
                          f"required margin {radius}")
-    lam = lambda_field(field.values, zeta, radius)
-    # cut the margin shell off, keeping the window box
-    inner = tuple(slice(p.window.margin, p.window.margin + s) for s in p.window.shape)
-    lam = lam[(slice(None),) + inner]
-    axis = (np.argmin(lam, axis=0) + 1).astype(np.int8)
-    low = np.min(lam, axis=0)
-    uncertain = (np.sum(lam == low[None], axis=0) > 1)
+    # running argmin over axes; a tie with the current minimum flags the site
+    low = np.full(p.window.shape, np.inf)
+    axis = np.zeros(p.window.shape, dtype=np.int8)
+    uncertain = np.zeros(p.window.shape, dtype=bool)
+    for i, lam in enumerate(_axis_suprema(field.values, zeta, radius, p.window.margin), 1):
+        below = lam < low
+        uncertain = (uncertain | (lam == low)) & ~below
+        axis[below] = i
+        np.minimum(low, lam, out=low)
     miss = miss_probability_bound(p.tail_weight, p.tail_start, p.dim, radius)
     axis.setflags(write=False)
     uncertain.setflags(write=False)

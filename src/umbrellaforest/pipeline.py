@@ -56,15 +56,16 @@ class PrunedPair:
         return self.forests[index - 1]
 
 
-def build_pruned_pair(params: ModelParams) -> PrunedPair:
-    """Two independent opposite-orientation forests, pruned and insulated."""
+def _pair_layers(params: ModelParams) -> dict:
+    """Fields, forests, h, H, keep and chain layers of two opposite forests.
+
+    Keyed by the `PrunedPair` fields they fill; insulation is left out.
+    """
     beta = params.beta
     if beta is None:
         raise ValueError("pruning requires beta")
-    p1 = derived_params(params, "field", 1)
-    p2 = derived_params(params, "field", 2)
-    f1 = generate_field(p1)
-    f2 = generate_field(p2)
+    f1 = generate_field(derived_params(params, "field", 1))
+    f2 = generate_field(derived_params(params, "field", 2))
     a1 = build_forest(f1, zeta=1)
     a2 = build_forest(f2, zeta=-1)
     h1 = compute_h(a1)
@@ -75,13 +76,18 @@ def build_pruned_pair(params: ModelParams) -> PrunedPair:
     keep2 = tilde_membership(h2, H1, beta)
     chain1 = prune_to_infinite(a1, keep1)
     chain2 = prune_to_infinite(a2, keep2)
-    ins1 = insulate(chain1, h1, a1, beta)
-    ins2 = insulate(chain2, h2, a2, beta)
-    report = check_disjoint(ins1.ball_layer, ins2.ball_layer, a1.box)
-    return PrunedPair(params=params, fields=(f1, f2), forests=(a1, a2),
-                      depth=(h1, h2), ins_sup=(H1, H2), keep=(keep1, keep2),
-                      chains=(chain1, chain2), insulation=(ins1, ins2),
-                      disjoint=report)
+    return dict(params=params, fields=(f1, f2), forests=(a1, a2),
+                depth=(h1, h2), ins_sup=(H1, H2), keep=(keep1, keep2),
+                chains=(chain1, chain2))
+
+
+def build_pruned_pair(params: ModelParams) -> PrunedPair:
+    """Two independent opposite-orientation forests, pruned and insulated."""
+    layers = _pair_layers(params)
+    ins1, ins2 = (insulate(chain, h, a, params.beta) for chain, h, a in
+                  zip(layers["chains"], layers["depth"], layers["forests"]))
+    report = check_disjoint(ins1.ball_layer, ins2.ball_layer, layers["forests"][0].box)
+    return PrunedPair(**layers, insulation=(ins1, ins2), disjoint=report)
 
 
 def select_rays(pair: PrunedPair, min_depth: int = 1,
@@ -226,12 +232,10 @@ def depth_decay_experiment(params: ModelParams, replicas: int, k_grid: list[int]
 
 def _decay_replica(args):
     params, k, k_grid = args
-    pair = build_pruned_pair(derived_params(params, "decay", k))
+    layers = _pair_layers(derived_params(params, "decay", k))
     rows = None
-    for i in (1, 2):
-        chain = pair.chains[i - 1]
-        interior = interior_mask(pair.depth[i - 1])
-        t = depth_decay_table(chain, interior, list(k_grid))
+    for chain, h in zip(layers["chains"], layers["depth"]):
+        t = depth_decay_table(chain, interior_mask(h), list(k_grid))
         if rows is None:
             rows = t
         else:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from umbrellaforest.fieldgen import LField, default_params, generate_field
 from umbrellaforest.forest import (build_forest, choose_direction,
                                    example1_forest, lambda_at, lambda_field,
                                    miss_probability_bound, read_forest,
                                    write_forest)
-from umbrellaforest.lattice import Window
+from umbrellaforest.lattice import Box, Window
 from umbrellaforest.oracles import enumerate_box_field, lambda_brute
 
 
@@ -142,6 +144,47 @@ def test_reflection_symmetry():
     for x in p.window.box.sites():
         neg = tuple(-c for c in x)
         assert fwd.axis_at(x) == bwd.axis_at(neg)
+
+
+@st.composite
+def truncated_instances(draw):
+    """An asymmetric window, a margin m, a radius in [1, m], an orientation
+    and a field seed; the field is the model's or, so that ties occur, one
+    of lengths drawn from a few values."""
+    d = draw(st.sampled_from([2, 3]))
+    lo = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+    hi = tuple(l + draw(st.integers(0, 6 if d == 2 else 3)) for l in lo)
+    margin = draw(st.sampled_from(range(1, 9 if d == 2 else 4)))
+    return (Window(lo, hi, margin), draw(st.sampled_from(range(1, margin + 1))),
+            draw(st.sampled_from([1, -1])), draw(st.integers(0, 2 ** 16)),
+            draw(st.booleans()))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(truncated_instances())
+@example((Window((0, -2), (6, 1), 8), 6, 1, 11, False))   # d=2 long reaches, R < m
+@example((Window((-3, 1), (0, 5), 7), 7, -1, 12, False))  # d=2 long reaches, R = m
+def test_forest_matches_truncated_brute_force(inst):
+    # axis and tie flag are the argmin and tie of the brute-force suprema
+    # over the vertices within l-infinity distance R
+    window, radius, zeta, seed, model = inst
+    d = window.dim
+    p = default_params(d, window, seed)
+    if model:
+        field = generate_field(p)
+    else:
+        vals = np.random.default_rng(seed).choice(
+            [1.0, 2.5, 4.0, 6.5, 9.0], p=[0.4, 0.3, 0.15, 0.1, 0.05],
+            size=window.field_box.shape)
+        field = LField(params=p, values=vals)
+    forest = build_forest(field, zeta=zeta, radius=radius)
+    for x in window.box.sites():
+        ball = Box(tuple(c - radius for c in x), tuple(c + radius for c in x))
+        near = {y: field.value_at(y) for y in ball.sites()}
+        lams = [lambda_brute(near, x, i, zeta) for i in range(1, d + 1)]
+        low = min(lams)
+        assert forest.axis_at(x) == lams.index(low) + 1
+        assert forest.uncertain[window.box.local(x)] == (lams.count(low) > 1)
 
 
 def test_truncation_agreement_rate_and_uncertainty():

@@ -9,6 +9,7 @@ from umbrellaforest.metrics import (StatusField, accumulate_tail, compute_h,
                                     interior_mask, ray, ray_sphere_counts,
                                     tail_estimate)
 from umbrellaforest.oracles import h_brute, insulation_sup_brute
+from umbrellaforest.pipeline import TailJob, tail_experiment
 
 
 def forest_from_axes(axes: np.ndarray, zeta: int = 1, margin: int = 0) -> Forest:
@@ -175,6 +176,16 @@ def test_tail_estimate_zero_case_and_empty_error():
     assert est.count_lo == [0] and est.count_hi == [0]
     with pytest.raises(ValueError):
         tail_estimate(2, [1], [])
+
+
+def test_tail_experiment_independent_of_thread_count():
+    # replicas are keyed by (seed, index), so fork workers change nothing
+    job = TailJob(dim=3, side=12, margin=6, seed=77, grid=(1, 2, 4))
+    serial = tail_experiment(job, replicas=3, threads=1)
+    forked = tail_experiment(job, replicas=3, threads=2)
+    assert serial.total == forked.total == 3 * 6 ** 3
+    assert serial.count_lo == forked.count_lo and serial.count_hi == forked.count_hi
+    assert serial.count_hi[0] > serial.count_hi[-1] > 0
 
 
 def test_interior_mask_default_buffer():
