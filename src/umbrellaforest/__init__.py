@@ -21,7 +21,7 @@ from .pruning import FRONTIER, IN, OUT, UNKNOWN, check_disjoint, insulate, \
     leaves, prune_to_infinite, tilde_membership
 from .raygeom import InsulationConstants, RayHandle, build_ray, \
     drift_directions, ellipticity_constant, score_and_index, \
-    solve_insulation_constants, tube_distance, tube_geometry
+    solve_insulation_constants, tube_geometry
 from .environment import ExitStats, PatchedEnv, exit_functionals, patch, \
     ray_environment, ray_row, supermartingale_residuals, tube_row, uniform_row
 from .walker import TrapEstimate, WalkConfig, run_walks, step, trap_probability

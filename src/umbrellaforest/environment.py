@@ -100,9 +100,7 @@ class ExitStats:
 
     exit_prob and exit_mass are P[T <= horizon] and E[T; T <= horizon] for
     the main horizon; mass_at maps each extra horizon N to E[T; T <= N],
-    a nondecreasing lower bracket of the infinite-horizon mass.  The upper
-    bracket extrapolates the fitted stretched-exponential tail shape and is
-    reported, never asserted.
+    a nondecreasing lower bracket of the infinite-horizon mass.
     """
 
     site: Site
@@ -110,7 +108,6 @@ class ExitStats:
     exit_prob: float
     exit_mass: float
     mass_at: dict[int, float]
-    tail_upper_estimate: float
 
 
 def _dp_sweep(env: RayEnvironment, horizon: int, capture: dict[int, list[int]]):
@@ -154,30 +151,15 @@ def exit_functionals(env: RayEnvironment, x: Site, horizon: int,
     j = env.geom.index.get(tuple(x))
     if j is None:
         return ExitStats(site=tuple(x), horizon=horizon, exit_prob=1.0, exit_mass=0.0,
-                         mass_at={n: 0.0 for n in extra_horizons}, tail_upper_estimate=0.0)
+                         mass_at={n: 0.0 for n in extra_horizons})
     capture = {}
     for t in {horizon, *extra_horizons}:
         capture.setdefault(t, []).append(j)
     captured, p_fin, e_fin = _dp_sweep(env, top, capture)
     p, e = captured[(horizon, j)]
     mass_at = {n: captured[(n, j)][1] for n in extra_horizons}
-    tail_upper = _tail_upper_estimate(env, x, top, captured.get((top, j), (p, e)))
     return ExitStats(site=tuple(x), horizon=horizon, exit_prob=p, exit_mass=e,
-                     mass_at=mass_at, tail_upper_estimate=tail_upper)
-
-
-def _tail_upper_estimate(env: RayEnvironment, x: Site, top: int,
-                         at_top: tuple[float, float]) -> float:
-    """Crude stretched-exponential extrapolation of the unseen mass."""
-    p_top, e_top = at_top
-    survive = max(1.0 - p_top, 0.0)
-    if survive <= 0:
-        return e_top
-    beta = env.geom.ray.beta
-    # assume survival beyond `top` decays at least as fast as the last octave
-    rate = -np.log(max(survive, 1e-300)) / max(top ** beta, 1e-9)
-    extra = survive * (top + max(top, 1) / max(rate * beta * top ** (beta - 1), 1e-9))
-    return e_top + extra
+                     mass_at=mass_at)
 
 
 def exit_table(env: RayEnvironment, horizons: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

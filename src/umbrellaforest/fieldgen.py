@@ -160,10 +160,6 @@ class LField:
     def value_at(self, x: Site) -> float:
         return float(self.values[self.box.local(x)])
 
-    def site_dict(self) -> dict[Site, float]:
-        from .oracles import enumerate_box_field
-        return enumerate_box_field(self.values, self.box)
-
 
 def generate_field(p: ModelParams, site_budget: int = DEFAULT_SITE_BUDGET) -> LField:
     """Sample L at every site of window + margin, keyed by (seed, site)."""

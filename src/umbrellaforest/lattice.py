@@ -50,18 +50,6 @@ def l1_norm(x: Site) -> int:
     return sum(abs(int(c)) for c in x)
 
 
-def linf_norm(x: Site) -> int:
-    return max(abs(int(c)) for c in x)
-
-
-def add(x: Site, y: Site) -> Site:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def sub(x: Site, y: Site) -> Site:
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def sphere_count(d: int, n: int) -> int:
     """Exact number of sites in Z^d at l1-distance n from the origin.
 
@@ -133,11 +121,6 @@ def l1_ball_offsets(d: int, r: int) -> list[Site]:
         if sum(abs(o) for o in offs) <= r:
             out.append(offs)
     return out
-
-
-def l1_sphere_offsets(d: int, r: int) -> list[Site]:
-    """All integer offsets with l1-norm exactly r."""
-    return [o for o in l1_ball_offsets(d, r) if sum(abs(c) for c in o) == r]
 
 
 @dataclass(frozen=True)

