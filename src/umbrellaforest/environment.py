@@ -4,8 +4,11 @@ Inside a tube the walk is pushed forward along the spine with probability
 3/4 and toward the spine with probability 1/5; the leftover mass is split
 evenly over the remaining directions, which keeps every entry at or above
 the ellipticity floor 1/(20(2d-1)).  Outside every tube the row is uniform.
-Rows are exact rationals; the exit-time dynamic program runs in floats with
-rounding error far below the 1e-9 assertion tolerance at desk horizons.
+A row depends only on the pair (forward, inward), so one table per d holds
+every exact rational row, (2d)^2 + 1 of them, and tubes and patched windows
+store a small integer row type per site.  The exit-time dynamic program reads
+the table's float rows, with rounding error far below the 1e-9 assertion
+tolerance at desk horizons; dumps and walks read its exact rows.
 
 Patching picks, per covered site, the covering ray whose truncated expected
 exit-time mass is smallest (lexicographic tie-break), which is exactly what
@@ -17,12 +20,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
 
 from .lattice import Box, Direction, Site, Window, all_directions
-from .raygeom import (RayHandle, TubeGeometry, drift_directions,
+from .raygeom import (RayHandle, TubeGeometry, drift_directions, drift_indices,
                       ellipticity_constant, tube_geometry)
 
 ENV_MAGIC = b"UMBE"
@@ -52,22 +56,44 @@ def uniform_row(d: int) -> list[Fraction]:
 
 def ray_row(ray: RayHandle, x: Site, n_attain: int | None = None) -> list[Fraction]:
     """Row of the single-ray environment at x (uniform outside the tube)."""
-    d = ray.dim
     try:
         forward, inward = drift_directions(ray, x, n_attain)
     except ValueError:
-        return uniform_row(d)
-    return tube_row(d, forward, inward)
+        return uniform_row(ray.dim)
+    return tube_row(ray.dim, forward, inward)
+
+
+@dataclass(frozen=True)
+class RowTable:
+    """Every distinct exact row at one dimension, indexed by row type.
+
+    Type 0 is the uniform row; the tube row of (forward, inward) has type
+    1 + 2d * forward.index + inward.index.  `weights` holds each row's float
+    value, rounded once from the exact entries.
+    """
+
+    rows: tuple[tuple[Fraction, ...], ...]
+    weights: np.ndarray     # (types, 2d) float64, read-only
+
+
+@lru_cache(maxsize=None)
+def row_table(d: int) -> RowTable:
+    dirs = all_directions(d)
+    rows = [uniform_row(d)] + [tube_row(d, f, i) for f in dirs for i in dirs]
+    if len(rows) > np.iinfo(np.int8).max + 1:
+        raise ValueError(f"{len(rows)} row types at d = {d} overflow int8")
+    weights = np.array([[float(p) for p in r] for r in rows])
+    weights.setflags(write=False)
+    return RowTable(rows=tuple(map(tuple, rows)), weights=weights)
 
 
 @dataclass
 class RayEnvironment:
-    """One tube with float rows and the in-tube neighbor graph."""
+    """One tube: a row type per site and the in-tube neighbor graph."""
 
     geom: TubeGeometry
-    rows: np.ndarray        # (S, 2d) float64
+    row_type: np.ndarray    # (S,) int8 index into row_table(d)
     neighbor: np.ndarray    # (S, 2d) int64 index into sites, -1 = tube exit
-    rows_exact: list[list[Fraction]]
 
     @property
     def dim(self) -> int:
@@ -78,20 +104,15 @@ def ray_environment(ray: RayHandle, geom: TubeGeometry | None = None) -> RayEnvi
     if geom is None:
         geom = tube_geometry(ray)
     d = ray.dim
-    dirs = all_directions(d)
-    S = geom.size
-    rows = np.empty((S, 2 * d))
-    rows_exact: list[list[Fraction]] = []
-    neighbor = np.full((S, 2 * d), -1, dtype=np.int64)
-    for j in range(S):
-        x = tuple(map(int, geom.sites[j]))
-        fr = ray_row(ray, x, int(geom.n_attain[j]))
-        rows_exact.append(fr)
-        rows[j] = [float(p) for p in fr]
-        for dir_ in dirs:
-            y = tuple(a + o for a, o in zip(x, dir_.vector(d)))
-            neighbor[j, dir_.index] = geom.index.get(y, -1)
-    return RayEnvironment(geom=geom, rows=rows, neighbor=neighbor, rows_exact=rows_exact)
+    forward, inward = drift_indices(ray, geom.sites, geom.n_attain)
+    row_type = (1 + 2 * d * forward + inward).astype(np.int8)
+    # site indices over a box one site wider than the tube on every side
+    local = geom.sites - geom.sites.min(axis=0) + 1
+    index = np.full(local.max(axis=0) + 2, -1, dtype=np.int64)
+    index[tuple(local.T)] = np.arange(geom.size)
+    neighbor = np.stack([index[tuple((local + dir_.vector(d)).T)]
+                         for dir_ in all_directions(d)], axis=1)
+    return RayEnvironment(geom=geom, row_type=row_type, neighbor=neighbor)
 
 
 @dataclass
@@ -110,19 +131,17 @@ class ExitStats:
     mass_at: dict[int, float]
 
 
-def _dp_sweep(env: RayEnvironment, horizon: int, capture: dict[int, list[int]]):
-    """Backward induction to `horizon`; capture[(t)] = site indices to read.
+def _dp_sweep(env: RayEnvironment, horizon: int, capture: dict[int, np.ndarray | list[int]]):
+    """Backward induction to `horizon`; capture[t] = site indices to read.
 
-    Returns {(t, j): (p, e)} for captured pairs plus the final vectors.
+    Returns {t: (p, e)}, the captured sites' values after step t.
     """
-    S = env.rows.shape[0]
+    S = env.geom.size
     p_prev = np.zeros(S)
     e_prev = np.zeros(S)
-    captured: dict[tuple[int, int], tuple[float, float]] = {}
-    for j in capture.get(0, []):
-        captured[(0, j)] = (0.0, 0.0)
+    captured = {0: (p_prev[capture[0]], e_prev[capture[0]])} if 0 in capture else {}
     nbr = env.neighbor
-    w = env.rows
+    w = row_table(env.dim).weights[env.row_type]
     outside = nbr < 0
     for t in range(1, horizon + 1):
         pn = np.where(outside, 1.0, p_prev[np.maximum(nbr, 0)])
@@ -130,9 +149,9 @@ def _dp_sweep(env: RayEnvironment, horizon: int, capture: dict[int, list[int]]):
         p_new = (w * pn).sum(axis=1)
         e_new = (w * (en + pn)).sum(axis=1)
         p_prev, e_prev = p_new, e_new
-        for j in capture.get(t, []):
-            captured[(t, j)] = (float(p_prev[j]), float(e_prev[j]))
-    return captured, p_prev, e_prev
+        if t in capture:
+            captured[t] = (p_prev[capture[t]], e_prev[capture[t]])
+    return captured
 
 
 def exit_functionals(env: RayEnvironment, x: Site, horizon: int,
@@ -144,7 +163,7 @@ def exit_functionals(env: RayEnvironment, x: Site, horizon: int,
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    S = env.rows.shape[0]
+    S = env.geom.size
     top = max((horizon, *extra_horizons), default=horizon)
     if S * max(top, 1) > state_budget:
         raise MemoryError(f"DP needs {S * top} site-steps, budget {state_budget}")
@@ -152,14 +171,10 @@ def exit_functionals(env: RayEnvironment, x: Site, horizon: int,
     if j is None:
         return ExitStats(site=tuple(x), horizon=horizon, exit_prob=1.0, exit_mass=0.0,
                          mass_at={n: 0.0 for n in extra_horizons})
-    capture = {}
-    for t in {horizon, *extra_horizons}:
-        capture.setdefault(t, []).append(j)
-    captured, p_fin, e_fin = _dp_sweep(env, top, capture)
-    p, e = captured[(horizon, j)]
-    mass_at = {n: captured[(n, j)][1] for n in extra_horizons}
-    return ExitStats(site=tuple(x), horizon=horizon, exit_prob=p, exit_mass=e,
-                     mass_at=mass_at)
+    captured = _dp_sweep(env, top, {t: [j] for t in {horizon, *extra_horizons}})
+    (p,), (e,) = captured[horizon]
+    return ExitStats(site=tuple(x), horizon=horizon, exit_prob=float(p), exit_mass=float(e),
+                     mass_at={n: float(captured[n][1][0]) for n in extra_horizons})
 
 
 def exit_table(env: RayEnvironment, horizons: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,21 +183,17 @@ def exit_table(env: RayEnvironment, horizons: np.ndarray) -> tuple[np.ndarray, n
     horizons: (S,) int array, -1 to skip a site.  One sweep to the maximum
     horizon, reading each site off at its own time.
     """
-    S = env.rows.shape[0]
+    S = env.geom.size
     p_out = np.full(S, np.nan)
     e_out = np.full(S, np.nan)
     top = int(horizons.max()) if horizons.size else 0
     if top < 0:
         return p_out, e_out
-    capture: dict[int, list[int]] = {}
-    for j, hz in enumerate(horizons):
-        if hz >= 0:
-            capture.setdefault(int(hz), []).append(j)
-    captured, _, _ = _dp_sweep(env, top, capture)
-    for (t, j), (p, e) in captured.items():
-        if horizons[j] == t:
-            p_out[j] = p
-            e_out[j] = e
+    capture = {int(t): np.flatnonzero(horizons == t)
+               for t in np.unique(horizons[horizons >= 0])}
+    for t, (p, e) in _dp_sweep(env, top, capture).items():
+        p_out[capture[t]] = p
+        e_out[capture[t]] = e
     return p_out, e_out
 
 
@@ -216,12 +227,13 @@ def choose_horizon_factor(envs: list[RayEnvironment], pairs: list[tuple[int, int
         cap = capture_by_env.setdefault(ei, {})
         for t in hz:
             cap.setdefault(t, []).append(si)
-    swept = {ei: _dp_sweep(envs[ei], n_max, cap)[0]
-             for ei, cap in capture_by_env.items()}
+    swept = {(ei, t, si): float(m) for ei, cap in capture_by_env.items()
+             for t, (_, e) in _dp_sweep(envs[ei], n_max, cap).items()
+             for si, m in zip(cap[t], e)}
     mass_curves = []
     for (ei, si, hval), hz in zip(pairs, horizons_by_pair):
         mass_curves.append((hval, int(envs[ei].geom.u[si]),
-                            {t: swept[ei][(t, si)][1] for t in hz}))
+                            {t: swept[(ei, t, si)] for t in hz}))
     worst = None
     for c in _dyadic(floor, max_factor):
         ok = True
@@ -251,8 +263,8 @@ def _dyadic(floor: float, max_factor: float):
 
 @dataclass
 class PatchedEnv:
-    """Per-site rows over the window: tube rows on covered sites, uniform
-    elsewhere.  chosen[x] is the index into `rays` (-1 = uniform/symmetric),
+    """Per-site row types over the window: tube rows on covered sites,
+    uniform elsewhere.  chosen[x] is the index into `rays` (-1 = uniform/symmetric),
     flagged[x] marks covered sites whose insulation sup was censored (row
     installed from the lexicographically first covering ray, excluded from
     asserted statistics)."""
@@ -260,8 +272,7 @@ class PatchedEnv:
     window: Window
     dim: int
     rays: list[RayHandle]
-    envs: list[RayEnvironment]
-    rows: np.ndarray          # (*shape, 2d) float64
+    row_type: np.ndarray      # (*shape,) int8 index into row_table(dim)
     chosen: np.ndarray        # (*shape,) int32
     flagged: np.ndarray       # (*shape,) bool
     exit_mass: np.ndarray     # (*shape,) float64, NaN where not computed
@@ -273,17 +284,8 @@ class PatchedEnv:
     def box(self) -> Box:
         return self.window.box
 
-    def row_at(self, x: Site) -> np.ndarray:
-        return self.rows[self.box.local(x)]
-
     def row_fractions(self, x: Site) -> list[Fraction]:
-        loc = self.box.local(x)
-        k = int(self.chosen[loc])
-        if k < 0:
-            return uniform_row(self.dim)
-        env = self.envs[k]
-        j = env.geom.index[tuple(x)]
-        return env.rows_exact[j]
+        return list(row_table(self.dim).rows[self.row_type[self.box.local(x)]])
 
 
 def patch(window: Window, rays: list[RayHandle], ins_sup_by_forest: dict[int, "object"],
@@ -303,70 +305,54 @@ def patch(window: Window, rays: list[RayHandle], ins_sup_by_forest: dict[int, "o
     if objective not in ("min", "max"):
         raise ValueError("objective must be 'min' or 'max'")
     sign = 1.0 if objective == "min" else -1.0
-    d = window.dim
     box = window.box
     shape = box.shape
-    kappa = ellipticity_constant(d)
     order = sorted(range(len(rays)), key=lambda k: tuple(map(int, rays[k].leaf)))
-    envs: list[RayEnvironment | None] = [None] * len(rays)
-
-    uni = np.array([1.0 / (2 * d)] * (2 * d))
-    rows = np.broadcast_to(uni, shape + (2 * d,)).copy()
-    chosen = np.full(shape, -1, dtype=np.int32)
-    flagged = np.zeros(shape, dtype=bool)
-    best_mass = np.full(shape, np.inf)
-    exit_mass = np.full(shape, np.nan)
-    exit_prob = np.full(shape, np.nan)
+    # flat over the window box, one entry per site in row-major order
+    n = box.size
+    row_type = np.zeros(n, dtype=np.int8)
+    chosen = np.full(n, -1, dtype=np.int32)
+    flagged = np.zeros(n, dtype=bool)
+    best_mass = np.full(n, np.inf)
+    exit_mass = np.full(n, np.nan)
+    exit_prob = np.full(n, np.nan)
 
     for rank in order:
         ray = rays[rank]
         geom = tube_geometry(ray)
         env = ray_environment(ray, geom)
-        envs[rank] = env
         ins = ins_sup_by_forest[ray.forest_index]
+        j, at = box.locate(geom.sites)
+        if certain_cover is not None:
+            keep = certain_cover.reshape(-1)[at]
+            j, at = j[keep], at[keep]
+        exact = ins.exact.reshape(-1)[at]
+        hval = np.maximum(ins.value.reshape(-1)[at[exact]], 1)
         horizons = np.full(geom.size, -1, dtype=np.int64)
-        cens = np.zeros(geom.size, dtype=bool)
-        inside = np.zeros(geom.size, dtype=bool)
-        for j in range(geom.size):
-            s = tuple(map(int, geom.sites[j]))
-            if not box.contains(s):
-                continue
-            loc = box.local(s)
-            if certain_cover is not None and not certain_cover[loc]:
-                continue
-            inside[j] = True
-            hval, hexact = ins.at(s)
-            if not hexact:
-                cens[j] = True
-                continue
-            horizons[j] = max(1, int(np.ceil(horizon_factor * max(hval, 1))))
+        horizons[j[exact]] = np.maximum(1, np.ceil(horizon_factor * hval))
         if int(np.max(horizons, initial=0)) * geom.size > state_budget:
             raise MemoryError("patch DP exceeds the state budget")
         p_tab, e_tab = exit_table(env, horizons)
-        for j in range(geom.size):
-            if not inside[j]:
-                continue
-            s = tuple(map(int, geom.sites[j]))
-            loc = box.local(s)
-            if cens[j]:
-                if chosen[loc] < 0:
-                    chosen[loc] = rank
-                    flagged[loc] = True
-                    rows[loc] = env.rows[j]
-                continue
-            if flagged[loc]:
-                # a certain verdict displaces a censored placeholder
-                flagged[loc] = False
-                best_mass[loc] = np.inf
-            if sign * e_tab[j] < best_mass[loc]:
-                best_mass[loc] = sign * e_tab[j]
-                chosen[loc] = rank
-                rows[loc] = env.rows[j]
-                exit_mass[loc] = e_tab[j]
-                exit_prob[loc] = p_tab[j]
-    return PatchedEnv(window=window, dim=d, rays=rays, envs=envs, rows=rows,
-                      chosen=chosen, flagged=flagged, exit_mass=exit_mass,
-                      exit_prob=exit_prob, horizon_factor=horizon_factor, kappa=kappa)
+        # a censored site keeps the first covering ray's row, flagged
+        new = ~exact & (chosen[at] < 0)
+        chosen[at[new]] = rank
+        flagged[at[new]] = True
+        row_type[at[new]] = env.row_type[j[new]]
+        # a certain verdict displaces a censored placeholder
+        j, at = j[exact], at[exact]
+        best_mass[at[flagged[at]]] = np.inf
+        flagged[at] = False
+        better = sign * e_tab[j] < best_mass[at]
+        j, at = j[better], at[better]
+        best_mass[at] = sign * e_tab[j]
+        chosen[at] = rank
+        row_type[at] = env.row_type[j]
+        exit_mass[at] = e_tab[j]
+        exit_prob[at] = p_tab[j]
+    return PatchedEnv(window=window, dim=window.dim, rays=rays, row_type=row_type.reshape(shape),
+                      chosen=chosen.reshape(shape), flagged=flagged.reshape(shape),
+                      exit_mass=exit_mass.reshape(shape), exit_prob=exit_prob.reshape(shape),
+                      horizon_factor=horizon_factor, kappa=ellipticity_constant(window.dim))
 
 
 @dataclass
@@ -387,46 +373,25 @@ def supermartingale_residuals(env: PatchedEnv, tol_floor: float | None = None) -
     """
     box = env.box
     kappa = float(env.kappa) if tol_floor is None else tol_floor
-    dirs = all_directions(env.dim)
-    worst = -np.inf
-    witness = None
-    eligible = 0
-    skipped = 0
-    it = np.ndindex(*box.shape)
-    for loc in it:
-        if env.chosen[loc] < 0 or env.flagged[loc]:
-            continue
-        m = env.exit_mass[loc]
-        if not np.isfinite(m) or m >= kappa:
-            continue
-        x = box.site(loc)
-        total = 0.0
-        ok = True
-        row = env.rows[loc]
-        for dir_ in dirs:
-            y = tuple(a + o for a, o in zip(x, dir_.vector(env.dim)))
-            if not box.contains(y):
-                ok = False
-                break
-            ln = box.local(y)
-            if env.chosen[ln] < 0:
-                mn = 0.0  # outside every tube: exits immediately, zero mass
-            elif env.flagged[ln] or not np.isfinite(env.exit_mass[ln]):
-                ok = False
-                break
-            else:
-                mn = env.exit_mass[ln]
-            total += row[dir_.index] * mn
-        if not ok:
-            skipped += 1
-            continue
-        eligible += 1
-        res = total - m
-        if res > worst:
-            worst = res
-            witness = x
-    return ResidualReport(worst=worst if eligible else -np.inf, witness=witness,
-                          eligible=eligible, skipped=skipped)
+    certain = (env.chosen >= 0) & ~env.flagged & np.isfinite(env.exit_mass)
+    below = certain & (env.exit_mass < kappa)
+    # a neighbour outside every tube exits at once (mass 0); NaN marks one
+    # whose mass is unknown: flagged, not computed, or outside the box
+    known = np.where(env.chosen < 0, 0.0, np.where(certain, env.exit_mass, np.nan))
+    padded = np.pad(known, 1, constant_values=np.nan)
+    weights = row_table(env.dim).weights[env.row_type]
+    total = np.zeros(box.shape)
+    for dir_ in all_directions(env.dim):
+        shifted = tuple(slice(1 + o, 1 + o + n) for o, n in zip(dir_.vector(env.dim), box.shape))
+        total = total + weights[..., dir_.index] * padded[shifted]
+    ok = below & ~np.isnan(total)
+    skipped = int(np.count_nonzero(below & ~ok))
+    if not ok.any():
+        return ResidualReport(worst=-np.inf, witness=None, eligible=0, skipped=skipped)
+    res = np.where(ok, total - env.exit_mass, -np.inf)
+    loc = np.unravel_index(int(np.argmax(res)), box.shape)
+    return ResidualReport(worst=res[loc], witness=tuple(int(c) for c in box.site(loc)),
+                          eligible=int(np.count_nonzero(ok)), skipped=skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -434,25 +399,29 @@ def supermartingale_residuals(env: PatchedEnv, tol_floor: float | None = None) -
 # ---------------------------------------------------------------------------
 
 def write_environment(env: PatchedEnv, path: str):
+    """Header, then every window site's row in row-major order as
+    (numerator, denominator) u64 pairs, gathered from the row table."""
     box = env.box
     d = env.dim
+    fractions = np.array([[(p.numerator, p.denominator) for p in row]
+                          for row in row_table(d).rows], dtype="<u8")
     with open(path, "wb") as f:
         f.write(ENV_MAGIC)
         f.write(struct.pack("<II", ENV_VERSION, d))
         for l, h in zip(box.lo, box.hi):
             f.write(struct.pack("<qq", l, h))
-        for loc in np.ndindex(*box.shape):
-            fr = env.row_fractions(box.site(loc))
-            for p in fr:
-                f.write(struct.pack("<QQ", p.numerator, p.denominator))
+        f.write(fractions[env.row_type].tobytes())
 
 
 def environment_manifest(env: PatchedEnv, beta: float) -> dict:
+    """Run constants plus the count of sites per chosen leaf, keys in order
+    of first row-major appearance."""
+    ranks, first, counts = np.unique(env.chosen, return_index=True, return_counts=True)
     hist: dict[str, int] = {}
-    for loc in np.ndindex(*env.box.shape):
-        k = int(env.chosen[loc])
+    for i in np.argsort(first):
+        k = int(ranks[i])
         key = "symmetric" if k < 0 else str(tuple(map(int, env.rays[k].leaf)))
-        hist[key] = hist.get(key, 0) + 1
+        hist[key] = hist.get(key, 0) + int(counts[i])
     return {"kappa": [env.kappa.numerator, env.kappa.denominator],
             "horizon_factor": env.horizon_factor, "beta": beta,
             "chosen_leaf_histogram": hist}

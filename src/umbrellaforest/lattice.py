@@ -160,6 +160,13 @@ class Box:
     def site(self, local: tuple[int, ...]) -> Site:
         return tuple(c + l for c, l in zip(local, self.lo))
 
+    def locate(self, sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of `sites` (N, d) inside the box, and their row-major flat
+        indices in it."""
+        local = sites - np.asarray(self.lo)
+        rows = np.flatnonzero(((local >= 0) & (local < self.shape)).all(axis=1))
+        return rows, np.ravel_multi_index(tuple(local[rows].T), self.shape)
+
     def expand(self, k: int) -> "Box":
         return Box(tuple(l - k for l in self.lo), tuple(h + k for h in self.hi))
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng
 from .environment import (PatchedEnv, choose_horizon_factor, patch,
-                          ray_environment)
+                          ray_environment, row_table)
 from .fieldgen import LField, ModelParams, default_params, generate_field
 from .forest import Forest, build_forest, example1_forest
 from .lattice import Site, Window
@@ -142,20 +142,12 @@ def build_patched(pair: PrunedPair, rays: list[RayHandle] | None = None,
         envs, pairs = [], []
         for ray in rays[:6]:
             env = ray_environment(ray)
-            ei = len(envs)
-            envs.append(env)
             ins = pair.ins_sup[ray.forest_index - 1]
-            picked = 0
-            for j in range(env.geom.size):
-                s = tuple(map(int, env.geom.sites[j]))
-                if not pair.params.window.box.contains(s):
-                    continue
-                hval, hexact = ins.at(s)
-                if hexact and env.geom.u[j] >= 1:
-                    pairs.append((ei, j, max(hval, 1)))
-                    picked += 1
-                    if picked >= calibration_cap:
-                        break
+            j, at = params.window.box.locate(env.geom.sites)
+            ok = ins.exact.reshape(-1)[at] & (env.geom.u[j] >= 1)
+            hval = np.maximum(ins.value.reshape(-1)[at[ok]], 1)[:calibration_cap]
+            pairs += [(len(envs), int(jj), int(h)) for jj, h in zip(j[ok], hval)]
+            envs.append(env)
         horizon_factor = choose_horizon_factor(
             envs, pairs, ellipticity_constant(params.dim),
             floor=max(consts.depth_factor, 1.0), n_max=n_max)
@@ -268,6 +260,7 @@ def trap_experiment(params: ModelParams, horizon: int, replicas: int,
     env = built.env
     box = pair.forest_of(1).box
     walk_seed = params.seed if walk_seed is None else walk_seed
+    rows = row_table(params.dim).rows
 
     estimates: dict[str, TrapEstimate] = {}
     batches: dict[str, WalkBatch] = {}
@@ -278,17 +271,16 @@ def trap_experiment(params: ModelParams, horizon: int, replicas: int,
         sign = 1 if i == 1 else -1
         cfg = WalkConfig(start=start, horizon=horizon, replicas=replicas,
                          seed=rng.stream("trap", walk_seed, i))
-        batch = run_walks(env.rows, box, inside, cfg, orientation_sign=sign)
+        batch = run_walks(env.row_type, rows, box, inside, cfg, orientation_sign=sign)
         estimates[f"orient_{i}"] = trap_probability(batch)
         batches[f"orient_{i}"] = batch
         starts[f"orient_{i}"] = start
 
         if i == 1:
-            uni = np.broadcast_to(np.full(2 * params.dim, 1.0 / (2 * params.dim)),
-                                  box.shape + (2 * params.dim,)).copy()
             ccfg = WalkConfig(start=start, horizon=horizon, replicas=replicas,
                               seed=rng.stream("trap-control", walk_seed))
-            cbatch = run_walks(uni, box, inside, ccfg, orientation_sign=sign)
+            cbatch = run_walks(np.zeros_like(env.row_type), rows, box, inside, ccfg,
+                               orientation_sign=sign)
             estimates["control"] = trap_probability(cbatch)
             batches["control"] = cbatch
             starts["control"] = start
@@ -508,6 +500,7 @@ def oracle_suite(max_box: int = 7, seed: int = 5, dims: tuple[int, ...] = (2, 3)
 
     env = ray_environment(ray, geom)
     inside = {tuple(map(int, s)): True for s in geom.sites}
+    table = row_table(d).rows
     rows = {}
     for j in range(geom.size):
         x = tuple(map(int, geom.sites[j]))
@@ -515,7 +508,7 @@ def oracle_suite(max_box: int = 7, seed: int = 5, dims: tuple[int, ...] = (2, 3)
         from .lattice import all_directions
         for dir_ in all_directions(d):
             y = tuple(a + o for a, o in zip(x, dir_.vector(d)))
-            row[y] = env.rows_exact[j][dir_.index]
+            row[y] = table[env.row_type[j]][dir_.index]
         rows[x] = row
     bad = 0
     for x in [(8, 0, 0), (10, 1, 0), (12, 0, -1)]:

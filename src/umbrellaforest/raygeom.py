@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .forest import Forest
-from .lattice import Direction, Site, l1_norm
+from .lattice import Direction, Site, all_directions, l1_norm
 
 
 @dataclass(frozen=True)
@@ -89,30 +89,40 @@ def score_and_index(ray: RayHandle, x: Site, settled: bool = True) -> tuple[floa
 
 def drift_directions(ray: RayHandle, x: Site,
                      n_attain: int | None = None) -> tuple[Direction, Direction]:
-    """(forward, inward): along the spine at the attaining index, and the
-    unit step that reduces the distance to the attaining spine site.
+    """(forward, inward) at one site: `drift_indices` as Directions."""
+    if n_attain is None:
+        v, n_attain = score_and_index(ray, x, settled=False)
+        if v < 0:
+            raise ValueError(f"{x} is not inside the tube")
+    forward, inward = drift_indices(ray, np.asarray([x]), np.asarray([n_attain]))
+    dirs = all_directions(ray.dim)
+    return dirs[int(forward[0])], dirs[int(inward[0])]
+
+
+def drift_indices(ray: RayHandle, sites: np.ndarray,
+                  n_attain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direction indices (forward, inward) at sites (S, d) with their
+    attaining spine indices: forward steps along the spine at the attaining
+    index, inward reduces the distance to the attaining spine site.
 
     On the spine itself the inward step is taken equal to the forward step.
     Off the spine the inward step picks the lowest-index coordinate where x
     differs from the target, signed toward it (any fixed rule works; this
     one is order-stable).
     """
-    if n_attain is None:
-        v, n_attain = score_and_index(ray, x, settled=False)
-        if v < 0:
-            raise ValueError(f"{x} is not inside the tube")
     spine = ray.spine
-    n_step = min(n_attain, spine.shape[0] - 2)
-    step = spine[n_step + 1] - spine[n_step]
-    axis = int(np.flatnonzero(step)[0])
-    forward = Direction(axis + 1, int(step[axis]))
-    target = spine[n_attain]
-    diff = target - np.asarray(x)
-    if not diff.any():
-        return forward, forward
-    axis = int(np.flatnonzero(diff)[0])
-    inward = Direction(axis + 1, 1 if diff[axis] > 0 else -1)
+    n_step = np.minimum(n_attain, spine.shape[0] - 2)
+    forward = _direction_index(spine[n_step + 1] - spine[n_step])
+    diff = spine[n_attain] - sites
+    inward = np.where(diff.any(axis=1), _direction_index(diff), forward)
     return forward, inward
+
+
+def _direction_index(v: np.ndarray) -> np.ndarray:
+    """Per row of v, the index of the unit step along its first nonzero
+    coordinate, signed like that coordinate."""
+    axis = np.argmax(v != 0, axis=1)
+    return 2 * axis + (v[np.arange(v.shape[0]), axis] < 0)
 
 
 @dataclass

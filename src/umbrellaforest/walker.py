@@ -2,7 +2,10 @@
 
 Replicas are simulated in one vectorized batch; each replica's step noise
 is a counter-based 64-bit word keyed by (seed, replica, step), so traces
-are reproducible individually and paired-seed couplings are exact.  A walk
+are reproducible individually and paired-seed couplings are exact.  The
+environment is a row type per site into a table of exact rational rows;
+each word is compared with the rows' exact integer thresholds, so every
+step is the one the scalar `step` takes on the same row and word.  A walk
 that reaches the window safety buffer is truncated there and flagged: the
 window cannot testify about anything beyond it, so truncated survivors are
 censored observations, never fabricated ones.
@@ -12,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -35,18 +40,6 @@ class WalkConfig:
             raise ValueError("need at least one replica")
 
 
-def row_thresholds(rows: np.ndarray) -> np.ndarray:
-    """Cumulative float rows scaled against the 64-bit word range.
-
-    The float comparison costs a per-step sampling bias below 2^-52 of the
-    exact rational row, far under anything the estimators can resolve.
-    """
-    cum = np.cumsum(rows, axis=-1)
-    th = cum * 2.0 ** 64
-    th[..., -1] = 2.0 ** 64
-    return th
-
-
 def step(row_fractions: list[Fraction], word: int) -> int:
     """Direction index from one exact rational row and one 64-bit word.
 
@@ -59,6 +52,26 @@ def step(row_fractions: list[Fraction], word: int) -> int:
         if word < (acc.numerator << 64) // acc.denominator:
             return k
     return len(row_fractions) - 1
+
+
+def row_sampler(rows: Sequence[Sequence[Fraction]]):
+    """`step` vectorized over a table of exact rows: pick(types, words).
+
+    Each row keeps its thresholds floor(2^64 cum_k), k < 2d - 1, as uint64
+    words, and a word picks the number of thresholds at or below it.  Where
+    cum_k = 1 the threshold 2^64 is clipped to 2^64 - 1, which only the word
+    2^64 - 1 reaches; capping the pick at the row's last nonzero entry undoes
+    that, since cum_k = 1 first at that entry.
+    """
+    top = (1 << 64) - 1
+    th = np.array([[min((c.numerator << 64) // c.denominator, top)
+                    for c in accumulate(row[:-1])] for row in rows], dtype=np.uint64)
+    last = np.array([max(k for k, p in enumerate(row) if p) for row in rows])
+
+    def pick(types: np.ndarray, words: np.ndarray) -> np.ndarray:
+        return np.minimum((words[:, None] >= th[types]).sum(axis=1), last[types])
+
+    return pick
 
 
 @dataclass
@@ -94,20 +107,22 @@ class WalkBatch:
         return out
 
 
-def run_walks(env_rows: np.ndarray, box: Box, inside_mask: np.ndarray,
-              config: WalkConfig, orientation_sign: int = 1,
+def run_walks(row_type: np.ndarray, rows: Sequence[Sequence[Fraction]], box: Box,
+              inside_mask: np.ndarray, config: WalkConfig, orientation_sign: int = 1,
               spine_mask: np.ndarray | None = None) -> WalkBatch:
     """Walk `replicas` chains for `horizon` steps in a per-site row field.
 
-    env_rows: (*box.shape, 2d) float rows; inside_mask: the membership event
-    being tracked (exit = first step landing outside it).  A walk that exits
+    row_type: (*box.shape,) index into `rows`, a table of exact rational
+    rows; inside_mask: the membership event being tracked (exit = first
+    step landing outside it).  A walk that exits
     or hits the buffer freezes in place so batch arithmetic stays branch-free.
     """
     d = box.dim
     R = config.replicas
     dirs = all_directions(d)
     steps = np.array([dr.vector(d) for dr in dirs], dtype=np.int64)
-    th = row_thresholds(env_rows.reshape(-1, 2 * d).astype(np.float64))
+    pick = row_sampler(rows)
+    type_flat = row_type.ravel()
     inside_flat = inside_mask.ravel()
     spine_flat = spine_mask.ravel() if spine_mask is not None else None
 
@@ -132,8 +147,7 @@ def run_walks(env_rows: np.ndarray, box: Box, inside_mask: np.ndarray,
             break
         flat = ((pos - lo) * strides).sum(axis=1)
         words = rng.u64_vec(seed, [replica_ids, np.full(R, t, dtype=np.int64)])
-        pick = (words.astype(np.float64)[:, None] >= th[flat]).sum(axis=1)
-        pos = np.where(active[:, None], pos + steps[pick], pos)
+        pos = np.where(active[:, None], pos + steps[pick(type_flat[flat], words)], pos)
 
         flat = ((pos - lo) * strides).sum(axis=1).clip(0, inside_flat.size - 1)
         outside = active & ~inside_flat[flat]

@@ -5,7 +5,7 @@ scaled insulation-sup tail staying bounded over its tested range."""
 
 import numpy as np
 
-from umbrellaforest.environment import ray_environment
+from umbrellaforest.environment import ray_environment, row_table
 from umbrellaforest.fieldgen import default_params, generate_field
 from umbrellaforest.forest import build_forest
 from umbrellaforest.lattice import Box, Window
@@ -65,17 +65,14 @@ def test_exit_tail_stretched_exponential_shape():
     geom = tube_geometry(ray)
     env = ray_environment(ray, geom)
     box = Box((-10, -16, -16), (74, 16, 16))
-    rows = np.broadcast_to(np.full(6, 1 / 6.0), box.shape + (6,)).copy()
-    inside = np.zeros(box.shape, dtype=bool)
+    types = np.zeros(box.shape, dtype=np.int8)
+    types[tuple((geom.sites - box.lo).T)] = env.row_type
+    inside = types > 0
     spine_mask = np.zeros(box.shape, dtype=bool)
-    for jj in range(geom.size):
-        s = tuple(map(int, geom.sites[jj]))
-        inside[box.local(s)] = True
-        rows[box.local(s)] = env.rows[jj]
     for n in range(61):
         spine_mask[box.local(tuple(map(int, spine[n])))] = True
     cfg = WalkConfig(start=(12, 0, 0), horizon=400, replicas=500, seed=21, buffer=1)
-    batch = run_walks(rows, box, inside, cfg, spine_mask=spine_mask)
+    batch = run_walks(types, row_table(3).rows, box, inside, cfg, spine_mask=spine_mask)
     slope = stretched_exp_slope(batch.exit_step, [4, 8, 16, 32, 64], beta=0.45)
     assert slope < 0
     # return-time bookkeeping: survivors revisit the spine often
@@ -93,14 +90,11 @@ def test_drift_concentration_trend():
     geom = tube_geometry(ray)
     env = ray_environment(ray, geom)
     box = Box((-10, -16, -16), (94, 16, 16))
-    rows = np.broadcast_to(np.full(6, 1 / 6.0), box.shape + (6,)).copy()
-    inside = np.zeros(box.shape, dtype=bool)
-    for jj in range(geom.size):
-        s = tuple(map(int, geom.sites[jj]))
-        inside[box.local(s)] = True
-        rows[box.local(s)] = env.rows[jj]
+    types = np.zeros(box.shape, dtype=np.int8)
+    types[tuple((geom.sites - box.lo).T)] = env.row_type
+    inside = types > 0
     cfg = WalkConfig(start=(6, 0, 0), horizon=64, replicas=800, seed=33, buffer=1)
-    batch = run_walks(rows, box, inside, cfg)
+    batch = run_walks(types, row_table(3).rows, box, inside, cfg)
     fracs = []
     for n in (8, 16, 32, 64):
         alive = (batch.exit_step < 0) | (batch.exit_step > n)

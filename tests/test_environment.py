@@ -7,10 +7,10 @@ import umbrellaforest as uf
 from umbrellaforest.environment import (choose_horizon_factor,
                                         environment_manifest, exit_functionals,
                                         patch, ray_environment, ray_row,
-                                        supermartingale_residuals, tube_row,
-                                        uniform_row, write_environment)
+                                        row_table, supermartingale_residuals,
+                                        tube_row, uniform_row, write_environment)
 from umbrellaforest.fieldgen import default_params
-from umbrellaforest.lattice import Direction, Window
+from umbrellaforest.lattice import Direction, Window, all_directions
 from umbrellaforest.oracles import exit_stats_brute
 from umbrellaforest.pipeline import build_pruned_pair, build_patched
 from umbrellaforest.pruning import IN
@@ -57,6 +57,35 @@ def test_ray_row_outside_tube_uniform():
     assert ray_row(ray, (5, 9, 9)) == uniform_row(3)
 
 
+def test_row_table_holds_every_row_once():
+    for d in (2, 3):
+        table = row_table(d)
+        dirs = all_directions(d)
+        assert len(set(table.rows)) == len(table.rows) == (2 * d) ** 2 + 1
+        assert list(table.rows[0]) == uniform_row(d)
+        for f in dirs:
+            for i in dirs:
+                row = table.rows[1 + 2 * d * f.index + i.index]
+                assert list(row) == tube_row(d, f, i)
+        assert np.array_equal(table.weights, [[float(p) for p in r] for r in table.rows])
+
+
+def test_ray_environment_types_and_neighbors_site_by_site():
+    # a staircase spine, so that every site's forward and inward steps vary
+    steps = np.array([(1, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, -1)] * 8)
+    spine = np.vstack([np.zeros((1, 3), dtype=np.int64), np.cumsum(steps, axis=0)])
+    ray = RayHandle(leaf=(0, 0, 0), forest_index=1, zeta=1, beta=0.45, spine=spine)
+    env = ray_environment(ray)
+    geom = env.geom
+    rows = row_table(3).rows
+    for j in range(geom.size):
+        x = tuple(map(int, geom.sites[j]))
+        assert list(rows[env.row_type[j]]) == ray_row(ray, x)
+        for dr in all_directions(3):
+            y = tuple(a + o for a, o in zip(x, dr.vector(3)))
+            assert env.neighbor[j, dr.index] == geom.index.get(y, -1)
+
+
 def test_exit_functionals_outside_tube():
     ray = straight_ray()
     env = ray_environment(ray)
@@ -69,11 +98,11 @@ def test_exit_dp_matches_path_enumeration():
     geom = tube_geometry(ray)
     env = ray_environment(ray, geom)
     inside = {tuple(map(int, s)): True for s in geom.sites}
+    table = row_table(3).rows
     rows = {}
-    from umbrellaforest.lattice import all_directions
     for j in range(geom.size):
         x = tuple(map(int, geom.sites[j]))
-        rows[x] = {tuple(a + o for a, o in zip(x, dr.vector(3))): env.rows_exact[j][dr.index]
+        rows[x] = {tuple(a + o for a, o in zip(x, dr.vector(3))): table[env.row_type[j]][dr.index]
                    for dr in all_directions(3)}
     for x in [(8, 0, 0), (10, 1, 0), (12, 0, -1)]:
         st = exit_functionals(env, x, horizon=4)
@@ -217,6 +246,45 @@ def test_patch_argmin_choice():
     both = (env.chosen >= 0) & (worst.chosen >= 0) & ~env.flagged & ~worst.flagged
     assert np.all(env.exit_mass[both] <= worst.exit_mass[both] + 1e-12)
     assert np.isfinite(env.exit_mass[both]).all()
+    # flagged: covered, with H censored under every covering ray's forest
+    settled = np.zeros(env.box.size, dtype=bool)
+    for ray in built.rays:
+        _, at = env.box.locate(tube_geometry(ray).sites)
+        at = at[cover.reshape(-1)[at]]
+        settled[at] |= pair.ins_sup[ray.forest_index - 1].exact.reshape(-1)[at]
+    assert np.array_equal(env.flagged, (env.chosen >= 0) & ~settled.reshape(env.box.shape))
+    assert env.flagged.any() and (env.chosen >= 0).sum() > env.flagged.sum()
+
+
+def residuals_by_site(env):
+    """Site-by-site restatement of supermartingale_residuals."""
+    rows = row_table(env.dim).rows
+    worst, witness, eligible, skipped = -np.inf, None, 0, 0
+    for loc in np.ndindex(*env.box.shape):
+        m = env.exit_mass[loc]
+        if env.chosen[loc] < 0 or env.flagged[loc] or not m < float(env.kappa):
+            continue
+        x = env.box.site(loc)
+        total = 0.0
+        for dr in all_directions(env.dim):
+            y = tuple(a + o for a, o in zip(x, dr.vector(env.dim)))
+            if not env.box.contains(y):
+                break
+            ln = env.box.local(y)
+            if env.chosen[ln] < 0:
+                mn = 0.0
+            elif env.flagged[ln] or not np.isfinite(env.exit_mass[ln]):
+                break
+            else:
+                mn = env.exit_mass[ln]
+            total += float(rows[env.row_type[loc]][dr.index]) * mn
+        else:
+            eligible += 1
+            if total - m > worst:
+                worst, witness = total - m, x
+            continue
+        skipped += 1
+    return worst, witness, eligible, skipped
 
 
 def test_supermartingale_residuals_vacuous_and_corruption_control():
@@ -229,7 +297,6 @@ def test_supermartingale_residuals_vacuous_and_corruption_control():
 
     # the checker must flag an inconsistent mass field
     target = None
-    from umbrellaforest.lattice import all_directions
     for loc in np.ndindex(*env.box.shape):
         if env.chosen[loc] < 0 or env.flagged[loc]:
             continue
@@ -256,27 +323,34 @@ def test_supermartingale_residuals_vacuous_and_corruption_control():
     assert bad.eligible >= 1 and bad.worst > 1e-9
     assert bad.witness is not None
 
+    # the array check equals its site-by-site restatement, skips included
+    certain = np.flatnonzero(((env.chosen >= 0) & ~env.flagged).ravel())
+    env.exit_mass.reshape(-1)[certain[::5]] = 0.0
+    rep = supermartingale_residuals(env)
+    want = residuals_by_site(env)
+    assert (rep.worst, rep.witness, rep.eligible, rep.skipped) == want
+    assert want[2] >= 1 and want[3] >= 1
 
-def test_patch_locality_under_margin_growth():
-    # same seed, larger margin: rows at deep-interior covered sites persist
-    w1 = Window.centered(26, 3, 6)
-    w2 = Window.centered(26, 3, 10)
-    p1 = default_params(3, w1, seed=23)
-    p2 = default_params(3, w2, seed=23)
-    b1 = build_patched(build_pruned_pair(p1), min_depth=3)
-    b2 = build_patched(build_pruned_pair(p2), min_depth=3,
-                       horizon_factor=b1.horizon_factor)
-    box = w1.box
-    dist = box.boundary_distance()
-    agree = 0
-    for loc in np.ndindex(*box.shape):
-        if dist[loc] < 8:
-            continue
-        r1 = b1.env.rows[loc]
-        r2 = b2.env.rows[loc]
-        if b1.env.chosen[loc] >= 0 and b2.env.chosen[loc] >= 0 \
-                and not b1.env.flagged[loc] and not b2.env.flagged[loc]:
-            assert np.allclose(r1, r2)
-            agree += 1
-    # deep-interior certain rows agree wherever both runs computed them
-    assert agree >= 0
+
+def test_patch_locality_under_ray_removal():
+    # a site's row, ray, flag and exit mass depend only on the tubes that
+    # cover it: dropping every other ray changes nothing outside their tubes
+    p, pair, built = built_instance(seed=23)
+    env = built.env
+    box = env.box
+    cover = (pair.insulation[0].ray_layer == IN) | (pair.insulation[1].ray_layer == IN)
+    part = patch(p.window, built.rays[::2], {1: pair.ins_sup[0], 2: pair.ins_sup[1]},
+                 built.horizon_factor, certain_cover=cover)
+    same = np.ones(box.shape, dtype=bool)
+    for ray in built.rays[1::2]:
+        for s in tube_geometry(ray).sites:
+            if box.contains(tuple(s)):
+                same[box.local(tuple(s))] = False
+    chosen = np.where(part.chosen >= 0, 2 * part.chosen, -1)
+    assert np.array_equal(env.chosen[same], chosen[same])
+    assert np.array_equal(env.row_type[same], part.row_type[same])
+    assert np.array_equal(env.flagged[same], part.flagged[same])
+    assert np.array_equal(env.exit_mass[same], part.exit_mass[same], equal_nan=True)
+    # observed on covered sites, and the dropped rays did cover some
+    assert np.count_nonzero((env.chosen >= 0) & same) >= 1
+    assert np.count_nonzero(env.chosen[~same] >= 0) >= 1

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from umbrellaforest import rng
-from umbrellaforest.environment import ray_environment
+from umbrellaforest.environment import ray_environment, row_table
 from umbrellaforest.lattice import Box
 from umbrellaforest.raygeom import RayHandle, tube_geometry
-from umbrellaforest.walker import (WalkConfig, exit_tail_curve, row_thresholds,
+from umbrellaforest.walker import (WalkConfig, exit_tail_curve, row_sampler,
                                    run_walks, step, trap_probability, walks_csv)
 
 
-def uniform_env(box: Box, d: int) -> np.ndarray:
-    return np.broadcast_to(np.full(2 * d, 1.0 / (2 * d)),
-                           box.shape + (2 * d,)).copy()
+ROWS = {d: row_table(d).rows for d in (2, 3)}
+
+
+def uniform_env(box: Box) -> np.ndarray:
+    """Row types of the all-uniform environment."""
+    return np.zeros(box.shape, dtype=np.int8)
 
 
 def test_config_validation():
@@ -34,31 +37,48 @@ def test_scalar_step_exact_rationals():
     assert step(row, 1 << 62) == 1
 
 
+def test_vectorized_pick_equals_step_at_every_threshold():
+    top = (1 << 64) - 1
+    zero_rows = [[Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
+                 [Fraction(0), Fraction(0), Fraction(0), Fraction(1)],
+                 [Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(0)]]
+    for rows in (ROWS[2], ROWS[3], zero_rows):
+        pick = row_sampler(rows)
+        for t, row in enumerate(rows):
+            words = {0, top}
+            acc = Fraction(0)
+            for p in row:
+                acc += p
+                th = (acc.numerator << 64) // acc.denominator
+                words |= {w for w in (th - 1, th, th + 1) if 0 <= w <= top}
+            words = sorted(words)
+            got = pick(np.full(len(words), t), np.array(words, dtype=np.uint64))
+            assert got.tolist() == [step(list(row), w) for w in words], (row, t)
+
+
 def test_step_frequencies_uniform_and_skewed():
-    d = 3
     words = rng.u64_vec(9, [np.arange(200000, dtype=np.int64)])
-    row = np.full(2 * d, 1.0 / (2 * d))
-    th = row_thresholds(row[None, :])[0]
-    picks = (words.astype(np.float64)[:, None] >= th[None, :]).sum(axis=1)
-    for k in range(2 * d):
+    uniform = [Fraction(1, 6)] * 6
+    skew = [Fraction(19, 20)] + [Fraction(1, 100)] * 5
+    pick = row_sampler([uniform, skew])
+    picks = pick(np.zeros(words.size, dtype=np.int8), words)
+    for k in range(6):
         f = np.mean(picks == k)
         sd = np.sqrt((1 / 6) * (5 / 6) / len(picks))
         assert abs(f - 1 / 6) < 5 * sd
 
-    skew = np.array([19 / 20] + [1 / 100] * 5)
-    th = row_thresholds(skew[None, :])[0]
-    picks = (words.astype(np.float64)[:, None] >= th[None, :]).sum(axis=1)
+    picks = pick(np.ones(words.size, dtype=np.int8), words)
     f = np.mean(picks == 0)
     assert abs(f - 0.95) < 5 * np.sqrt(0.95 * 0.05 / len(picks))
 
 
 def test_walks_are_nearest_neighbor_and_deterministic():
     box = Box((-12, -12), (12, 12))
-    env = uniform_env(box, 2)
+    types = uniform_env(box)
     inside = np.ones(box.shape, dtype=bool)
     cfg = WalkConfig(start=(0, 0), horizon=40, replicas=16, seed=4, buffer=1)
-    b1 = run_walks(env, box, inside, cfg)
-    b2 = run_walks(env, box, inside, cfg)
+    b1 = run_walks(types, ROWS[2], box, inside, cfg)
+    b2 = run_walks(types, ROWS[2], box, inside, cfg)
     assert np.array_equal(b1.positions, b2.positions)
     assert np.array_equal(b1.exit_step, b2.exit_step)
     # |X_N|_1 has the parity of the number of steps taken and is bounded by it
@@ -70,12 +90,10 @@ def test_walks_are_nearest_neighbor_and_deterministic():
 
 def test_deterministic_row_forces_direction():
     box = Box((-2, -2), (30, 2))
-    d = 2
-    rows = np.zeros(box.shape + (2 * d,))
-    rows[..., 0] = 1.0  # always +e1
+    rows = [[Fraction(1), Fraction(0), Fraction(0), Fraction(0)]]  # always +e1
     inside = np.ones(box.shape, dtype=bool)
     cfg = WalkConfig(start=(0, 0), horizon=10, replicas=3, seed=8, buffer=1)
-    batch = run_walks(rows, box, inside, cfg)
+    batch = run_walks(uniform_env(box), rows, box, inside, cfg)
     for k in range(3):
         assert tuple(batch.positions[k]) == (10, 0)
     # unit drift exactly
@@ -93,14 +111,13 @@ def test_exit_never_faster_than_insulation_distance():
     u = int(geom.u[j])
 
     box = Box((-10, -14, -14), (54, 14, 14))
-    rows = uniform_env(box, 3)
+    types = uniform_env(box)
     inside = np.zeros(box.shape, dtype=bool)
     for s in geom.sites:
         inside[box.local(tuple(map(int, s)))] = True
-    for jj in range(geom.size):
-        rows[box.local(tuple(map(int, geom.sites[jj])))] = env.rows[jj]
+    types[tuple((geom.sites - box.lo).T)] = env.row_type
     cfg = WalkConfig(start=start, horizon=400, replicas=300, seed=3, buffer=1)
-    batch = run_walks(rows, box, inside, cfg)
+    batch = run_walks(types, ROWS[3], box, inside, cfg)
     exited = batch.exit_step[batch.exit_step >= 0]
     assert exited.size == 0 or exited.min() >= u
 
@@ -112,16 +129,15 @@ def test_paired_coupling_deeper_site_survives_longer():
     geom = tube_geometry(ray)
     env = ray_environment(ray, geom)
     box = Box((-10, -16, -16), (74, 16, 16))
-    rows = uniform_env(box, 3)
+    types = uniform_env(box)
     inside = np.zeros(box.shape, dtype=bool)
     for s in geom.sites:
         inside[box.local(tuple(map(int, s)))] = True
-    for jj in range(geom.size):
-        rows[box.local(tuple(map(int, geom.sites[jj])))] = env.rows[jj]
+    types[tuple((geom.sites - box.lo).T)] = env.row_type
 
     def curve(start):
         cfg = WalkConfig(start=start, horizon=300, replicas=400, seed=77, buffer=1)
-        batch = run_walks(rows, box, inside, cfg)
+        batch = run_walks(types, ROWS[3], box, inside, cfg)
         return batch.exit_step
 
     # same spine region (same runway), different insulation depth
@@ -143,11 +159,10 @@ def test_paired_coupling_deeper_site_survives_longer():
 
 def test_trap_estimate_bookkeeping_and_csv(tmp_path):
     box = Box((-6, -6), (6, 6))
-    env = uniform_env(box, 2)
     inside = np.zeros(box.shape, dtype=bool)
     inside[4:9, 4:9] = True  # small central square
     cfg = WalkConfig(start=(0, 0), horizon=50, replicas=64, seed=10, buffer=1)
-    batch = run_walks(env, box, inside, cfg)
+    batch = run_walks(uniform_env(box), ROWS[2], box, inside, cfg)
     est = trap_probability(batch)
     assert 0 <= est.survival_fraction <= 1
     assert sum(est.exit_histogram.values()) == est.replicas - est.survivors
@@ -162,13 +177,12 @@ def test_trap_estimate_bookkeeping_and_csv(tmp_path):
 
 def test_survival_nonincreasing_in_horizon():
     box = Box((-8, -8), (8, 8))
-    env = uniform_env(box, 2)
     inside = np.zeros(box.shape, dtype=bool)
     inside[5:12, 5:12] = True
     outs = []
     for horizon in (10, 30, 90):
         cfg = WalkConfig(start=(0, 0), horizon=horizon, replicas=128, seed=6,
                          buffer=1)
-        batch = run_walks(env, box, inside, cfg)
+        batch = run_walks(uniform_env(box), ROWS[2], box, inside, cfg)
         outs.append(trap_probability(batch).survival_fraction)
     assert outs[0] >= outs[1] >= outs[2]
