@@ -6,9 +6,19 @@ evenly over the remaining directions, which keeps every entry at or above
 the ellipticity floor 1/(20(2d-1)).  Outside every tube the row is uniform.
 A row depends only on the pair (forward, inward), so one table per d holds
 every exact rational row, (2d)^2 + 1 of them, and tubes and patched windows
-store a small integer row type per site.  The exit-time dynamic program reads
-the table's float rows, with rounding error far below the 1e-9 assertion
-tolerance at desk horizons; dumps and walks read its exact rows.
+store a small integer row type per site.  Dumps and walks read the table's
+exact rows.
+
+Each tube gets one sparse operator, built from its slot array: row j holds
+the float weights of site j's 2d moves in direction order, and every move
+off the tube points at one absorbing column.  The exit-time dynamic program
+is then two matrix-vector products per step, with rounding error far below
+the 1e-9 assertion tolerance at desk horizons.  Its values are reproducible
+bit for bit because scipy's CSR product sums each row's stored entries in
+order, starting from 0, rounding each product on its own (checked on x86-64,
+where the compiled kernel does not fuse multiply-add); the operator is
+therefore never canonicalised, which would merge a row's exits into one
+entry and change that order.
 
 Patching picks, per covered site, the covering ray whose truncated expected
 exit-time mass is smallest (lexicographic tie-break), which is exactly what
@@ -24,6 +34,7 @@ from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .lattice import Box, Direction, Site, Window, all_directions
 from .raygeom import (RayHandle, TubeGeometry, drift_directions, drift_indices,
@@ -89,11 +100,16 @@ def row_table(d: int) -> RowTable:
 
 @dataclass
 class RayEnvironment:
-    """One tube: a row type per site and the in-tube neighbor graph."""
+    """One tube: a row type per site and its one-step operator.
+
+    Row j of `operator` stores exactly 2d entries, site j's moves in
+    direction order with its row's float weights; a move off the tube points
+    at the absorbing column S, one entry per move.
+    """
 
     geom: TubeGeometry
     row_type: np.ndarray    # (S,) int8 index into row_table(d)
-    neighbor: np.ndarray    # (S, 2d) int64 index into sites, -1 = tube exit
+    operator: csr_array     # (S, S + 1) float64
 
     @property
     def dim(self) -> int:
@@ -104,15 +120,16 @@ def ray_environment(ray: RayHandle, geom: TubeGeometry | None = None) -> RayEnvi
     if geom is None:
         geom = tube_geometry(ray)
     d = ray.dim
+    S = geom.size
     forward, inward = drift_indices(ray, geom.sites, geom.n_attain)
     row_type = (1 + 2 * d * forward + inward).astype(np.int8)
-    # site indices over a box one site wider than the tube on every side
-    local = geom.sites - geom.sites.min(axis=0) + 1
-    index = np.full(local.max(axis=0) + 2, -1, dtype=np.int64)
-    index[tuple(local.T)] = np.arange(geom.size)
-    neighbor = np.stack([index[tuple((local + dir_.vector(d)).T)]
-                         for dir_ in all_directions(d)], axis=1)
-    return RayEnvironment(geom=geom, row_type=row_type, neighbor=neighbor)
+    local = geom.sites - geom.box.lo
+    cols = np.stack([geom.slot[tuple((local + dir_.vector(d)).T)]
+                     for dir_ in all_directions(d)], axis=1)
+    cols[cols < 0] = S
+    operator = csr_array((row_table(d).weights[row_type].ravel(), cols.ravel(),
+                          np.arange(0, 2 * d * S + 1, 2 * d)), shape=(S, S + 1))
+    return RayEnvironment(geom=geom, row_type=row_type, operator=operator)
 
 
 @dataclass
@@ -134,23 +151,22 @@ class ExitStats:
 def _dp_sweep(env: RayEnvironment, horizon: int, capture: dict[int, np.ndarray | list[int]]):
     """Backward induction to `horizon`; capture[t] = site indices to read.
 
-    Returns {t: (p, e)}, the captured sites' values after step t.
+    Returns {t: (p, e)}, the captured sites' values after step t.  Entry S
+    of p and e is the absorbed state: p = 1, e = 0.  The values rest on
+    scipy's CSR matvec summing each row's 2d entries in stored order from 0,
+    without fused multiply-add (verified on x86-64).
     """
     S = env.geom.size
-    p_prev = np.zeros(S)
-    e_prev = np.zeros(S)
-    captured = {0: (p_prev[capture[0]], e_prev[capture[0]])} if 0 in capture else {}
-    nbr = env.neighbor
-    w = row_table(env.dim).weights[env.row_type]
-    outside = nbr < 0
+    W = env.operator
+    p = np.zeros(S + 1)
+    e = np.zeros(S + 1)
+    p[S] = 1.0
+    captured = {0: (p[capture[0]], e[capture[0]])} if 0 in capture else {}
     for t in range(1, horizon + 1):
-        pn = np.where(outside, 1.0, p_prev[np.maximum(nbr, 0)])
-        en = np.where(outside, 0.0, e_prev[np.maximum(nbr, 0)])
-        p_new = (w * pn).sum(axis=1)
-        e_new = (w * (en + pn)).sum(axis=1)
-        p_prev, e_prev = p_new, e_new
+        e[:S] = W @ (e + p)
+        p[:S] = W @ p
         if t in capture:
-            captured[t] = (p_prev[capture[t]], e_prev[capture[t]])
+            captured[t] = (p[capture[t]], e[capture[t]])
     return captured
 
 
@@ -167,8 +183,8 @@ def exit_functionals(env: RayEnvironment, x: Site, horizon: int,
     top = max((horizon, *extra_horizons), default=horizon)
     if S * max(top, 1) > state_budget:
         raise MemoryError(f"DP needs {S * top} site-steps, budget {state_budget}")
-    j = env.geom.index.get(tuple(x))
-    if j is None:
+    j = env.geom.locate(x)
+    if j < 0:
         return ExitStats(site=tuple(x), horizon=horizon, exit_prob=1.0, exit_mass=0.0,
                          mass_at={n: 0.0 for n in extra_horizons})
     captured = _dp_sweep(env, top, {t: [j] for t in {horizon, *extra_horizons}})

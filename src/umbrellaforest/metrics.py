@@ -130,6 +130,15 @@ def _ball_max(arr: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
+def _ball_union(rad: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """Union of the in-window closed l1-balls of radius rad(y) around the
+    source sites y, one `_ball_max` stamp per distinct radius."""
+    covered = np.zeros(source.shape, dtype=bool)
+    for r in np.unique(rad[source]):
+        covered |= _ball_max(source & (rad == r), int(r))
+    return covered
+
+
 def compute_insulation_sup(h: StatusField, beta: float) -> StatusField:
     """H(x): the largest h(y) among sites y whose insulation ball covers x.
 
@@ -261,17 +270,3 @@ def tail_estimate(dim: int, grid: list[int], samples) -> TailEstimate:
         raise ValueError("empty sample")
     return est
 
-
-def ray_sphere_counts(forest: Forest, start: Site, n_max: int) -> list[int]:
-    """#(ancestors of `start` at l1-distance n from it), n = 0..n_max.
-
-    Directedness makes this exactly one per reachable n; the count drops to
-    zero once the chain leaves the window.
-    """
-    chain = ray(forest, start, max_steps=n_max + 1)
-    counts = [0] * (n_max + 1)
-    for site in chain:
-        dist = sum(abs(a - b) for a, b in zip(site, start))
-        if dist <= n_max:
-            counts[dist] += 1
-    return counts

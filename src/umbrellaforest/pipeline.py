@@ -17,7 +17,7 @@ import numpy as np
 from . import rng
 from .environment import (PatchedEnv, choose_horizon_factor, patch,
                           ray_environment, row_table)
-from .fieldgen import LField, ModelParams, default_params, generate_field
+from .fieldgen import ModelParams, default_params, generate_field
 from .forest import Forest, build_forest, example1_forest
 from .lattice import Site, Window
 from .metrics import (StatusField, TailEstimate, accumulate_tail,
@@ -43,7 +43,6 @@ def derived_params(base: ModelParams, label: str, *keys: int) -> ModelParams:
 @dataclass
 class PrunedPair:
     params: ModelParams
-    fields: tuple[LField, LField]
     forests: tuple[Forest, Forest]
     depth: tuple[StatusField, StatusField]       # h per forest
     ins_sup: tuple[StatusField, StatusField]     # H per forest
@@ -57,7 +56,7 @@ class PrunedPair:
 
 
 def _pair_layers(params: ModelParams) -> dict:
-    """Fields, forests, h, H, keep and chain layers of two opposite forests.
+    """Forests, h, H, keep and chain layers of two opposite forests.
 
     Keyed by the `PrunedPair` fields they fill; insulation is left out.
     """
@@ -76,7 +75,7 @@ def _pair_layers(params: ModelParams) -> dict:
     keep2 = tilde_membership(h2, H1, beta)
     chain1 = prune_to_infinite(a1, keep1)
     chain2 = prune_to_infinite(a2, keep2)
-    return dict(params=params, fields=(f1, f2), forests=(a1, a2),
+    return dict(params=params, forests=(a1, a2),
                 depth=(h1, h2), ins_sup=(H1, H2), keep=(keep1, keep2),
                 chains=(chain1, chain2))
 

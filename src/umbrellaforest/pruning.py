@@ -23,7 +23,8 @@ import numpy as np
 
 from .forest import Forest
 from .lattice import Box, Site, Window
-from .metrics import StatusField, _ball_max, _level_sets, _neighbour, _progeny_depth
+from .metrics import (StatusField, _ball_max, _ball_union, _level_sets, _neighbour,
+                      _progeny_depth)
 
 OUT = np.int8(0)       # certain violation somewhere
 UNKNOWN = np.int8(1)   # own depth censored; no verdict
@@ -191,18 +192,11 @@ def insulate(chain: ChainResult, h_own: StatusField, forest: Forest,
     def radius(v):
         return np.floor(np.power(np.maximum(v, 0).astype(np.float64), beta)).astype(np.int64)
 
-    def union(rad, source):
-        """Union of the l1-balls of radius rad(y) around the source sites y."""
-        covered = np.zeros(shape, dtype=bool)
-        for r in np.unique(rad[source]):
-            covered |= _ball_max(source & (rad == r), int(r))
-        return covered
-
-    ray_certain = union(radius(depth_c), depth_c >= 0)
-    ray_potential = union(radius(depth_p), depth_p >= 0)
+    ray_certain = _ball_union(radius(depth_c), depth_c >= 0)
+    ray_potential = _ball_union(radius(depth_p), depth_p >= 0)
     ball_r = radius(h_own.value)
-    ball_certain = union(ball_r, kept)
-    ball_potential = union(ball_r, layer >= UNKNOWN)
+    ball_certain = _ball_union(ball_r, kept)
+    ball_potential = _ball_union(ball_r, layer >= UNKNOWN)
 
     max_depth = int(depth_p.max()) if depth_p.size else -1
     band = int(np.floor(max(max_depth, int(h_own.value.max()), 0) ** beta)) \
@@ -238,17 +232,6 @@ def check_disjoint(ball_1: np.ndarray, ball_2: np.ndarray, box: Box) -> Disjoint
     witnesses = [box.site(tuple(loc)) for loc in np.argwhere(both_in)]
     return DisjointReport(certain_overlaps=witnesses,
                           unknown_overlaps=int(np.count_nonzero(possible & ~both_in)))
-
-
-def joint_parent(x: Site, chain_1: np.ndarray, chain_2: np.ndarray,
-                 forest_1: Forest, forest_2: Forest) -> Site | None:
-    """Parent under whichever kept forest owns x, else undefined."""
-    loc = forest_1.box.local(x)
-    if chain_1[loc] >= FRONTIER:
-        return forest_1.parent_of(x)
-    if chain_2[loc] >= FRONTIER:
-        return forest_2.parent_of(x)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,16 @@ A kept leaf z and its ancestor spine define a widening tube: the union over
 n of l1-balls of radius n^beta around the n-th ancestor.  For a site x the
 score v = sup_n (n^beta - |x - spine[n]|) decides membership (v >= 0), the
 largest attaining index picks the local drift frame, and u = l1-distance to
-the tube complement measures how insulated x is.  All searches carry
-provable cutoffs: a candidate index n can be ruled out once
+the tube complement measures how insulated x is.  The scalar search carries a
+provable cutoff: a candidate index n can be ruled out once
 n^beta - (n - |x - z|) falls below the running best, because the spine is
 directed and moves one l1-step per index.
+
+`tube_geometry` works on one padded box per tube.  It stamps the union of
+the spine balls with the package's ball-stamp primitive, evaluates v on the
+stamped sites only, and measures u by unit dilations of the complement.  The
+box-shaped slot array it keeps is the tube's only site index: the tube
+environment reads its neighbours from it and every lookup goes through it.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from .forest import Forest
-from .lattice import Direction, Site, all_directions, l1_norm
+from .lattice import Box, Direction, Site, all_directions, l1_norm
+from .metrics import _ball_max, _ball_union
 
 
 @dataclass(frozen=True)
@@ -127,11 +134,17 @@ def _direction_index(v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TubeGeometry:
-    """Vectorized per-site geometry over one tube plus its unit shell."""
+    """Per-site geometry over one tube, indexed by one padded box.
+
+    `slot` covers `box`, the spine's bounding box grown by the largest ball
+    radius plus one, so every tube site and every neighbour of one lies in
+    it.  It holds each tube site's row in `sites` and -1 off the tube.
+    """
 
     ray: RayHandle
-    sites: np.ndarray        # (S, d) member sites only
-    index: dict[Site, int]
+    box: Box
+    slot: np.ndarray         # box-shaped int64 index into sites, -1 off the tube
+    sites: np.ndarray        # (S, d) member sites in row-major order
     v: np.ndarray            # (S,) depth score
     n_attain: np.ndarray     # (S,) largest attaining spine index
     u: np.ndarray            # (S,) l1-distance to the tube complement
@@ -141,33 +154,39 @@ class TubeGeometry:
     def size(self) -> int:
         return self.sites.shape[0]
 
+    def locate(self, x: Site) -> int:
+        """Index of x into `sites`, -1 off the tube."""
+        return int(self.slot[self.box.local(x)]) if self.box.contains(x) else -1
+
 
 def tube_geometry(ray: RayHandle) -> TubeGeometry:
-    """Enumerate the tube and compute v, attaining index, u for every member.
+    """Stamp the tube on its padded box and compute v, attaining index and
+    u for every member.
 
-    The candidate set is the union of the spine balls plus one extra shell,
-    which provably contains the tube and its inner boundary; membership of
-    anything else is settled negatively by construction.
+    A site is a member iff floor(n^beta) >= |x - spine[n]| for some n, so the
+    stamped union of the spine balls is exactly the set with v >= 0, and v
+    is evaluated on it alone.  u counts the unit dilations of the complement
+    before they reach a site; this is the l1-distance, since every site on a
+    shortest path to the nearest non-member is itself a member.
     """
     spine = ray.spine
     k_max = ray.depth
-    d = ray.dim
-    cand: set[Site] = set()
-    for n in range(k_max + 1):
-        r = int(math.floor(ray.radius_at(n)))
-        for off in _ball_offsets_cached(d, r):
-            cand.add(tuple(int(c) for c in (spine[n] + np.asarray(off))))
-    shell: set[Site] = set()
-    for s in cand:
-        for off in _ball_offsets_cached(d, 1):
-            shell.add(tuple(a + o for a, o in zip(s, off)))
-    all_sites = np.asarray(sorted(cand | shell), dtype=np.int64)
+    radii = np.array([math.floor(ray.radius_at(n)) for n in range(k_max + 1)], dtype=np.int64)
+    pad = int(radii[-1]) + 1
+    box = Box(tuple(map(int, spine.min(axis=0) - pad)), tuple(map(int, spine.max(axis=0) + pad)))
+    source = np.zeros(box.shape, dtype=bool)
+    rad = np.zeros(box.shape, dtype=np.int64)
+    at = tuple((spine - box.lo).T)
+    source[at] = True
+    rad[at] = radii
+    member = _ball_union(rad, source)
+    sites = np.argwhere(member) + box.lo
 
-    base_dist = np.abs(all_sites - np.asarray(ray.leaf)).sum(axis=1)
-    v = np.full(all_sites.shape[0], -np.inf)
-    n_at = np.full(all_sites.shape[0], -1, dtype=np.int64)
+    base_dist = np.abs(sites - np.asarray(ray.leaf)).sum(axis=1)
+    v = np.full(sites.shape[0], -np.inf)
+    n_at = np.full(sites.shape[0], -1, dtype=np.int64)
     for n in range(k_max + 1):
-        term = ray.radius_at(n) - np.abs(all_sites - spine[n]).sum(axis=1)
+        term = ray.radius_at(n) - np.abs(sites - spine[n]).sum(axis=1)
         upd = term >= v
         v[upd] = term[upd]
         n_at[upd] = n
@@ -175,56 +194,16 @@ def tube_geometry(ray: RayHandle) -> TubeGeometry:
     # toward n = base_dist and falls beyond it
     n_peak = np.maximum(k_max + 1, base_dist).astype(np.float64)
     beyond = np.power(n_peak, ray.beta) - (n_peak - base_dist)
-    censored = beyond >= v
 
-    member = v >= 0
-    midx = np.flatnonzero(member)
-    pos = {tuple(map(int, all_sites[i])): j for j, i in enumerate(midx)}
-
-    # multi-source BFS from the complement through the member graph
-    u = np.full(midx.size, -1, dtype=np.int64)
-    frontier = []
-    unit_offs = _ball_offsets_cached(d, 1)
-    member_sites = all_sites[midx]
-    for j in range(midx.size):
-        s = tuple(map(int, member_sites[j]))
-        for off in unit_offs:
-            if sum(map(abs, off)) != 1:
-                continue
-            if tuple(a + o for a, o in zip(s, off)) not in pos:
-                u[j] = 1
-                frontier.append(j)
-                break
-    dist = 1
-    while frontier:
-        nxt = []
-        for j in frontier:
-            s = tuple(map(int, member_sites[j]))
-            for off in unit_offs:
-                if sum(map(abs, off)) != 1:
-                    continue
-                t = pos.get(tuple(a + o for a, o in zip(s, off)))
-                if t is not None and u[t] < 0:
-                    u[t] = dist + 1
-                    nxt.append(t)
-        frontier = nxt
-        dist += 1
-    u[u < 0] = dist  # fully interior leftovers (cannot happen for finite tubes)
-
-    return TubeGeometry(ray=ray, sites=member_sites,
-                        index=pos, v=v[midx], n_attain=n_at[midx],
-                        u=u, score_censored=censored[midx])
-
-
-_BALL_CACHE: dict[tuple[int, int], list] = {}
-
-
-def _ball_offsets_cached(d: int, r: int):
-    key = (d, r)
-    if key not in _BALL_CACHE:
-        from .lattice import l1_ball_offsets
-        _BALL_CACHE[key] = l1_ball_offsets(d, r)
-    return _BALL_CACHE[key]
+    u = member.astype(np.int64)
+    reached = ~member
+    while not reached.all():
+        reached = _ball_max(reached, 1)
+        u += ~reached
+    slot = np.full(box.shape, -1, dtype=np.int64)
+    slot[member] = np.arange(sites.shape[0])
+    return TubeGeometry(ray=ray, box=box, slot=slot, sites=sites, v=v, n_attain=n_at,
+                        u=u[member], score_censored=beyond >= v)
 
 
 def trap_start(geom: TubeGeometry, u_min: int) -> tuple[Site, int]:
@@ -234,13 +213,12 @@ def trap_start(geom: TubeGeometry, u_min: int) -> tuple[Site, int]:
     the longest in-window runway up the widening tube.
     """
     ray = geom.ray
-    for n in range(ray.depth + 1):
-        s = tuple(map(int, ray.spine[n]))
-        j = geom.index.get(s)
-        if j is not None and geom.u[j] >= u_min:
-            return s, n
-    raise ValueError(f"no spine site with insulation depth >= {u_min}; "
-                     f"a deeper ray is required")
+    deep = np.flatnonzero(geom.u[geom.slot[tuple((ray.spine - geom.box.lo).T)]] >= u_min)
+    if deep.size == 0:
+        raise ValueError(f"no spine site with insulation depth >= {u_min}; "
+                         f"a deeper ray is required")
+    n = int(deep[0])
+    return tuple(map(int, ray.spine[n])), n
 
 
 # ---------------------------------------------------------------------------

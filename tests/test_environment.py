@@ -78,12 +78,21 @@ def test_ray_environment_types_and_neighbors_site_by_site():
     env = ray_environment(ray)
     geom = env.geom
     rows = row_table(3).rows
+    W = env.operator
+    assert W.shape == (geom.size, geom.size + 1)
+    exits = 0
     for j in range(geom.size):
         x = tuple(map(int, geom.sites[j]))
         assert list(rows[env.row_type[j]]) == ray_row(ray, x)
+        lo, hi = W.indptr[j], W.indptr[j + 1]
+        assert hi - lo == 6
         for dr in all_directions(3):
             y = tuple(a + o for a, o in zip(x, dr.vector(3)))
-            assert env.neighbor[j, dr.index] == geom.index.get(y, -1)
+            k = geom.locate(y)
+            assert W.indices[lo + dr.index] == (k if k >= 0 else geom.size)
+            assert W.data[lo + dr.index] == float(ray_row(ray, x)[dr.index])
+            exits += k < 0
+    assert exits > 0
 
 
 def test_exit_functionals_outside_tube():

@@ -13,8 +13,7 @@ from umbrellaforest.pipeline import build_pruned_pair
 from umbrellaforest.pruning import (FRONTIER, IN, OUT, UNKNOWN, check_disjoint,
                                     depth_decay_table, insulate, leaves,
                                     prune_to_infinite, read_membership,
-                                    tilde_membership, joint_parent,
-                                    write_membership)
+                                    tilde_membership, write_membership)
 
 
 def status(window, value, exact=None, zeta=1):
@@ -170,24 +169,6 @@ def test_disjointness_and_negative_control():
     ins2 = insulate(c2, h2, pair.forest_of(2), beta)
     rep = check_disjoint(ins1.ball_layer, ins2.ball_layer, pair.forest_of(1).box)
     assert not rep.disjoint and len(rep.certain_overlaps) > 0
-
-
-def test_joint_parent_dispatch():
-    pair = small_pair(seed=31)
-    c1, c2 = pair.chains[0].layer, pair.chains[1].layer
-    f1, f2 = pair.forests
-    box = f1.box
-    kept1 = np.argwhere(c1 >= FRONTIER)
-    if kept1.size:
-        x = box.site(tuple(kept1[0]))
-        assert joint_parent(x, c1, c2, f1, f2) == f1.parent_of(x)
-    kept2 = np.argwhere((c2 >= FRONTIER) & (c1 < FRONTIER))
-    if kept2.size:
-        x = box.site(tuple(kept2[0]))
-        assert joint_parent(x, c1, c2, f1, f2) == f2.parent_of(x)
-    neither = np.argwhere((c1 < FRONTIER) & (c2 < FRONTIER))
-    x = box.site(tuple(neither[0]))
-    assert joint_parent(x, c1, c2, f1, f2) is None
 
 
 def test_parents_of_kept_sites_lie_in_ball_cover():

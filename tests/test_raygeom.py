@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from umbrellaforest.environment import exit_functionals, ray_environment, ray_row
 from umbrellaforest.fieldgen import default_params
-from umbrellaforest.lattice import Direction, Window
-from umbrellaforest.oracles import tube_distance_brute
+from umbrellaforest.lattice import Direction, Window, all_directions, l1_norm
+from umbrellaforest.oracles import exit_stats_brute, tube_distance_brute
 from umbrellaforest.pipeline import build_pruned_pair, select_rays
 from umbrellaforest.raygeom import (RayDepthError, RayHandle,
                                     drift_directions, ellipticity_constant,
@@ -27,6 +30,59 @@ def staircase_ray(depth=64, beta=0.2, d=3):
         spine[n, n % d] += 1
     return RayHandle(leaf=tuple([0] * d), forest_index=1, zeta=1, beta=beta,
                      spine=spine)
+
+
+@st.composite
+def directed_rays(draw):
+    d = draw(st.sampled_from([2, 3]))
+    zeta = draw(st.sampled_from([1, -1]))
+    depth = draw(st.integers(1, 40))
+    beta = draw(st.floats(0.1, 0.6))
+    leaf = tuple(draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d)))
+    axes = draw(st.lists(st.integers(0, d - 1), min_size=depth, max_size=depth))
+    spine = np.tile(np.asarray(leaf, dtype=np.int64), (depth + 1, 1))
+    for n, a in enumerate(axes, start=1):
+        spine[n:, a] += zeta
+    return RayHandle(leaf=leaf, forest_index=1 if zeta > 0 else 2, zeta=zeta, beta=beta,
+                     spine=spine)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ray=directed_rays(), horizon=st.integers(1, 4), pick=st.integers(0, 1 << 16))
+def test_tube_geometry_matches_scalar_references(ray, horizon, pick):
+    geom = tube_geometry(ray)
+    box = geom.box
+    ref = {x: score_and_index(ray, x, settled=False) for x in box.sites()}
+    member = {x: v >= 0 for x, (v, _) in ref.items()}
+    # the box holds the whole tube with a non-member shell on every face
+    face = box.boundary_distance() == 0
+    assert not any(member[box.site(loc)] for loc in zip(*np.nonzero(face)))
+    assert np.array_equal(geom.sites, [x for x in box.sites() if member[x]])
+    assert all(geom.locate(x) == -1 for x in box.sites() if not member[x])
+    k = ray.depth
+    for j, s in enumerate(geom.sites):
+        x = tuple(map(int, s))
+        assert geom.locate(x) == j
+        assert (geom.v[j], geom.n_attain[j]) == ref[x]
+        assert geom.u[j] == tube_distance_brute(member, x, bound=sum(box.shape))
+        # censored: some index past the spine has a directedness bound >= v
+        base = l1_norm(tuple(a - b for a, b in zip(x, ray.leaf)))
+        beyond = max(ray.radius_at(n) - abs(n - base) for n in range(k + 1, max(k, base) + 2))
+        assert geom.score_censored[j] == (beyond >= geom.v[j])
+
+    # exit functionals from a shallow site against path enumeration
+    near = np.flatnonzero(geom.u <= horizon)
+    x = tuple(map(int, geom.sites[near[pick % near.size]]))
+    rows = {}
+    for y, inside in member.items():
+        if inside and l1_norm(tuple(a - b for a, b in zip(x, y))) < horizon:
+            row = ray_row(ray, y)
+            rows[y] = {tuple(a + o for a, o in zip(y, dr.vector(ray.dim))): row[dr.index]
+                       for dr in all_directions(ray.dim)}
+    stats = exit_functionals(ray_environment(ray, geom), x, horizon)
+    p_want, e_want = exit_stats_brute(rows, member, x, horizon)
+    assert stats.exit_prob == pytest.approx(float(p_want), abs=1e-12)
+    assert stats.exit_mass == pytest.approx(float(e_want), abs=1e-12)
 
 
 def test_score_at_leaf():
@@ -75,7 +131,7 @@ def test_tube_distance_trivial_and_matches_brute():
     geom = tube_geometry(ray)
     member = {tuple(map(int, s)): True for s in geom.sites}
     # off-tube distance is zero
-    assert (20, 20, 20) not in geom.index
+    assert geom.locate((20, 20, 20)) == -1
     count = 0
     for j in range(0, geom.size, 5):
         x = tuple(map(int, geom.sites[j]))
@@ -202,6 +258,7 @@ def test_trap_start_prefers_early_insulated_index():
     ray = staircase_ray(depth=60, beta=0.4)
     geom = tube_geometry(ray)
     site, n = trap_start(geom, u_min=2)
-    js = [geom.index[tuple(map(int, ray.spine[m]))] for m in range(n)]
-    assert all(geom.u[j] < 2 for j in js)
-    assert geom.u[geom.index[site]] >= 2
+    js = [geom.locate(tuple(map(int, ray.spine[m]))) for m in range(n)]
+    assert all(j >= 0 and geom.u[j] < 2 for j in js)
+    j = geom.locate(site)
+    assert j >= 0 and geom.u[j] >= 2

@@ -141,8 +141,9 @@ def test_paired_coupling_deeper_site_survives_longer():
         return batch.exit_step
 
     # same spine region (same runway), different insulation depth
-    j_sh = geom.index[(20, 2, 1)]
-    j_dp = geom.index[(20, 0, 0)]
+    j_sh = geom.locate((20, 2, 1))
+    j_dp = geom.locate((20, 0, 0))
+    assert j_sh >= 0 and j_dp >= 0
     assert geom.u[j_dp] > geom.u[j_sh]
     shallow = curve((20, 2, 1))
     deep = curve((20, 0, 0))
