@@ -6,8 +6,8 @@ stage is a deterministic function of (config, seed) and records what it
 wrote in the run manifest with content hashes, so reruns are byte-identical
 and downstream stages can verify their inputs.
 
-Exit codes: 0 ok, 1 invariant/integrity failure, 2 usage or config error,
-3 resource budget exceeded.
+Exit codes: 0 ok, 1 invariant/integrity failure or any other error, 2 usage
+or config error, 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fieldgen, forest as forest_mod, pipeline, pruning, stats
-from .environment import environment_manifest, supermartingale_residuals, write_environment
+from .environment import (environment_manifest, read_environment,
+                          supermartingale_residuals, write_environment)
 from .fieldgen import ModelParams, default_params, validate_params
 from .lattice import Window, min_sphere_ratio
 from .metrics import compute_h, compute_insulation_sup, interior_mask, tail_estimate
 from .raygeom import ellipticity_constant, solve_insulation_constants
-from .walker import walks_csv
+from .walker import trap_probability, walks_csv
 
 
 class UsageError(Exception):
@@ -88,13 +89,16 @@ def _parse_config_file(path: str) -> dict:
 def _coerce(key: str, value):
     if value is None:
         return None
-    if key in ("seed", "dim", "window", "margin", "replicas", "horizon",
-               "threads", "u_min", "max_box"):
-        return int(value)
-    if key == "beta":
-        return float(value)
-    if key == "grid":
-        return [int(t) for t in str(value).split(",")]
+    try:
+        if key in ("seed", "dim", "window", "margin", "replicas", "horizon",
+                   "threads", "u_min", "max_box"):
+            return int(value)
+        if key == "beta":
+            return float(value)
+        if key == "grid":
+            return [int(t) for t in str(value).split(",")]
+    except ValueError as e:
+        raise UsageError(f"config key {key!r}: {e}") from e
     return value
 
 
@@ -330,28 +334,45 @@ def stage_env(cfg: RunConfig) -> int:
 
 
 def stage_walk(cfg: RunConfig) -> int:
+    """Walk the environment that `env` wrote, inside the ray covers that
+    `prune` wrote, from the leaves of the forests that `forest` wrote."""
     if cfg.dim < 3:
         raise UsageError("trapping walks require dim >= 3")
+    forests = _load_forests(cfg)
+    _require_stage(cfg, "prune")
     _require_stage(cfg, "env")
-    run = pipeline.trap_experiment(cfg.params(), horizon=cfg.horizon,
-                                   replicas=cfg.replicas, u_min=cfg.u_min)
-    arts = []
-    for name, batch in run.batches.items():
+    params = cfg.params()
+    try:
+        box, row_type = read_environment(os.path.join(cfg.out, "env.umbe"))
+    except ValueError as e:
+        raise InvariantFailure(f"env.umbe: {e}") from e
+    if box != params.window.box:
+        raise InvariantFailure(f"env.umbe covers {box}, not the window {params.window.box}")
+    _, layers = pruning.read_membership(os.path.join(cfg.out, "membership.json"))
+    rays = [ray for i, forest in enumerate(forests, start=1)
+            for ray in pipeline.orientation_rays(
+                forest, pruning.leaves(layers[f"chain_{i}"], forest), params.beta, i)]
+    inside = tuple(layers[f"ray_cover_{i}"] == pruning.IN for i in (1, 2))
+    arts, summary, estimates = [], {}, {}
+    # each batch is written out and dropped before the next one runs
+    for name, start, batch in pipeline.trap_walks(row_type, inside, rays, box, cfg.horizon,
+                                                  cfg.replicas, cfg.u_min, params.seed):
         path = os.path.join(cfg.out, f"walks_{name}.csv")
         walks_csv(batch, path)
         arts.append(path)
-    summary = {name: {"survival": est.survival_fraction, "ci": list(est.ci),
-                      "ci_pessimistic": list(est.ci_pessimistic),
-                      "truncated": est.truncated,
-                      "drift_quantiles": est.drift_quantiles,
-                      "start": list(run.starts[name])}
-               for name, est in run.estimates.items()}
+        est = estimates[name] = trap_probability(batch)
+        summary[name] = {"survival": est.survival_fraction, "ci": list(est.ci),
+                         "ci_pessimistic": list(est.ci_pessimistic),
+                         "truncated": est.truncated,
+                         "drift_quantiles": est.drift_quantiles,
+                         "start": list(start)}
+        del batch
     jpath = os.path.join(cfg.out, "walks_summary.json")
     with open(jpath, "w") as f:
         json.dump(summary, f, indent=1, sort_keys=True)
     arts.append(jpath)
     _record_stage(cfg, "walk", arts)
-    for name, est in run.estimates.items():
+    for name, est in estimates.items():
         print(f"{name}: survival {est.survival_fraction:.3f} "
               f"ci [{est.ci[0]:.3f}, {est.ci[1]:.3f}] truncated {est.truncated}")
     return 0
@@ -504,7 +525,7 @@ def main(argv=None) -> int:
         return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1
 
 
 if __name__ == "__main__":

@@ -6,19 +6,23 @@ evenly over the remaining directions, which keeps every entry at or above
 the ellipticity floor 1/(20(2d-1)).  Outside every tube the row is uniform.
 A row depends only on the pair (forward, inward), so one table per d holds
 every exact rational row, (2d)^2 + 1 of them, and tubes and patched windows
-store a small integer row type per site.  Dumps and walks read the table's
-exact rows.
+store a small integer row type per site.  Dumps are written from the
+table's exact rows and read back by matching against them, and walks read
+the same rows.
 
 Each tube gets one sparse operator, built from its slot array: row j holds
 the float weights of site j's 2d moves in direction order, and every move
-off the tube points at one absorbing column.  The exit-time dynamic program
-is then two matrix-vector products per step, with rounding error far below
-the 1e-9 assertion tolerance at desk horizons.  Its values are reproducible
-bit for bit because scipy's CSR product sums each row's stored entries in
-order, starting from 0, rounding each product on its own (checked on x86-64,
-where the compiled kernel does not fuse multiply-add); the operator is
-therefore never canonicalised, which would merge a row's exits into one
-entry and change that order.
+off the tube points at one absorbing column.  A DP call stacks the operators
+of all the tubes it serves block-diagonally over one shared absorbing column
+and sweeps them together, so a patch pays the per-step cost once.  The
+exit-time dynamic program is two matrix-vector products per step, with
+rounding error far below the 1e-9 assertion tolerance at desk horizons.  Its
+values are reproducible bit for bit, and equal to one tube swept alone,
+because scipy's CSR product sums each row's stored entries in order,
+starting from 0, rounding each product on its own (checked on x86-64, where
+the compiled kernel does not fuse multiply-add); the stacked rows keep their
+entries in stored order, and no operator is ever canonicalised, which would
+merge a row's exits into one entry and change that order.
 
 Patching picks, per covered site, the covering ray whose truncated expected
 exit-time mass is smallest (lexicographic tie-break), which is exactly what
@@ -148,23 +152,41 @@ class ExitStats:
     mass_at: dict[int, float]
 
 
-def _dp_sweep(env: RayEnvironment, horizon: int, capture: dict[int, np.ndarray | list[int]]):
-    """Backward induction to `horizon`; capture[t] = site indices to read.
+def _block_operator(envs: list[RayEnvironment]) -> csr_array:
+    """The tubes' operators stacked block-diagonally: (N, N + 1), N sites in all.
 
-    Returns {t: (p, e)}, the captured sites' values after step t.  Entry S
+    Tube k's columns are offset by the sites before it, and its exit column
+    S_k becomes the shared absorbing column N.  The arrays are concatenated
+    as they are stored, so every row keeps its 2d entries in stored order.
+    """
+    offsets = np.cumsum([0] + [env.geom.size for env in envs])
+    N = int(offsets[-1])
+    nnz = np.cumsum([0] + [env.operator.nnz for env in envs])
+    indices = [np.where(env.operator.indices == env.geom.size, N, env.operator.indices + off)
+               for env, off in zip(envs, offsets)]
+    indptr = [np.zeros(1, dtype=np.int64)] + [env.operator.indptr[1:] + n
+                                              for env, n in zip(envs, nnz)]
+    return csr_array((np.concatenate([env.operator.data for env in envs]),
+                      np.concatenate(indices), np.concatenate(indptr)), shape=(N, N + 1))
+
+
+def _dp_sweep(W: csr_array, horizon: int, capture: dict[int, np.ndarray | list[int]]):
+    """Backward induction under operator W to `horizon`; capture[t] = site
+    indices to read.
+
+    Returns {t: (p, e)}, the captured sites' values after step t.  Entry N
     of p and e is the absorbed state: p = 1, e = 0.  The values rest on
     scipy's CSR matvec summing each row's 2d entries in stored order from 0,
     without fused multiply-add (verified on x86-64).
     """
-    S = env.geom.size
-    W = env.operator
-    p = np.zeros(S + 1)
-    e = np.zeros(S + 1)
-    p[S] = 1.0
+    N = W.shape[0]
+    p = np.zeros(N + 1)
+    e = np.zeros(N + 1)
+    p[N] = 1.0
     captured = {0: (p[capture[0]], e[capture[0]])} if 0 in capture else {}
     for t in range(1, horizon + 1):
-        e[:S] = W @ (e + p)
-        p[:S] = W @ p
+        e[:N] = W @ (e + p)
+        p[:N] = W @ p
         if t in capture:
             captured[t] = (p[capture[t]], e[capture[t]])
     return captured
@@ -173,7 +195,7 @@ def _dp_sweep(env: RayEnvironment, horizon: int, capture: dict[int, np.ndarray |
 def exit_functionals(env: RayEnvironment, x: Site, horizon: int,
                      extra_horizons: tuple[int, ...] = (),
                      state_budget: int = 1 << 22) -> ExitStats:
-    """Exact DP values for one start site.
+    """Exact DP values for one start site: the one-tube sweep.
 
     A start outside the tube exits at time zero: probability one, mass zero.
     """
@@ -187,30 +209,35 @@ def exit_functionals(env: RayEnvironment, x: Site, horizon: int,
     if j < 0:
         return ExitStats(site=tuple(x), horizon=horizon, exit_prob=1.0, exit_mass=0.0,
                          mass_at={n: 0.0 for n in extra_horizons})
-    captured = _dp_sweep(env, top, {t: [j] for t in {horizon, *extra_horizons}})
+    captured = _dp_sweep(env.operator, top, {t: [j] for t in {horizon, *extra_horizons}})
     (p,), (e,) = captured[horizon]
     return ExitStats(site=tuple(x), horizon=horizon, exit_prob=float(p), exit_mass=float(e),
                      mass_at={n: float(captured[n][1][0]) for n in extra_horizons})
 
 
-def exit_table(env: RayEnvironment, horizons: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, e) for every tube site at its own per-site horizon.
+def exit_table(envs: list[RayEnvironment],
+               horizons: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(p, e) for every site of every tube, each at its own horizon.
 
-    horizons: (S,) int array, -1 to skip a site.  One sweep to the maximum
-    horizon, reading each site off at its own time.
+    horizons: one (S_k,) int array per tube, -1 to skip a site.  One sweep
+    of the stacked operator to the largest horizon, reading each site off at
+    its own time; the values equal those of each tube swept alone.
     """
-    S = env.geom.size
-    p_out = np.full(S, np.nan)
-    e_out = np.full(S, np.nan)
-    top = int(horizons.max()) if horizons.size else 0
-    if top < 0:
-        return p_out, e_out
-    capture = {int(t): np.flatnonzero(horizons == t)
-               for t in np.unique(horizons[horizons >= 0])}
-    for t, (p, e) in _dp_sweep(env, top, capture).items():
-        p_out[capture[t]] = p
-        e_out[capture[t]] = e
-    return p_out, e_out
+    if not envs:
+        return []
+    flat = np.concatenate([np.asarray(h, dtype=np.int64) for h in horizons])
+    p_out = np.full(flat.size, np.nan)
+    e_out = np.full(flat.size, np.nan)
+    live = np.flatnonzero(flat >= 0)
+    if live.size:
+        live = live[np.argsort(flat[live], kind="stable")]
+        times, first = np.unique(flat[live], return_index=True)
+        capture = dict(zip(times.tolist(), np.split(live, first[1:])))
+        for t, (p, e) in _dp_sweep(_block_operator(envs), int(times[-1]), capture).items():
+            p_out[capture[t]] = p
+            e_out[capture[t]] = e
+    cuts = np.cumsum([env.geom.size for env in envs])[:-1]
+    return list(zip(np.split(p_out, cuts), np.split(e_out, cuts)))
 
 
 # ---------------------------------------------------------------------------
@@ -233,23 +260,23 @@ def choose_horizon_factor(envs: list[RayEnvironment], pairs: list[tuple[int, int
     if float(kappa) > 1.0 / (2 * d):
         raise ValueError(f"kappa {float(kappa)} exceeds 1/(2d); no row can be "
                          f"uniformly elliptic at that level")
-    # one sweep per environment, capturing every pair's candidate horizons
-    capture_by_env: dict[int, dict[int, list[int]]] = {}
+    # one sweep over all environments, capturing every pair's candidate horizons
+    offsets = np.cumsum([0] + [env.geom.size for env in envs])
+    capture: dict[int, list[int]] = {}
     horizons_by_pair = []
     for ei, si, hval in pairs:
         hz = sorted({min(n_max, max(1, int(np.ceil(c * hval))))
                      for c in _dyadic(floor, max_factor)} | {n_max})
         horizons_by_pair.append(hz)
-        cap = capture_by_env.setdefault(ei, {})
         for t in hz:
-            cap.setdefault(t, []).append(si)
-    swept = {(ei, t, si): float(m) for ei, cap in capture_by_env.items()
-             for t, (_, e) in _dp_sweep(envs[ei], n_max, cap).items()
-             for si, m in zip(cap[t], e)}
+            capture.setdefault(t, []).append(int(offsets[ei]) + si)
+    swept = {(t, k): float(m)
+             for t, (_, e) in _dp_sweep(_block_operator(envs), n_max, capture).items()
+             for k, m in zip(capture[t], e)}
     mass_curves = []
     for (ei, si, hval), hz in zip(pairs, horizons_by_pair):
         mass_curves.append((hval, int(envs[ei].geom.u[si]),
-                            {t: swept[(ei, t, si)] for t in hz}))
+                            {t: swept[(t, int(offsets[ei]) + si)] for t in hz}))
     worst = None
     for c in _dyadic(floor, max_factor):
         ok = True
@@ -304,7 +331,7 @@ class PatchedEnv:
         return list(row_table(self.dim).rows[self.row_type[self.box.local(x)]])
 
 
-def patch(window: Window, rays: list[RayHandle], ins_sup_by_forest: dict[int, "object"],
+def patch(window: Window, envs: list[RayEnvironment], ins_sup_by_forest: dict[int, "object"],
           horizon_factor: float, certain_cover: np.ndarray | None = None,
           state_budget: int = 1 << 24, objective: str = "min") -> PatchedEnv:
     """Assemble the global environment from per-ray tube environments.
@@ -314,13 +341,15 @@ def patch(window: Window, rays: list[RayHandle], ins_sup_by_forest: dict[int, "o
     and install the row of the minimizing ray (ties: lexicographically
     smallest leaf).  Sites whose insulation sup is censored get the first
     covering ray's row and a flag.  `certain_cover` optionally restricts
-    installation to certainly-covered sites.  `objective="max"` installs
-    the worst ray instead and exists only so tests can prove the checker
-    catches a mispatched environment.
+    installation to certainly-covered sites.  Every tube's exit masses come
+    from one `exit_table` call.  `objective="max"` installs the worst ray
+    instead and exists only so tests can prove the checker catches a
+    mispatched environment.
     """
     if objective not in ("min", "max"):
         raise ValueError("objective must be 'min' or 'max'")
     sign = 1.0 if objective == "min" else -1.0
+    rays = [env.geom.ray for env in envs]
     box = window.box
     shape = box.shape
     order = sorted(range(len(rays)), key=lambda k: tuple(map(int, rays[k].leaf)))
@@ -333,22 +362,26 @@ def patch(window: Window, rays: list[RayHandle], ins_sup_by_forest: dict[int, "o
     exit_mass = np.full(n, np.nan)
     exit_prob = np.full(n, np.nan)
 
+    covered, horizons = [], []
     for rank in order:
-        ray = rays[rank]
-        geom = tube_geometry(ray)
-        env = ray_environment(ray, geom)
-        ins = ins_sup_by_forest[ray.forest_index]
+        geom = envs[rank].geom
+        ins = ins_sup_by_forest[rays[rank].forest_index]
         j, at = box.locate(geom.sites)
         if certain_cover is not None:
             keep = certain_cover.reshape(-1)[at]
             j, at = j[keep], at[keep]
         exact = ins.exact.reshape(-1)[at]
         hval = np.maximum(ins.value.reshape(-1)[at[exact]], 1)
-        horizons = np.full(geom.size, -1, dtype=np.int64)
-        horizons[j[exact]] = np.maximum(1, np.ceil(horizon_factor * hval))
-        if int(np.max(horizons, initial=0)) * geom.size > state_budget:
+        hz = np.full(geom.size, -1, dtype=np.int64)
+        hz[j[exact]] = np.maximum(1, np.ceil(horizon_factor * hval))
+        if int(np.max(hz, initial=0)) * geom.size > state_budget:
             raise MemoryError("patch DP exceeds the state budget")
-        p_tab, e_tab = exit_table(env, horizons)
+        covered.append((j, at, exact))
+        horizons.append(hz)
+    tables = exit_table([envs[rank] for rank in order], horizons)
+
+    for rank, (j, at, exact), (p_tab, e_tab) in zip(order, covered, tables):
+        env = envs[rank]
         # a censored site keeps the first covering ray's row, flagged
         new = ~exact & (chosen[at] < 0)
         chosen[at[new]] = rank
@@ -414,19 +447,62 @@ def supermartingale_residuals(env: PatchedEnv, tol_floor: float | None = None) -
 # dump
 # ---------------------------------------------------------------------------
 
+def _row_fractions(d: int) -> np.ndarray:
+    """(types, 2d, 2) little-endian u64: each table row's (numerator,
+    denominator) pairs, as the dump stores them."""
+    return np.array([[(p.numerator, p.denominator) for p in row]
+                     for row in row_table(d).rows], dtype="<u8")
+
+
 def write_environment(env: PatchedEnv, path: str):
     """Header, then every window site's row in row-major order as
     (numerator, denominator) u64 pairs, gathered from the row table."""
     box = env.box
     d = env.dim
-    fractions = np.array([[(p.numerator, p.denominator) for p in row]
-                          for row in row_table(d).rows], dtype="<u8")
     with open(path, "wb") as f:
         f.write(ENV_MAGIC)
         f.write(struct.pack("<II", ENV_VERSION, d))
         for l, h in zip(box.lo, box.hi):
             f.write(struct.pack("<qq", l, h))
-        f.write(fractions[env.row_type].tobytes())
+        _row_fractions(d)[env.row_type].tofile(f)
+
+
+def read_environment(path: str) -> tuple[Box, np.ndarray]:
+    """Inverse of `write_environment`: the window box and each site's row type.
+
+    Every stored row must equal one row of `row_table(d)` exactly.  Raises
+    ValueError on a bad magic, version or dimension, a truncated or
+    overlong body, or a row that is not in the table.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    if data[:4] != ENV_MAGIC:
+        raise ValueError("bad environment dump magic")
+    if len(data) < 12:
+        raise ValueError("environment dump header is truncated")
+    version, d = struct.unpack_from("<II", data, 4)
+    if version != ENV_VERSION:
+        raise ValueError(f"unsupported environment dump version {version}")
+    if not 1 <= d <= 5:  # the dimensions whose (2d)^2 + 1 row types fit int8
+        raise ValueError(f"environment dump dimension {d} is not in 1..5")
+    head = 12 + 16 * d
+    if len(data) < head:
+        raise ValueError("environment dump header is truncated")
+    bounds = struct.unpack_from(f"<{2 * d}q", data, 12)
+    box = Box(bounds[0::2], bounds[1::2])
+    words = 4 * d
+    if len(data) - head != 8 * words * box.size:
+        raise ValueError(f"environment dump body holds {len(data) - head} bytes, "
+                         f"expected {8 * words * box.size}")
+    body = np.frombuffer(data, dtype="<u8", offset=head).reshape(box.size, words)
+    types = np.full(box.size, -1, dtype=np.int8)
+    for k, row in enumerate(_row_fractions(d).reshape(-1, words)):
+        types[(body == row).all(axis=1)] = k
+    off = np.flatnonzero(types < 0)
+    if off.size:
+        raise ValueError(f"environment dump row {body[off[0]].tolist()} at site index "
+                         f"{off[0]} is not in the row table at d = {d}")
+    return box, types.reshape(box.shape)
 
 
 def environment_manifest(env: PatchedEnv, beta: float) -> dict:

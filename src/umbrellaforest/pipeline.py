@@ -9,6 +9,7 @@ without coordination.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
@@ -19,7 +20,7 @@ from .environment import (PatchedEnv, choose_horizon_factor, patch,
                           ray_environment, row_table)
 from .fieldgen import ModelParams, default_params, generate_field
 from .forest import Forest, build_forest, example1_forest
-from .lattice import Site, Window
+from .lattice import Box, Site, Window
 from .metrics import (StatusField, TailEstimate, accumulate_tail,
                       compute_h, compute_insulation_sup, empty_tail,
                       interior_mask)
@@ -28,7 +29,7 @@ from .pruning import (IN, ChainResult, DisjointReport, Insulation,
                       prune_to_infinite, tilde_membership)
 from .raygeom import (InsulationConstants, RayHandle, build_ray,
                       ellipticity_constant, solve_insulation_constants,
-                      tube_geometry)
+                      trap_start, tube_geometry)
 from .walker import TrapEstimate, WalkBatch, WalkConfig, run_walks, trap_probability
 
 
@@ -89,6 +90,16 @@ def build_pruned_pair(params: ModelParams) -> PrunedPair:
     return PrunedPair(**layers, insulation=(ins1, ins2), disjoint=report)
 
 
+def orientation_rays(forest: Forest, leaf_sites: list[Site], beta: float,
+                     forest_index: int, min_depth: int = 1) -> list[RayHandle]:
+    """Ray handles of one forest's kept leaves with spines of at least
+    `min_depth`, sorted deepest-first, ties by leaf."""
+    side = [build_ray(forest, leaf, beta, forest_index) for leaf in leaf_sites]
+    side = [r for r in side if r.depth >= min_depth]
+    side.sort(key=lambda r: (-r.depth, r.leaf))
+    return side
+
+
 def select_rays(pair: PrunedPair, min_depth: int = 1,
                 max_rays: int | None = None,
                 max_per_forest: int | None = None) -> list[RayHandle]:
@@ -97,23 +108,13 @@ def select_rays(pair: PrunedPair, min_depth: int = 1,
     Sorted deepest-first; `max_per_forest` caps each orientation separately
     so neither side starves when the deepest spines cluster in one forest.
     """
-    beta = pair.params.beta
     out: list[RayHandle] = []
     for i in (1, 2):
-        forest = pair.forest_of(i)
-        side: list[RayHandle] = []
-        for leaf in pair.insulation[i - 1].leaf_sites:
-            handle = build_ray(forest, leaf, beta, i)
-            if handle.depth >= min_depth:
-                side.append(handle)
-        side.sort(key=lambda r: (-r.depth, r.leaf))
-        if max_per_forest is not None:
-            side = side[:max_per_forest]
-        out.extend(side)
+        side = orientation_rays(pair.forest_of(i), pair.insulation[i - 1].leaf_sites,
+                                pair.params.beta, i, min_depth)
+        out.extend(side[:max_per_forest])
     out.sort(key=lambda r: (-r.depth, r.leaf))
-    if max_rays is not None:
-        out = out[:max_rays]
-    return out
+    return out[:max_rays]
 
 
 @dataclass
@@ -136,23 +137,21 @@ def build_patched(pair: PrunedPair, rays: list[RayHandle] | None = None,
         rays = select_rays(pair, min_depth=min_depth)
     if not rays:
         raise ValueError("no rays deep enough to build an environment")
+    envs = [ray_environment(ray) for ray in rays]
     if horizon_factor is None:
-        kappa = ellipticity_constant(params.dim)
-        envs, pairs = [], []
-        for ray in rays[:6]:
-            env = ray_environment(ray)
-            ins = pair.ins_sup[ray.forest_index - 1]
+        pairs = []
+        for k, env in enumerate(envs[:6]):
+            ins = pair.ins_sup[env.geom.ray.forest_index - 1]
             j, at = params.window.box.locate(env.geom.sites)
             ok = ins.exact.reshape(-1)[at] & (env.geom.u[j] >= 1)
             hval = np.maximum(ins.value.reshape(-1)[at[ok]], 1)[:calibration_cap]
-            pairs += [(len(envs), int(jj), int(h)) for jj, h in zip(j[ok], hval)]
-            envs.append(env)
+            pairs += [(k, int(jj), int(h)) for jj, h in zip(j[ok], hval)]
         horizon_factor = choose_horizon_factor(
-            envs, pairs, ellipticity_constant(params.dim),
+            envs[:6], pairs, ellipticity_constant(params.dim),
             floor=max(consts.depth_factor, 1.0), n_max=n_max)
     certain_cover = (pair.insulation[0].ray_layer == IN) | \
         (pair.insulation[1].ray_layer == IN)
-    env = patch(params.window, rays,
+    env = patch(params.window, envs,
                 {1: pair.ins_sup[0], 2: pair.ins_sup[1]},
                 horizon_factor, certain_cover=certain_cover)
     return BuiltEnvironment(pair=pair, rays=rays, env=env,
@@ -255,46 +254,53 @@ def trap_experiment(params: ModelParams, horizon: int, replicas: int,
     """Deepest-ray starts for both orientations plus the uniform control."""
     if built is None:
         built = build_patched(build_pruned_pair(params))
-    pair = built.pair
-    env = built.env
-    box = pair.forest_of(1).box
-    walk_seed = params.seed if walk_seed is None else walk_seed
-    rows = row_table(params.dim).rows
+    inside = tuple(ins.ray_layer == IN for ins in built.pair.insulation)
+    run = TrapRun(estimates={}, batches={}, starts={})
+    for name, start, batch in trap_walks(
+            built.env.row_type, inside, built.rays, built.pair.forest_of(1).box, horizon,
+            replicas, u_min, params.seed if walk_seed is None else walk_seed):
+        run.estimates[name] = trap_probability(batch)
+        run.batches[name] = batch
+        run.starts[name] = start
+    return run
 
-    estimates: dict[str, TrapEstimate] = {}
-    batches: dict[str, WalkBatch] = {}
-    starts: dict[str, Site] = {}
-    for i in (1, 2):
-        start = _best_trap_start(built, i, u_min)
-        inside = pair.insulation[i - 1].ray_layer == IN
+
+def trap_walks(row_type: np.ndarray, inside: tuple[np.ndarray, np.ndarray],
+               rays: list[RayHandle], box: Box, horizon: int, replicas: int,
+               u_min: int, walk_seed: int) -> Iterator[tuple[str, Site, WalkBatch]]:
+    """Walks in a patched environment from each orientation's best start,
+    plus the uniform control from orientation 1's start.
+
+    row_type: the environment's per-site row types over `box`; inside[i-1]:
+    the sites certainly covered by orientation i's ray tubes, the event a
+    walk of that orientation must stay in.  Yields (name, start, batch) for
+    orient_1, control and orient_2 in turn, so a caller that writes each
+    batch out need not hold all three.
+    """
+    starts = [_best_trap_start(rays, i, u_min) for i in (1, 2)]
+    rows = row_table(box.dim).rows
+    for i, start in zip((1, 2), starts):
         sign = 1 if i == 1 else -1
         cfg = WalkConfig(start=start, horizon=horizon, replicas=replicas,
                          seed=rng.stream("trap", walk_seed, i))
-        batch = run_walks(env.row_type, rows, box, inside, cfg, orientation_sign=sign)
-        estimates[f"orient_{i}"] = trap_probability(batch)
-        batches[f"orient_{i}"] = batch
-        starts[f"orient_{i}"] = start
-
+        yield f"orient_{i}", start, run_walks(row_type, rows, box, inside[i - 1], cfg,
+                                              orientation_sign=sign)
         if i == 1:
-            ccfg = WalkConfig(start=start, horizon=horizon, replicas=replicas,
-                              seed=rng.stream("trap-control", walk_seed))
-            cbatch = run_walks(np.zeros_like(env.row_type), rows, box, inside, ccfg,
-                               orientation_sign=sign)
-            estimates["control"] = trap_probability(cbatch)
-            batches["control"] = cbatch
-            starts["control"] = start
-    return TrapRun(estimates=estimates, batches=batches, starts=starts)
+            cfg = WalkConfig(start=start, horizon=horizon, replicas=replicas,
+                             seed=rng.stream("trap-control", walk_seed))
+            yield "control", start, run_walks(np.zeros_like(row_type), rows, box, inside[0],
+                                              cfg, orientation_sign=sign)
 
 
-def _best_trap_start(built: BuiltEnvironment, forest_index: int, u_min: int,
+def _best_trap_start(rays: list[RayHandle], forest_index: int, u_min: int,
                      tries: int = 6) -> Site:
     """Start with the longest runway: earliest u_min-insulated spine index
-    on whichever of the deepest rays leaves the most spine above it."""
-    from .raygeom import trap_start
-    cands = [r for r in built.rays if r.forest_index == forest_index]
+    on whichever of the deepest rays (ties by leaf) leaves the most spine
+    above it."""
+    cands = sorted((r for r in rays if r.forest_index == forest_index),
+                   key=lambda r: (-r.depth, r.leaf))
     if not cands:
         raise ValueError(f"no rays for orientation {forest_index}")
-    cands.sort(key=lambda r: -r.depth)
     best, best_runway = None, -1
     for ray in cands[:tries]:
         try:

@@ -263,9 +263,8 @@ def read_membership(path: str) -> tuple[Window, dict[str, np.ndarray]]:
     shape = window.shape
     layers = {}
     for name, runs in doc["layers"].items():
-        flat = np.concatenate([np.full(length, val, dtype=np.int8)
-                               for val, length in runs]) if runs else np.zeros(0, np.int8)
-        layers[name] = flat.reshape(shape)
+        runs = np.asarray(runs, dtype=np.int64).reshape(-1, 2)
+        layers[name] = np.repeat(runs[:, 0].astype(np.int8), runs[:, 1]).reshape(shape)
     return window, layers
 
 

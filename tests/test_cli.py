@@ -1,6 +1,15 @@
+import hashlib
 import json
+import shutil
 
+import pytest
+
+from umbrellaforest import pipeline
 from umbrellaforest.cli import main
+from umbrellaforest.fieldgen import default_params
+from umbrellaforest.lattice import Window
+from umbrellaforest.pipeline import build_patched, build_pruned_pair, trap_experiment
+from umbrellaforest.walker import walks_csv
 
 
 def run(args):
@@ -10,6 +19,32 @@ def run(args):
 def base_args(out, extra=()):
     return ["--dim", "3", "--window", "22", "--margin", "7", "--seed", "12",
             "--out", str(out), *extra]
+
+
+WALK = ("--horizon", "300", "--replicas", "40")
+
+
+@pytest.fixture(scope="module")
+def staged(tmp_path_factory):
+    """The `base_args` instance run through every stage up to `walk`."""
+    out = tmp_path_factory.mktemp("staged") / "run"
+    for stage in ("gen", "forest", "metrics", "prune", "env"):
+        assert run([stage, *base_args(out)]) == 0, stage
+    assert run(["walk", *base_args(out, WALK)]) == 0
+    return out
+
+
+def copy_of(staged, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(staged, out)
+    return out
+
+
+def rehash(out, stage, name):
+    """Record an edited artifact's new digest, so only its content is wrong."""
+    man = json.loads((out / "manifest.json").read_text())
+    man["stages"][stage]["artifacts"][name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    (out / "manifest.json").write_text(json.dumps(man))
 
 
 def test_validate_prints_constants(capsys):
@@ -108,3 +143,68 @@ def test_oracle_stage(capsys):
     outp = capsys.readouterr().out
     assert "lambda_d2: ok" in outp
     assert "exit_dp_horizon4: ok" in outp
+
+
+def test_walk_reads_the_dumps_of_earlier_stages(staged, tmp_path, monkeypatch):
+    params = default_params(3, Window.centered(22, 3, 7), 12)
+    want = trap_experiment(params, horizon=300, replicas=40,
+                           built=build_patched(build_pruned_pair(params)))
+    for name, batch in want.batches.items():
+        walks_csv(batch, str(tmp_path / name))
+        assert (staged / f"walks_{name}.csv").read_bytes() == (tmp_path / name).read_bytes()
+
+    # the stage builds neither the pair nor the patched environment
+    out = copy_of(staged, tmp_path)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("walk rebuilt what earlier stages wrote")
+
+    monkeypatch.setattr(pipeline, "build_pruned_pair", no_build)
+    monkeypatch.setattr(pipeline, "build_patched", no_build)
+    assert run(["walk", *base_args(out, WALK)]) == 0
+    for name in want.batches:
+        assert (out / f"walks_{name}.csv").read_bytes() == \
+            (staged / f"walks_{name}.csv").read_bytes()
+
+
+def test_walk_requires_prune(staged, tmp_path, capsys):
+    out = copy_of(staged, tmp_path)
+    man = json.loads((out / "manifest.json").read_text())
+    del man["stages"]["prune"]
+    (out / "manifest.json").write_text(json.dumps(man))
+    assert run(["walk", *base_args(out, WALK)]) == 2
+    assert "'prune'" in capsys.readouterr().err
+
+
+def test_walk_detects_tampered_membership(staged, tmp_path, capsys):
+    out = copy_of(staged, tmp_path)
+    doc = (out / "membership.json").read_text()
+    (out / "membership.json").write_text(doc.replace("[3,", "[2,", 1))
+    assert run(["walk", *base_args(out, WALK)]) == 1
+    assert "checksum" in capsys.readouterr().err
+
+
+def test_config_coercion_is_usage_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("seed = seven\n")
+    assert run(["validate", "--config", str(cfgfile)]) == 2
+    assert "'seed'" in capsys.readouterr().err
+
+
+def test_bad_environment_dump_is_integrity_error(staged, tmp_path, capsys):
+    out = copy_of(staged, tmp_path)
+    blob = (out / "env.umbe").read_bytes()
+    (out / "env.umbe").write_bytes(blob[:-8])
+    rehash(out, "env", "env.umbe")
+    assert run(["walk", *base_args(out, WALK)]) == 1
+    err = capsys.readouterr().err
+    assert "integrity error" in err and "env.umbe" in err
+
+
+def test_stage_value_error_exits_1(staged, tmp_path, capsys):
+    out = copy_of(staged, tmp_path)
+    blob = (out / "forest_1.umba").read_bytes()
+    (out / "forest_1.umba").write_bytes(b"XXXX" + blob[4:])
+    rehash(out, "forest", "forest_1.umba")
+    assert run(["metrics", *base_args(out)]) == 1
+    assert "bad forest dump magic" in capsys.readouterr().err

@@ -2,15 +2,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import umbrellaforest as uf
-from umbrellaforest.environment import (choose_horizon_factor,
+from umbrellaforest.environment import (PatchedEnv, _block_operator,
+                                        choose_horizon_factor,
                                         environment_manifest, exit_functionals,
-                                        patch, ray_environment, ray_row,
-                                        row_table, supermartingale_residuals,
-                                        tube_row, uniform_row, write_environment)
+                                        exit_table, patch, ray_environment,
+                                        ray_row, read_environment, row_table,
+                                        supermartingale_residuals, tube_row,
+                                        uniform_row, write_environment)
 from umbrellaforest.fieldgen import default_params
-from umbrellaforest.lattice import Direction, Window, all_directions
+from umbrellaforest.lattice import Direction, Window, all_directions, l1_norm
 from umbrellaforest.oracles import exit_stats_brute
 from umbrellaforest.pipeline import build_pruned_pair, build_patched
 from umbrellaforest.pruning import IN
@@ -118,6 +122,66 @@ def test_exit_dp_matches_path_enumeration():
         p_want, e_want = exit_stats_brute(rows, inside, x, 4)
         assert st.exit_prob == pytest.approx(float(p_want), abs=1e-12)
         assert st.exit_mass == pytest.approx(float(e_want), abs=1e-12)
+
+
+@st.composite
+def tube_lists(draw):
+    """2-5 random directed spines in one dimension, each with random per-site
+    horizons (-1 skips a site) and one site read at a horizon of at most 4."""
+    d = draw(st.sampled_from([2, 3]))
+    envs, horizons, picks = [], [], []
+    for _ in range(draw(st.integers(2, 5))):
+        zeta = draw(st.sampled_from([1, -1]))
+        depth = draw(st.integers(1, 30))
+        leaf = tuple(draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d)))
+        axes = draw(st.lists(st.integers(0, d - 1), min_size=depth, max_size=depth))
+        spine = np.tile(np.asarray(leaf, dtype=np.int64), (depth + 1, 1))
+        for n, a in enumerate(axes, start=1):
+            spine[n:, a] += zeta
+        env = ray_environment(RayHandle(leaf=leaf, forest_index=1 if zeta > 0 else 2,
+                                        zeta=zeta, beta=draw(st.floats(0.1, 0.6)),
+                                        spine=spine))
+        S = env.geom.size
+        gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        hz = gen.integers(-1, 41, size=S)
+        j = draw(st.integers(0, S - 1))
+        hz[j] = draw(st.integers(1, 4))
+        envs.append(env)
+        horizons.append(hz)
+        picks.append(j)
+    return envs, horizons, picks
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tube_lists())
+def test_block_exit_table_equals_each_tube_alone(case):
+    envs, horizons, picks = case
+    # a well-formed stacked operator: scipy checks index order and range
+    # only on request, and a malformed one crashes the matvec
+    W = _block_operator(envs)
+    W.check_format(full_check=True)
+    N = sum(env.geom.size for env in envs)
+    assert W.shape == (N, N + 1) and W.nnz == sum(env.operator.nnz for env in envs)
+    together = exit_table(envs, horizons)
+    assert len(together) == len(envs)
+    for env, hz, j, (p, e) in zip(envs, horizons, picks, together):
+        ((p1, e1),) = exit_table([env], [hz])
+        # bit for bit, NaN on skipped sites included
+        assert p.tobytes() == p1.tobytes() and e.tobytes() == e1.tobytes()
+        assert np.array_equal(np.isnan(p), hz < 0)
+        # against path enumeration at the picked site
+        ray, geom = env.geom.ray, env.geom
+        member = {tuple(map(int, s)): True for s in geom.sites}
+        x = tuple(map(int, geom.sites[j]))
+        rows = {}
+        for y in member:
+            if l1_norm(tuple(a - b for a, b in zip(x, y))) < hz[j]:
+                row = ray_row(ray, y)
+                rows[y] = {tuple(a + o for a, o in zip(y, dr.vector(ray.dim))): row[dr.index]
+                           for dr in all_directions(ray.dim)}
+        p_want, e_want = exit_stats_brute(rows, member, x, int(hz[j]))
+        assert p[j] == pytest.approx(float(p_want), abs=1e-12)
+        assert e[j] == pytest.approx(float(e_want), abs=1e-12)
 
 
 def test_exit_mass_nondecreasing_in_horizon():
@@ -245,12 +309,54 @@ def test_patched_env_rows_exact(tmp_path):
     assert "symmetric" in man["chosen_leaf_histogram"]
 
 
+def synthetic_env(d, side, seed):
+    """A PatchedEnv over a small window with every row type drawn at random."""
+    window = Window.centered(side, d, 0)
+    shape = window.box.shape
+    types = np.random.default_rng(seed).integers(0, len(row_table(d).rows), size=shape)
+    nan = np.full(shape, np.nan)
+    return PatchedEnv(window=window, dim=d, rays=[], row_type=types.astype(np.int8),
+                      chosen=np.full(shape, -1, dtype=np.int32),
+                      flagged=np.zeros(shape, dtype=bool), exit_mass=nan, exit_prob=nan,
+                      horizon_factor=1.0, kappa=ellipticity_constant(d))
+
+
+def test_environment_dump_roundtrip_and_rejects(tmp_path):
+    for d, side in ((2, 9), (3, 6)):
+        env = synthetic_env(d, side, seed=d)
+        path = tmp_path / f"env{d}.umbe"
+        write_environment(env, str(path))
+        box, types = read_environment(str(path))
+        assert box == env.box
+        assert types.dtype == np.int8 and np.array_equal(types, env.row_type)
+
+    blob = path.read_bytes()
+    head = 12 + 16 * 3
+    bad = tmp_path / "bad.umbe"
+
+    def rejects(data, match):
+        bad.write_bytes(data)
+        with pytest.raises(ValueError, match=match):
+            read_environment(str(bad))
+
+    rejects(blob[:-8], "body")                      # truncated body
+    rejects(blob + bytes(8), "body")                # trailing words
+    rejects(b"UMBX" + blob[4:], "magic")
+    rejects(blob[:4] + (2).to_bytes(4, "little") + blob[8:], "version")
+    rejects(blob[:8] + (9).to_bytes(4, "little") + blob[12:], "dimension")
+    # one numerator of one site's row moved off the table
+    words = np.frombuffer(blob, dtype="<u8", offset=head).copy()
+    words[4 * 3 * 17] += 1
+    rejects(blob[:head] + words.tobytes(), "not in the row table")
+
+
 def test_patch_argmin_choice():
     # the chosen ray's exit mass never exceeds another covering ray's
     p, pair, built = built_instance(seed=19)
     env = built.env
     cover = (pair.insulation[0].ray_layer == IN) | (pair.insulation[1].ray_layer == IN)
-    worst = patch(p.window, built.rays, {1: pair.ins_sup[0], 2: pair.ins_sup[1]},
+    envs = [ray_environment(ray) for ray in built.rays]
+    worst = patch(p.window, envs, {1: pair.ins_sup[0], 2: pair.ins_sup[1]},
                   built.horizon_factor, certain_cover=cover, objective="max")
     both = (env.chosen >= 0) & (worst.chosen >= 0) & ~env.flagged & ~worst.flagged
     assert np.all(env.exit_mass[both] <= worst.exit_mass[both] + 1e-12)
@@ -348,7 +454,8 @@ def test_patch_locality_under_ray_removal():
     env = built.env
     box = env.box
     cover = (pair.insulation[0].ray_layer == IN) | (pair.insulation[1].ray_layer == IN)
-    part = patch(p.window, built.rays[::2], {1: pair.ins_sup[0], 2: pair.ins_sup[1]},
+    part = patch(p.window, [ray_environment(ray) for ray in built.rays[::2]],
+                 {1: pair.ins_sup[0], 2: pair.ins_sup[1]},
                  built.horizon_factor, certain_cover=cover)
     same = np.ones(box.shape, dtype=bool)
     for ray in built.rays[1::2]:
