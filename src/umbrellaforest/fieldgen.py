@@ -7,8 +7,10 @@ Below the onset the law is completed as uniform on (1, n0], the simplest
 atomless choice; everything downstream only leans on the exact tail branch.
 
 Sampling is inverse-CDF on a counter-based uniform keyed by (seed, site),
-so fields are site-addressable: enlarging the margin or re-partitioning
-work across processes never changes the value at a covered site.
+so fields are site-addressable: enlarging the margin, sampling a smaller
+box or re-partitioning work across processes never changes the value at a
+covered site.  The full field covers window + margin; an in-memory forest
+samples only the box it reads, `Window.forest_box(zeta)`.
 """
 
 from __future__ import annotations
@@ -144,34 +146,45 @@ def sample_length(x: Site, p: ModelParams) -> float:
 
 @dataclass(frozen=True)
 class LField:
-    """Umbrella lengths over window + margin, immutable after construction."""
+    """Umbrella lengths over the box they were sampled on, immutable after
+    construction.  The box defaults to window + margin (`field_box`)."""
 
     params: ModelParams
-    values: np.ndarray  # float64 over field_box, C-order
+    values: np.ndarray  # float64 over box, C-order
+    box: Box | None = None
+
+    def __post_init__(self):
+        if self.box is None:
+            object.__setattr__(self, "box", self.params.window.field_box)
+        if self.values.shape != self.box.shape:
+            raise ValueError(f"values of shape {self.values.shape} "
+                             f"do not fill {self.box}")
 
     @property
     def window(self) -> Window:
         return self.params.window
 
-    @property
-    def box(self) -> Box:
-        return self.params.window.field_box
-
     def value_at(self, x: Site) -> float:
         return float(self.values[self.box.local(x)])
 
 
-def generate_field(p: ModelParams, site_budget: int = DEFAULT_SITE_BUDGET) -> LField:
-    """Sample L at every site of window + margin, keyed by (seed, site)."""
+def generate_field(p: ModelParams, box: Box | None = None,
+                   site_budget: int = DEFAULT_SITE_BUDGET) -> LField:
+    """Sample L at every site of `box`, keyed by (seed, site).
+
+    The box defaults to window + margin; a forest of orientation zeta reads
+    only `p.window.forest_box(zeta)`.  The budget is on the sampled box.
+    """
     require_valid(p)
-    box = p.window.field_box
+    if box is None:
+        box = p.window.field_box
     if box.size > site_budget:
-        raise MemoryError(f"field box has {box.size} sites, budget {site_budget}")
+        raise MemoryError(f"sampled {box} has {box.size} sites, budget {site_budget}")
     grids = box.coordinate_grids()
     u = rng.uniform_vec(p.seed, [g.ravel() for g in grids]).reshape(box.shape)
     values = length_from_uniform(u, p)
     values.setflags(write=False)
-    return LField(params=p, values=values)
+    return LField(params=p, values=values, box=box)
 
 
 def with_margin(p: ModelParams, margin: int) -> ModelParams:

@@ -9,7 +9,10 @@ would have dominated is bounded and reported, never ignored.
 
 The kernel evaluates each supremum on a target box only (the window for a
 forest, the whole array for `lambda_field`), reading the target plus a
-trailing halo of min(R, margin) sites on the perpendicular axes.  It groups
+trailing halo of R sites on the perpendicular axes.  A forest therefore
+reads only the window plus the margin on its trailing side, the box that
+the pipeline samples (`Window.forest_box`); the margin on the leading side,
+when the field holds it, is never read.  It groups
 vertices by effective integer reach e = min(floor(L), R).  A vertex of
 reach e stamps its own length over the block of sites at offsets
 {0} x [1, e]^(d-1) on each side.  Each reach level is swept with separable
@@ -117,26 +120,30 @@ def directed_supremum(slab: np.ndarray, axis_i: int, reach_cap: int,
     return out
 
 
-def _axis_suprema(values: np.ndarray, zeta: int, reach_cap: int, margin: int = 0):
-    """Yield lambda_1 .. lambda_d over the box of `values` less a `margin` shell.
+def _axis_suprema(values: np.ndarray, zeta: int, reach_cap: int,
+                  trail: tuple[int, ...], lead: tuple[int, ...]):
+    """Yield lambda_1 .. lambda_d over the box of `values` less its pads.
 
-    Each supremum reads the target plus a trailing halo of min(cap, margin)
-    sites on the axes perpendicular to its own.
+    `trail[j]` and `lead[j]` sites are cut off axis j on the trailing and
+    the leading side of orientation zeta.  Each supremum reads the target
+    plus a trailing halo of min(cap, trail[j]) sites on the axes j
+    perpendicular to its own.
     """
     d = values.ndim
     flip = (slice(None, None, -1),) * d
     work = values if zeta == 1 else values[flip]
     for ax in range(d):
-        halo = tuple(0 if j == ax else min(reach_cap, margin) for j in range(d))
-        slab = work[tuple(slice(margin - c, n - margin)
-                          for c, n in zip(halo, values.shape))]
+        halo = tuple(0 if j == ax else min(reach_cap, trail[j]) for j in range(d))
+        slab = work[tuple(slice(t - c, n - l)
+                          for t, l, c, n in zip(trail, lead, halo, values.shape))]
         lam = directed_supremum(np.ascontiguousarray(slab), ax + 1, reach_cap, halo)
         yield lam if zeta == 1 else lam[flip]
 
 
 def lambda_field(values: np.ndarray, zeta: int, reach_cap: int) -> np.ndarray:
     """All-axis truncated suprema, shape (d, *values.shape)."""
-    return np.stack(list(_axis_suprema(values, zeta, reach_cap)))
+    zero = (0,) * values.ndim
+    return np.stack(list(_axis_suprema(values, zeta, reach_cap, zero, zero)))
 
 
 @dataclass(frozen=True)
@@ -235,8 +242,10 @@ def choose_direction(lams) -> tuple[int, bool]:
 def build_forest(field, zeta: int, radius: int | None = None) -> Forest:
     """Assign the parent axis at every window site.
 
-    Requires the field margin to cover the truncation radius so that every
-    window site sees its complete radius-R vertex neighborhood.
+    Requires the field margin to cover the truncation radius, and the field
+    box to hold the window plus R sites on the trailing side of zeta, so
+    that every window site sees its complete radius-R vertex neighborhood.
+    Both the full field box and `window.forest_box(zeta)` qualify.
     """
     if zeta not in (1, -1):
         raise ValueError("orientation must be +1 or -1")
@@ -248,11 +257,19 @@ def build_forest(field, zeta: int, radius: int | None = None) -> Forest:
     if radius > p.window.margin:
         raise ValueError(f"radius {radius} exceeds margin {p.window.margin}; "
                          f"required margin {radius}")
+    # pads of the field box around the window, on the low and the high side
+    box, win = field.box, p.window.box
+    pad_lo = tuple(w - f for w, f in zip(win.lo, box.lo))
+    pad_hi = tuple(f - w for f, w in zip(box.hi, win.hi))
+    trail, lead = (pad_lo, pad_hi) if zeta == 1 else (pad_hi, pad_lo)
+    if min(trail) < radius or min(lead) < 0:
+        raise ValueError(f"{box} lacks the window {win} plus {radius} trailing "
+                         f"sites for orientation {zeta:+d}")
     # running argmin over axes; a tie with the current minimum flags the site
     low = np.full(p.window.shape, np.inf)
     axis = np.zeros(p.window.shape, dtype=np.int8)
     uncertain = np.zeros(p.window.shape, dtype=bool)
-    for i, lam in enumerate(_axis_suprema(field.values, zeta, radius, p.window.margin), 1):
+    for i, lam in enumerate(_axis_suprema(field.values, zeta, radius, trail, lead), 1):
         below = lam < low
         uncertain = (uncertain | (lam == low)) & ~below
         axis[below] = i

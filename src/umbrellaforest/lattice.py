@@ -196,8 +196,9 @@ class Box:
 class Window:
     """A working window plus a margin shell used for truncated suprema.
 
-    Fields live on the expanded box (`field_box`); constructions that need a
-    complete radius-R neighborhood are evaluated on the window itself.
+    The full field lives on the expanded box (`field_box`); a forest of
+    orientation zeta reads only `forest_box(zeta)`.  Constructions that need
+    a complete radius-R neighborhood are evaluated on the window itself.
     """
 
     lo: Site
@@ -220,6 +221,17 @@ class Window:
     @property
     def field_box(self) -> Box:
         return self.box.expand(self.margin)
+
+    def forest_box(self, zeta: int) -> Box:
+        """The window plus the margin on the trailing side of orientation
+        zeta, where the umbrellas covering window sites are rooted:
+        [lo - m, hi] on every axis for zeta = +1, [lo, hi + m] for -1."""
+        if zeta not in (1, -1):
+            raise ValueError("orientation must be +1 or -1")
+        m = self.margin
+        if zeta == 1:
+            return Box(tuple(l - m for l in self.lo), self.hi)
+        return Box(self.lo, tuple(h + m for h in self.hi))
 
     @property
     def shape(self) -> tuple[int, ...]:

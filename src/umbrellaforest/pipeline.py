@@ -64,8 +64,8 @@ def _pair_layers(params: ModelParams) -> dict:
     beta = params.beta
     if beta is None:
         raise ValueError("pruning requires beta")
-    f1 = generate_field(derived_params(params, "field", 1))
-    f2 = generate_field(derived_params(params, "field", 2))
+    f1 = generate_field(derived_params(params, "field", 1), params.window.forest_box(1))
+    f2 = generate_field(derived_params(params, "field", 2), params.window.forest_box(-1))
     a1 = build_forest(f1, zeta=1)
     a2 = build_forest(f2, zeta=-1)
     h1 = compute_h(a1)
@@ -181,7 +181,7 @@ def _tail_replica(args: tuple[TailJob, int]):
         forest = example1_forest(seed, Window.centered(job.side, job.dim, 0), job.dim)
     else:
         params = default_params(job.dim, window, seed)
-        forest = build_forest(generate_field(params), zeta=1)
+        forest = build_forest(generate_field(params, window.forest_box(1)), zeta=1)
     h = compute_h(forest)
     mask = interior_mask(h, job.buffer)
     return h.value[mask], h.exact[mask]
@@ -333,7 +333,7 @@ def forest_direction_sampler(dim: int, shifts: list[int], margin: int, seed: int
     def sampler(k: int):
         window = Window(lo, hi, margin)
         params = default_params(dim, window, rng.stream("mixing-forest", seed, k))
-        forest = build_forest(generate_field(params), zeta=1)
+        forest = build_forest(generate_field(params, window.forest_box(1)), zeta=1)
         origin = tuple([0] * dim)
         f0 = 1.0 if forest.axis_at(origin) == 1 else 0.0
         fs = {}

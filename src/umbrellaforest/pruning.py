@@ -238,21 +238,22 @@ def check_disjoint(ball_1: np.ndarray, ball_2: np.ndarray, box: Box) -> Disjoint
 # dump: run-length encoded tri-state layers plus a JSON summary
 # ---------------------------------------------------------------------------
 
-def _rle(flat: np.ndarray) -> list[tuple[int, int]]:
+def _rle(flat: np.ndarray) -> list[list[int]]:
+    """The runs of `flat` as [value, length] pairs of Python ints."""
     if flat.size == 0:
         return []
-    change = np.flatnonzero(np.diff(flat)) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [flat.size]))
-    return [(int(flat[s]), int(e - s)) for s, e in zip(starts, ends)]
+    starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+    lengths = np.diff(np.r_[starts, flat.size])
+    return np.stack((flat[starts].astype(np.int64), lengths), axis=1).tolist()
 
 
 def write_membership(path: str, window: Window, layers: dict[str, np.ndarray]):
     doc = {"window": {"lo": list(window.lo), "hi": list(window.hi),
                       "margin": window.margin},
            "layers": {name: _rle(arr.ravel()) for name, arr in layers.items()}}
+    # json.dumps takes the C encoder; json.dump streams through Python's
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
+        f.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
 def read_membership(path: str) -> tuple[Window, dict[str, np.ndarray]]:

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from umbrellaforest.fieldgen import (ModelParams, default_params,
+from umbrellaforest.fieldgen import (LField, ModelParams, default_params,
                                      generate_field, length_from_uniform,
                                      read_field, sample_length, tail_mass,
                                      validate_params, with_margin, write_field)
@@ -93,6 +95,28 @@ def test_empirical_tail_fraction():
 def test_field_budget():
     with pytest.raises(MemoryError):
         generate_field(mk(2, side=100, margin=0), site_budget=100)
+
+
+def test_site_budget_is_on_the_sampled_box():
+    # 12^3 = 1728 forest-box sites admitted, 16^3 = 4096 field-box sites not
+    p = mk(3, side=8, margin=4)
+    small, full = p.window.forest_box(1), p.window.field_box
+    assert generate_field(p, small, site_budget=2000).box == small
+    with pytest.raises(MemoryError, match=re.escape(str(full))):
+        generate_field(p, site_budget=2000)
+
+
+@pytest.mark.parametrize("zeta", [1, -1])
+def test_forest_box_values_are_the_field_box_values(zeta):
+    p = mk(3, side=5, margin=3, seed=9)
+    full = generate_field(p)
+    assert full.box == p.window.field_box
+    part = generate_field(p, p.window.forest_box(zeta))
+    assert part.box.size == 8 ** 3
+    for x in part.box.sites():
+        assert part.value_at(x) == full.value_at(x)
+    with pytest.raises(ValueError):
+        LField(params=p, values=full.values, box=part.box)
 
 
 def test_field_dump_roundtrip(tmp_path):

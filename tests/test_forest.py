@@ -29,6 +29,22 @@ def random_field(d, side, margin, seed):
     return generate_field(p)
 
 
+def few_values_field(p, seed):
+    """Lengths drawn from a few values over the full field box, so that
+    truncation ties occur."""
+    vals = np.random.default_rng(seed).choice(
+        [1.0, 2.5, 4.0, 6.5, 9.0], p=[0.4, 0.3, 0.15, 0.1, 0.05],
+        size=p.window.field_box.shape)
+    return LField(params=p, values=vals)
+
+
+def crop(field, box):
+    """The field's values over a sub-box, as a field on that box."""
+    lo = field.box.local(box.lo)
+    sl = tuple(slice(l, l + s) for l, s in zip(lo, box.shape))
+    return LField(params=field.params, values=field.values[sl], box=box)
+
+
 def test_lambda_hand_example():
     f = hand_field(spike=((0, -1), 10.0))
     lam = lambda_field(f.values, 1, 12)
@@ -170,13 +186,7 @@ def test_forest_matches_truncated_brute_force(inst):
     window, radius, zeta, seed, model = inst
     d = window.dim
     p = default_params(d, window, seed)
-    if model:
-        field = generate_field(p)
-    else:
-        vals = np.random.default_rng(seed).choice(
-            [1.0, 2.5, 4.0, 6.5, 9.0], p=[0.4, 0.3, 0.15, 0.1, 0.05],
-            size=window.field_box.shape)
-        field = LField(params=p, values=vals)
+    field = generate_field(p) if model else few_values_field(p, seed)
     forest = build_forest(field, zeta=zeta, radius=radius)
     for x in window.box.sites():
         ball = Box(tuple(c - radius for c in x), tuple(c + radius for c in x))
@@ -185,6 +195,51 @@ def test_forest_matches_truncated_brute_force(inst):
         low = min(lams)
         assert forest.axis_at(x) == lams.index(low) + 1
         assert forest.uncertain[window.box.local(x)] == (lams.count(low) > 1)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(truncated_instances())
+@example((Window((0, -2), (6, 1), 8), 6, -1, 11, True))   # d=2 long reaches, R < m
+@example((Window((-1, 0, 2), (1, 3, 2), 3), 3, -1, 5, True))  # d=3, one-site axis
+def test_trailing_field_gives_the_full_field_forest(inst):
+    # the forest reads only the window plus R sites on its trailing side:
+    # sampled there, or cropped to exactly R, the field gives the forest of
+    # the full field box, axis and tie flag bit for bit
+    window, radius, zeta, seed, model = inst
+    d = window.dim
+    p = default_params(d, window, seed)
+    if model:
+        full = generate_field(p)
+        trailing = generate_field(p, window.forest_box(zeta))
+    else:
+        full = few_values_field(p, seed)
+        trailing = crop(full, window.forest_box(zeta))
+    tight = crop(full, Window(window.lo, window.hi, radius).forest_box(zeta))
+    want = build_forest(full, zeta=zeta, radius=radius)
+    for field in (trailing, tight):
+        got = build_forest(field, zeta=zeta, radius=radius)
+        assert np.array_equal(got.axis, want.axis)
+        assert np.array_equal(got.uncertain, want.uncertain)
+    # a few sites against brute-force suprema over the trailing field alone
+    sites = list(window.box.sites())
+    for x in sites[::max(1, len(sites) // 4)]:
+        back = tuple(c - zeta * radius for c in x)
+        near = Box(tuple(map(min, x, back)), tuple(map(max, x, back)))
+        vals = {y: trailing.value_at(y) for y in near.sites()}
+        lams = [lambda_brute(vals, x, i, zeta) for i in range(1, d + 1)]
+        assert want.axis_at(x) == lams.index(min(lams)) + 1
+    # a box without the trailing halo is refused: the other orientation's
+    # box, and the tight box with one axis's trailing pad one short
+    with pytest.raises(ValueError):
+        build_forest(crop(full, window.forest_box(-zeta)), zeta=zeta, radius=radius)
+    k = seed % d
+    lo, hi = list(tight.box.lo), list(tight.box.hi)
+    if zeta == 1:
+        lo[k] += 1
+    else:
+        hi[k] -= 1
+    with pytest.raises(ValueError):
+        build_forest(crop(full, Box(tuple(lo), tuple(hi))), zeta=zeta, radius=radius)
 
 
 def test_truncation_agreement_rate_and_uncertainty():

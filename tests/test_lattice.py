@@ -111,6 +111,10 @@ def test_box_basics():
 def test_window_margin_and_interior():
     w = Window((-4, -4), (4, 4), margin=3)
     assert w.field_box.lo == (-7, -7) and w.field_box.hi == (7, 7)
+    assert w.forest_box(1) == Box((-7, -7), (4, 4))
+    assert w.forest_box(-1) == Box((-4, -4), (7, 7))
+    with pytest.raises(ValueError):
+        w.forest_box(0)
     with pytest.raises(ValueError):
         Window((0,), (5,), margin=-1)
 

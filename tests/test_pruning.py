@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -220,6 +221,54 @@ def test_membership_dump_roundtrip(tmp_path):
     assert window == pair.params.window
     for name, arr in layers.items():
         assert np.array_equal(back[name], arr)
+
+
+def _reference_membership(window, layers) -> bytes:
+    """The membership dump by a plain-Python run encoder."""
+    doc = {"window": {"lo": list(window.lo), "hi": list(window.hi),
+                      "margin": window.margin}, "layers": {}}
+    for name, arr in layers.items():
+        runs = []
+        for v in arr.ravel().tolist():
+            if runs and runs[-1][0] == v:
+                runs[-1][1] += 1
+            else:
+                runs.append([v, 1])
+        doc["layers"][name] = runs
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+@st.composite
+def tri_state_layers(draw):
+    """A small window and named tri-state layers over it, some of one run."""
+    d = draw(st.sampled_from([2, 3]))
+    lo = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+    hi = tuple(l + draw(st.integers(0, 4)) for l in lo)
+    window = Window(lo, hi, draw(st.integers(0, 5)))
+    states = st.sampled_from([int(OUT), int(UNKNOWN), int(FRONTIER), int(IN)])
+    layers = {}
+    for name in draw(st.sets(st.sampled_from(["keep_1", "chain_2", "ball_1"]),
+                             min_size=1)):
+        size = window.box.size
+        flat = ([draw(states)] * size if draw(st.booleans()) else
+                draw(st.lists(states, min_size=size, max_size=size)))
+        layers[name] = np.array(flat, dtype=np.int8).reshape(window.shape)
+    return window, layers
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(tri_state_layers())
+@example((Window((0, 0), (0, 0), 1), {"keep_1": np.full((1, 1), IN)}))
+@example((Window((0, 0, 0), (2, 1, 3), 0), {"ball_1": np.full((3, 2, 4), OUT)}))
+def test_membership_dump_matches_reference_encoder(tmp_path_factory, inst):
+    window, layers = inst
+    path = tmp_path_factory.mktemp("m") / "membership.json"
+    write_membership(str(path), window, layers)
+    assert path.read_bytes() == _reference_membership(window, layers)
+    back_window, back = read_membership(str(path))
+    assert back_window == window and back.keys() == layers.keys()
+    for name, arr in layers.items():
+        assert back[name].dtype == np.int8 and np.array_equal(back[name], arr)
 
 
 def test_window_growth_never_flips_certain_verdicts():
