@@ -12,24 +12,26 @@ forest, the whole array for `lambda_field`), reading the target plus a
 trailing halo of R sites on the perpendicular axes.  A forest therefore
 reads only the window plus the margin on its trailing side, the box that
 the pipeline samples (`Window.forest_box`); the margin on the leading side,
-when the field holds it, is never read.  It groups
-vertices by effective integer reach e = min(floor(L), R).  A vertex of
-reach e stamps its own length over the block of sites at offsets
-{0} x [1, e]^(d-1) on each side.  Each reach level is swept with separable
-trailing-window maximum filters, cropped to the target after every pass;
-only in d=2 are reaches above 4 painted instead, one clipped segment per
-vertex.  Both paths are exact and are cross-checked against brute
-enumeration in the test suite.
+when the field holds it, is never read.
+
+A vertex of effective integer reach e = min(floor(L), R) stamps its own
+length over the block of sites at offsets {0} x [1, e]^(d-1) on each side.
+That block is the union of 2^(d-1) cubes of side 2^floor(log2 e), so one
+table of cube maxima, pushed down from side 2^floor(log2 R) to 1, gives the
+supremum in about log2 R full-slab passes per axis.  Reaches that at least
+one vertex in 16 has are dropped into the table as shifted whole-slab
+maxima, rarer ones vertex by vertex.  The kernel is exact and is
+cross-checked against brute enumeration in the test suite.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from . import rng
 from .lattice import Box, Site, Window
@@ -39,39 +41,39 @@ FOREST_VERSION = 1
 
 UNCERTAIN_BIT = 0x80
 
-# d=2 segment painting takes over above this reach
-_SEGMENT_LEVEL_CUTOFF = 4
+# A reach that at least one slab vertex in this many has is written by
+# full-slab shifts, a rarer one vertex by vertex: the crossover of a few
+# full-slab passes against one scatter per corner and vertex.  On the d=2
+# and d=3 tail shapes 16 and 32 tie, 4 and 8 are up to 1.8x slower.
+_DENSE_SHARE = 16
 
 
-def _trailing_max(arr: np.ndarray, width: int, axis: int, halo: int) -> np.ndarray:
-    """out[t] = max over arr[halo + t - width .. halo + t - 1] along `axis`.
-
-    Entries before the array count as -inf; the leading `halo` entries are
-    cropped, so the output is `halo` shorter than `arr` along `axis`.
-    """
-    filt = np.moveaxis(maximum_filter1d(arr, size=width, axis=axis, mode="constant",
-                                        cval=-np.inf, origin=(width - 1) // 2), axis, 0)
-    if halo:
-        return np.moveaxis(filt[halo - 1:-1], 0, axis)
-    out = np.full_like(filt, -np.inf)
-    out[1:] = filt[:-1]
-    return np.moveaxis(out, 0, axis)
-
-
-def _paint_segments(out_flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-                    values: np.ndarray):
-    """max-paint contiguous flat segments [start, start+length) with values."""
-    keep = lengths > 0
-    starts, lengths, values = starts[keep], lengths[keep], values[keep]
-    if starts.size == 0:
+def _shift_max(dst: np.ndarray, src: np.ndarray, offsets) -> None:
+    """dst[t + offsets] = max(dst[t + offsets], src[t]) wherever both exist."""
+    if any(o >= n for o, n in zip(offsets, dst.shape)):
         return
-    total = int(lengths.sum())
-    step = np.ones(total, dtype=np.int64)
-    step[0] = starts[0]
-    ends = np.cumsum(lengths)[:-1]
-    step[ends] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
-    idx = np.cumsum(step)
-    np.maximum.at(out_flat, idx, np.repeat(values, lengths))
+    to = tuple(slice(o, None) for o in offsets)
+    np.maximum(dst[to], src[tuple(slice(0, n - o) for o, n in zip(offsets, dst.shape))],
+               out=dst[to])
+
+
+def _scatter_corners(U: np.ndarray, flat: np.ndarray, delta: np.ndarray,
+                     values: np.ndarray, perp: list[int], corners: list) -> None:
+    """Max the values of vertices at flat indices into U at their corners.
+
+    The corner of pattern b is the vertex plus 1 + delta * b_j on each
+    perpendicular axis j; corners past the end of U are dropped.
+    """
+    strides = [x // U.itemsize for x in U.strides]
+    room = [U.shape[j] - 1 - flat // strides[j] % U.shape[j] for j in perp]
+    for b in corners:
+        inside = delta > 0 if any(b) else np.ones(flat.size, dtype=bool)
+        at = flat.copy()
+        for j, r, bj in zip(perp, room, b):
+            step = 1 + delta * bj
+            inside &= step <= r
+            at += strides[j] * step
+        np.maximum.at(U.reshape(-1), at[inside], values[inside])
 
 
 def directed_supremum(slab: np.ndarray, axis_i: int, reach_cap: int,
@@ -81,42 +83,62 @@ def directed_supremum(slab: np.ndarray, axis_i: int, reach_cap: int,
     The result covers a target box.  `slab` is the length field over that
     box, widened by `halo[j]` leading entries on each axis j other than
     axis_i (halo[axis_i - 1] is 0).  Vertex y covers x on side i when x - y
-    is zero on axis i and lies in [1, min(floor(L(y)), cap)] on every other
-    axis.  Orientation is the positive one; callers reflect the array for
-    the opposite orientation.  Returns -inf where no slab vertex covers a
-    site.
+    is zero on axis i and lies in [1, e] on every other axis, where
+    e = min(floor(L(y)), cap) is its reach.  Orientation is the positive
+    one; callers reflect the array for the opposite orientation.  Returns
+    -inf where no slab vertex covers a site.
+
+    Dyadic cover: with s = 2^k the largest power of two <= e and
+    delta = e - s, the cover y + [1, e]^(d-1) is the union of the 2^(d-1)
+    cubes of side s with corners y + 1 + delta * b, b in {0, 1}^(d-1) (one
+    corner when delta = 0).  Push-down: one table U holds, at level k, the
+    max over the side-2^k cubes cornered at each site.  The levels run from
+    the top down; each drops its reaches' corners into U, then halves its
+    cubes, U[t] = max(U[t], U[t - s/2]) along each perpendicular axis.  At
+    level 0 a cube is one site, so U is the supremum; the halo is cropped.
+    A reach that at least one slab vertex in `_DENSE_SHARE` has is dropped
+    as shifted maxima of the slab masked to that reach; the corners of
+    rarer reaches are scattered vertex by vertex.  U starts at 0, below
+    every covering length (reach >= 1 means L >= 1), and sites left at 0
+    read -inf.  Max is exact and order-free, so the result is the brute
+    enumeration's bit for bit.
     """
     d = slab.ndim
-    ax = axis_i - 1
-    perp = [j for j in range(d) if j != ax]
-    reach = np.minimum(np.floor(slab).astype(np.int64), reach_cap)
-    out = np.full(tuple(n - c for n, c in zip(slab.shape, halo)), -np.inf)
-    levels = np.flatnonzero(np.bincount(reach.ravel().clip(min=0)))
-    levels = levels[levels > 0]
-    for level in map(int, levels if d > 2 else levels[levels <= _SEGMENT_LEVEL_CUTOFF]):
-        # vertices deeper in the halo than `level` cannot reach the target
-        h = [min(c, level) for c in halo]
-        near = tuple(slice(c - e, None) for c, e in zip(halo, h))
-        masked = np.where(reach[near] == level, slab[near], -np.inf)
-        for j in perp:
-            masked = _trailing_max(masked, level, j, h[j])
-        np.maximum(out, masked, out=out)
-    if d == 2:
-        # longer reaches: one segment per vertex, clipped to the target and
-        # painted level by level along the perpendicular axis laid out last
-        p = perp[0]
-        canvas, lr, ls = ((out, reach, slab) if p == 1 else
-                          (np.ascontiguousarray(out.T), reach.T, slab.T))
-        m = canvas.shape[1]
-        rows, cols = np.nonzero(lr > _SEGMENT_LEVEL_CUTOFF)
-        r, v = lr[rows, cols], ls[rows, cols]
-        start = np.maximum(cols + 1 - halo[p], 0)
-        lens = np.minimum(cols + 1 - halo[p] + r, m) - start
-        for level in levels[levels > _SEGMENT_LEVEL_CUTOFF]:
-            g = r == level
-            _paint_segments(canvas.reshape(-1), rows[g] * m + start[g], lens[g], v[g])
-        if p == 0:
-            np.maximum(out, canvas.T, out=out)
+    perp = [j for j in range(d) if j != axis_i - 1]
+    # truncation is floor on the clipped, nonnegative lengths
+    reach = np.clip(slab, 0, reach_cap).astype(np.min_scalar_type(reach_cap))
+    count = np.bincount(reach.ravel(), minlength=reach_cap + 1)
+    dense = count * _DENSE_SHARE >= reach.size
+    sparse = ~dense
+    sparse[0] = False
+    # the sparse vertices, ordered by reach so that each level is a slice
+    listed = np.flatnonzero(sparse[reach])
+    listed = listed[np.argsort(reach.ravel()[listed], kind="stable")]
+    lr, lv = reach.ravel()[listed], slab.ravel()[listed]
+    corners = list(np.ndindex((2,) * (d - 1)))
+    top = int(np.flatnonzero(count)[-1]).bit_length()
+    bounds = np.searchsorted(lr, [1 << k for k in range(top + 1)])
+    U = np.zeros(slab.shape)
+    masked = np.empty_like(slab)
+    for k in reversed(range(top)):
+        s = 1 << k
+        for r in map(int, np.flatnonzero(dense[s:2 * s]) + s):
+            np.multiply(slab, reach == r, out=masked)  # 0 off reach r
+            for b in corners if r > s else corners[:1]:
+                off = [0] * d
+                for j, bj in zip(perp, b):
+                    off[j] = 1 + (r - s) * bj
+                _shift_max(U, masked, off)
+        lo, hi = bounds[k], bounds[k + 1]
+        if hi > lo:
+            _scatter_corners(U, listed[lo:hi], lr[lo:hi].astype(np.int64) - s, lv[lo:hi],
+                             perp, corners)
+        if k:
+            for j in perp:
+                np.copyto(masked, U)  # each cube halves from its own value
+                _shift_max(U, masked, [s // 2 if q == j else 0 for q in range(d)])
+    out = np.ascontiguousarray(U[tuple(slice(c, None) for c in halo)])
+    out[out == 0] = -np.inf
     return out
 
 
@@ -201,8 +223,10 @@ def miss_probability_bound(tail_weight: float, tail_start: int, dim: int, radius
 def lambda_at(field, x: Site, axis_i: int, radius: int, zeta: int = 1) -> tuple[float, bool]:
     """Scalar truncated supremum at one site, with its exactness flag.
 
-    The flag is False when the radius-R neighborhood of x is not fully
-    contained in the stored field box.  Window sites keep a True flag as
+    The flag is False when the trailing radius-R cube of x for orientation
+    zeta, x - zeta * [0, R]^d, which holds every vertex the supremum reads,
+    is not fully contained in the stored field box.  Window sites keep a
+    True flag on the full field box and on `window.forest_box(zeta)` as
     long as R does not exceed the margin.
     """
     box = field.box
@@ -210,11 +234,9 @@ def lambda_at(field, x: Site, axis_i: int, radius: int, zeta: int = 1) -> tuple[
         raise ValueError(
             f"radius {radius} exceeds margin {field.window.margin}; "
             f"regenerate the field with margin >= {radius}")
-    exact = all(l <= c - radius and c + radius <= h
-                for l, c, h in zip(box.lo, x, box.hi))
+    exact = box.contains(x) and box.contains(tuple(c - zeta * radius for c in x))
     d = box.dim
     best = -np.inf
-    import itertools
     for offs in itertools.product(range(1, radius + 1), repeat=d - 1):
         delta = list(offs)
         delta.insert(axis_i - 1, 0)

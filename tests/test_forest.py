@@ -111,6 +111,15 @@ def test_lambda_at_scalar_and_flags():
     assert val == best and exact
     with pytest.raises(ValueError):
         lambda_at(f, x, 1, radius=5)  # exceeds margin: names required margin
+    # the flag checks the trailing cube only: a window site reads all it
+    # needs from the forest box, but not from the other orientation's box
+    w = Window.centered(8, 2, 3)
+    p = default_params(2, w, seed=4)
+    full, trailing = generate_field(p), generate_field(p, w.forest_box(1))
+    want = lambda_at(full, (3, 3), 1, radius=3)
+    assert want[1] and lambda_at(trailing, (3, 3), 1, radius=3) == want
+    assert not lambda_at(trailing, (3, 3), 1, radius=3, zeta=-1)[1]
+    assert not lambda_at(trailing, (-6, 0), 1, radius=3)[1]  # halo site
 
 
 def test_choose_direction_rules():
@@ -160,6 +169,52 @@ def test_reflection_symmetry():
     for x in p.window.box.sites():
         neg = tuple(-c for c in x)
         assert fwd.axis_at(x) == bwd.axis_at(neg)
+
+
+@st.composite
+def raw_length_arrays(draw):
+    """A raw length array and a reach cap for `lambda_field`: d in {2, 3, 4},
+    axis lengths down to 1, cap up to 20.  Reaches straddle powers of two
+    and the cap; lengths below 1 (reach 0) fill the rest.  A few reaches
+    on every vertex, all of them heavy-tailed, or a single spike make
+    common and rare reaches both occur."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    shape = tuple(draw(st.integers(1, {2: 16, 3: 7, 4: 4}[d])) for _ in range(d))
+    cap = draw(st.integers(1, 20))
+    kind = draw(st.sampled_from(["few", "heavy", "spike"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    reaches = np.array(sorted({0, cap - 1, cap, cap + 1}
+                              | {2 ** k + o for k in range(5) for o in (-1, 0, 1)}))
+    if kind == "spike":
+        e = np.zeros(shape, dtype=np.int64)
+        e[tuple(gen.integers(0, shape))] = gen.choice(reaches[reaches > 0])
+    elif kind == "few":
+        e = gen.choice(np.append(gen.choice(reaches, 3), 0), size=shape)
+    else:
+        weight = (reaches + 1.0) ** -3
+        e = gen.choice(reaches, size=shape, p=weight / weight.sum())
+    frac = np.where(gen.random(shape) < 0.25, 0.0, gen.random(shape))
+    return np.where(e > 0, e + frac, frac - 1.0 * (gen.random(shape) < 0.5)), cap
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(raw_length_arrays(), st.sampled_from([1, -1]))
+@example((np.array([[0.5, 0.2, 6.0, 0.1, 0.7]]), 19), 1)  # axis shorter than the shifts
+@example((np.full((2, 3, 2, 3), 5.5), 6), -1)  # every vertex of one reach
+def test_lambda_field_matches_capped_brute_force(inst, zeta):
+    # the supremum at every site and axis is the brute-force one over the
+    # vertices within l-infinity distance cap on the trailing side
+    values, cap = inst
+    d = values.ndim
+    box = Box((0,) * d, tuple(n - 1 for n in values.shape))
+    lam = lambda_field(values, zeta, cap)
+    for x in box.sites():
+        back = tuple(c - zeta * cap for c in x)
+        near = Box(tuple(max(0, min(a, b)) for a, b in zip(x, back)),
+                   tuple(min(n - 1, max(a, b)) for a, b, n in zip(x, back, values.shape)))
+        vals = {y: float(values[y]) for y in near.sites()}
+        for i in range(1, d + 1):
+            assert lam[(i - 1,) + x] == lambda_brute(vals, x, i, zeta)
 
 
 @st.composite
