@@ -13,8 +13,8 @@ from .lattice import Box, Direction, Site, Window, l1_norm, min_sphere_ratio, \
     orthant_sphere_count, sphere_count, umbrella_side
 from .fieldgen import LField, ModelParams, default_params, generate_field, \
     sample_length, validate_params
-from .forest import Forest, build_forest, choose_direction, example1_forest, \
-    lambda_at
+from .forest import Forest, axes_at, build_forest, choose_direction, \
+    example1_forest, lambda_at
 from .metrics import StatusField, TailEstimate, compute_h, \
     compute_insulation_sup, interior_mask, ray, tail_estimate
 from .pruning import FRONTIER, IN, OUT, UNKNOWN, check_disjoint, insulate, \

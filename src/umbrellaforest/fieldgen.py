@@ -144,6 +144,11 @@ def sample_length(x: Site, p: ModelParams) -> float:
     return float(length_from_uniform(u, p))
 
 
+def sample_lengths(coords: list[np.ndarray], p: ModelParams) -> np.ndarray:
+    """`sample_length` at many sites, given as one coordinate array per axis."""
+    return length_from_uniform(rng.uniform_vec(p.seed, coords), p)
+
+
 @dataclass(frozen=True)
 class LField:
     """Umbrella lengths over the box they were sampled on, immutable after
@@ -181,8 +186,7 @@ def generate_field(p: ModelParams, box: Box | None = None,
     if box.size > site_budget:
         raise MemoryError(f"sampled {box} has {box.size} sites, budget {site_budget}")
     grids = box.coordinate_grids()
-    u = rng.uniform_vec(p.seed, [g.ravel() for g in grids]).reshape(box.shape)
-    values = length_from_uniform(u, p)
+    values = sample_lengths([g.ravel() for g in grids], p).reshape(box.shape)
     values.setflags(write=False)
     return LField(params=p, values=values, box=box)
 

@@ -22,18 +22,25 @@ supremum in about log2 R full-slab passes per axis.  Reaches that at least
 one vertex in 16 has are dropped into the table as shifted whole-slab
 maxima, rarer ones vertex by vertex.  The kernel is exact and is
 cross-checked against brute enumeration in the test suite.
+
+A caller that needs the parent axis at a few sites only, such as the
+mixing sampler, uses the point query `axes_at`: it samples just the
+R^(d-1) vertices per site and axis that each supremum reads, and builds
+neither a field box nor the kernel's table.  It gives `build_forest`'s axis
+and tie flag bit for bit.  `lambda_at` reads the same offset table from a
+stored field.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
+from .fieldgen import require_valid, sample_lengths
 from .lattice import Box, Site, Window
 
 FOREST_MAGIC = b"UMBA"
@@ -220,6 +227,23 @@ def miss_probability_bound(tail_weight: float, tail_start: int, dim: int, radius
     return min(total, 1.0)
 
 
+@functools.lru_cache
+def _cover_offsets(dim: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets delta of the vertices x - zeta * delta a supremum at x reads.
+
+    Row i - 1 of `delta`, shape (d, R^(d-1), d), holds the offsets for axis
+    i: delta_i = 0 and the other coordinates in [1, R]^(d-1), in
+    `itertools.product` order.  `need`, shape (R^(d-1),), is the largest of
+    those coordinates, the reach a vertex needs to cover x.
+    """
+    perp = np.indices((radius,) * (dim - 1)).reshape(dim - 1, -1).T + 1
+    delta = np.stack([np.insert(perp, i, 0, axis=1) for i in range(dim)])
+    need = perp.max(axis=1)
+    delta.setflags(write=False)
+    need.setflags(write=False)
+    return delta, need
+
+
 def lambda_at(field, x: Site, axis_i: int, radius: int, zeta: int = 1) -> tuple[float, bool]:
     """Scalar truncated supremum at one site, with its exactness flag.
 
@@ -235,30 +259,37 @@ def lambda_at(field, x: Site, axis_i: int, radius: int, zeta: int = 1) -> tuple[
             f"radius {radius} exceeds margin {field.window.margin}; "
             f"regenerate the field with margin >= {radius}")
     exact = box.contains(x) and box.contains(tuple(c - zeta * radius for c in x))
-    d = box.dim
-    best = -np.inf
-    for offs in itertools.product(range(1, radius + 1), repeat=d - 1):
-        delta = list(offs)
-        delta.insert(axis_i - 1, 0)
-        y = tuple(c - zeta * o for c, o in zip(x, delta))
-        if not box.contains(y):
-            continue
-        L = field.value_at(y)
-        if max(offs) <= L:
-            best = max(best, L)
-    return float(best), exact
+    delta, need = _cover_offsets(box.dim, radius)
+    rows, flat = box.locate(np.asarray(x) - zeta * delta[axis_i - 1])
+    L = field.values.ravel()[flat]
+    return float(L[need[rows] <= L].max(initial=-np.inf)), exact
 
 
-def choose_direction(lams) -> tuple[int, bool]:
-    """Axis of the smallest protecting umbrella; ties take the smallest axis.
+def choose_direction(lams) -> tuple[np.ndarray, np.ndarray]:
+    """Axis of the smallest protecting umbrella and its tie flag, over the
+    last dimension of `lams` (the d suprema); ties take the smallest axis.
 
     Ties have probability zero under the atomless law and can only arise
     from truncation; the tie flag marks the site as uncertain.
     """
     arr = np.asarray(lams, dtype=np.float64)
-    j = int(np.argmin(arr))
-    tie = bool(np.sum(arr == arr[j]) > 1)
-    return j + 1, tie
+    low = arr.min(axis=-1, keepdims=True)
+    # argmin takes the first, smallest axis among ties
+    return np.argmin(arr, axis=-1) + 1, (arr == low).sum(axis=-1) > 1
+
+
+def _truncation_radius(window: Window, zeta: int, radius: int | None) -> int:
+    """The radius R (default: the margin) after checking zeta and 1 <= R <= margin."""
+    if zeta not in (1, -1):
+        raise ValueError("orientation must be +1 or -1")
+    if radius is None:
+        radius = window.margin
+    if radius < 1:
+        raise ValueError("truncation radius must be >= 1")
+    if radius > window.margin:
+        raise ValueError(f"radius {radius} exceeds margin {window.margin}; "
+                         f"required margin {radius}")
+    return radius
 
 
 def build_forest(field, zeta: int, radius: int | None = None) -> Forest:
@@ -269,16 +300,8 @@ def build_forest(field, zeta: int, radius: int | None = None) -> Forest:
     that every window site sees its complete radius-R vertex neighborhood.
     Both the full field box and `window.forest_box(zeta)` qualify.
     """
-    if zeta not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
     p = field.params
-    if radius is None:
-        radius = p.window.margin
-    if radius < 1:
-        raise ValueError("truncation radius must be >= 1")
-    if radius > p.window.margin:
-        raise ValueError(f"radius {radius} exceeds margin {p.window.margin}; "
-                         f"required margin {radius}")
+    radius = _truncation_radius(p.window, zeta, radius)
     # pads of the field box around the window, on the low and the high side
     box, win = field.box, p.window.box
     pad_lo = tuple(w - f for w, f in zip(win.lo, box.lo))
@@ -301,6 +324,30 @@ def build_forest(field, zeta: int, radius: int | None = None) -> Forest:
     uncertain.setflags(write=False)
     return Forest(window=p.window, zeta=zeta, axis=axis, uncertain=uncertain,
                   radius=radius, miss_bound=miss)
+
+
+def axes_at(params, sites, zeta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parent axis and tie flag at window sites, as `build_forest` gives them
+    at its default radius, the window margin.
+
+    `sites` is an (N, d) array of window sites; the results have length N.
+    The supremum at x on axis i reads only the vertices x - zeta * delta of
+    `_cover_offsets`, and keeps a length L where max(delta) <= L.  Those
+    lengths are sampled where they sit (`sample_lengths`), the values
+    `generate_field` gives there, so no field box and no kernel table is
+    built.  Work grows as N d^2 R^(d-1): whole windows go to `build_forest`.
+    """
+    require_valid(params)
+    window = params.window
+    radius = _truncation_radius(window, zeta, None)
+    sites = np.asarray(sites, dtype=np.int64).reshape(-1, params.dim)
+    if not ((sites >= window.lo) & (sites <= window.hi)).all():
+        raise ValueError(f"query sites outside the window {window.box}")
+    delta, need = _cover_offsets(params.dim, radius)
+    vertices = sites[:, None, None, :] - zeta * delta  # (N, d, R^(d-1), d)
+    L = sample_lengths([vertices[..., j] for j in range(params.dim)], params)
+    axis, tie = choose_direction(np.where(need <= L, L, -np.inf).max(axis=2))
+    return axis.astype(np.int8), tie
 
 
 def example1_forest(seed: int, window: Window, d: int) -> Forest:

@@ -19,7 +19,7 @@ from . import rng
 from .environment import (PatchedEnv, choose_horizon_factor, patch,
                           ray_environment, row_table)
 from .fieldgen import ModelParams, default_params, generate_field
-from .forest import Forest, build_forest, example1_forest
+from .forest import Forest, axes_at, build_forest, example1_forest
 from .lattice import Box, Site, Window
 from .metrics import (StatusField, TailEstimate, accumulate_tail,
                       compute_h, compute_insulation_sup, empty_tail,
@@ -322,25 +322,21 @@ def _best_trap_start(rays: list[RayHandle], forest_index: int, u_min: int,
 def forest_direction_sampler(dim: int, shifts: list[int], margin: int, seed: int):
     """Replica sampler for the parent-direction indicator at shifted blocks.
 
-    Each replica builds one thin strip forest and evaluates
-    1{parent step at site = +e_1} at the origin and at s * e_1.
+    Replica k reads 1{parent step at site = +e_1} at the origin and at
+    s * e_1 of the forest of seed ("mixing-forest", seed, k) on a thin
+    strip window, truncated at the margin.  The point query `axes_at`
+    samples only the field values those sites' suprema read and gives the
+    axes of the strip forest `build_forest` would build.
     """
-    smax = max(shifts)
     pad = 2
-    lo = (-pad,) + (-pad,) * (dim - 1)
-    hi = (smax + pad,) + (pad,) * (dim - 1)
+    window = Window((-pad,) * dim, (max(shifts) + pad,) + (pad,) * (dim - 1), margin)
+    sites = np.zeros((1 + len(shifts), dim), dtype=np.int64)
+    sites[1:, 0] = shifts
 
     def sampler(k: int):
-        window = Window(lo, hi, margin)
         params = default_params(dim, window, rng.stream("mixing-forest", seed, k))
-        forest = build_forest(generate_field(params, window.forest_box(1)), zeta=1)
-        origin = tuple([0] * dim)
-        f0 = 1.0 if forest.axis_at(origin) == 1 else 0.0
-        fs = {}
-        for s in shifts:
-            site = (s,) + (0,) * (dim - 1)
-            fs[s] = 1.0 if forest.axis_at(site) == 1 else 0.0
-        return f0, fs
+        step_e1 = axes_at(params, sites, zeta=1)[0] == 1
+        return float(step_e1[0]), {s: float(e) for s, e in zip(shifts, step_e1[1:])}
 
     return sampler
 

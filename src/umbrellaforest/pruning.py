@@ -71,7 +71,6 @@ def tilde_membership(h_own: StatusField, ins_opp: StatusField, beta: float) -> n
 @dataclass
 class ChainResult:
     layer: np.ndarray            # tier: whole ancestral line in the keep layer
-    frontier: np.ndarray         # bool: the line itself exits the window
     last_violation: np.ndarray   # int32: deepest certain keep-violation on the line, -1 none
     chain_censored: np.ndarray   # bool: some UNKNOWN keep verdict on the line
     depth_available: np.ndarray  # int32: observed line length before window exit
@@ -100,7 +99,6 @@ def prune_to_infinite(forest: Forest, keep: np.ndarray) -> ChainResult:
 
     # one padded entry at index n stands for every parent outside the window
     layer = np.full(n + 1, FRONTIER, dtype=np.int8)
-    frontier = np.ones(n + 1, dtype=bool)
     last_viol = np.full(n + 1, -1, dtype=np.int32)
     censored = np.zeros(n + 1, dtype=bool)
     depth_avail = np.full(n + 1, -1, dtype=np.int32)
@@ -109,7 +107,6 @@ def prune_to_infinite(forest: Forest, keep: np.ndarray) -> ChainResult:
         p = parent[idx]
         own = keep_flat[idx]
         layer[idx] = np.minimum(own, layer[p])
-        frontier[idx] = frontier[p]
         p_viol = last_viol[p]
         lifted = np.where(p_viol >= 0, p_viol + 1, -1)
         own_viol = np.where(own == OUT, 0, -1)
@@ -118,9 +115,8 @@ def prune_to_infinite(forest: Forest, keep: np.ndarray) -> ChainResult:
         depth_avail[idx] = depth_avail[p] + 1
 
     rs = lambda a: a[:n].reshape(shape)
-    return ChainResult(layer=rs(layer), frontier=rs(frontier),
-                       last_violation=rs(last_viol), chain_censored=rs(censored),
-                       depth_available=rs(depth_avail))
+    return ChainResult(layer=rs(layer), last_violation=rs(last_viol),
+                       chain_censored=rs(censored), depth_available=rs(depth_avail))
 
 
 def depth_decay_table(chain: ChainResult, interior: np.ndarray,

@@ -1,15 +1,21 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from umbrellaforest import forest as forest_module
+from umbrellaforest import rng
 from umbrellaforest.fieldgen import LField, default_params, generate_field
-from umbrellaforest.forest import (build_forest, choose_direction,
+from umbrellaforest.forest import (axes_at, build_forest, choose_direction,
                                    example1_forest, lambda_at, lambda_field,
                                    miss_probability_bound, read_forest,
                                    write_forest)
 from umbrellaforest.lattice import Box, Window
 from umbrellaforest.oracles import enumerate_box_field, lambda_brute
+from umbrellaforest.pipeline import forest_direction_sampler
 
 
 def hand_field(d=2, extent=12, spike=None, base=1.5):
@@ -29,13 +35,30 @@ def random_field(d, side, margin, seed):
     return generate_field(p)
 
 
-def few_values_field(p, seed):
-    """Lengths drawn from a few values over the full field box, so that
-    truncation ties occur."""
-    vals = np.random.default_rng(seed).choice(
-        [1.0, 2.5, 4.0, 6.5, 9.0], p=[0.4, 0.3, 0.15, 0.1, 0.05],
-        size=p.window.field_box.shape)
-    return LField(params=p, values=vals)
+FEW_LENGTHS = np.array([0.5, 1.0, 2.5, 4.0, 6.5, 9.0])
+
+
+def few_lengths(coords, p):
+    """A site-addressable stand-in for `sample_lengths` with a few values,
+    integers among them and one below 1 (reach 0), so that ties, uncovered
+    axes (-inf) and lengths equal to a reach occur."""
+    u = rng.uniform_vec(p.seed, coords)
+    return FEW_LENGTHS[np.searchsorted([0.25, 0.45, 0.65, 0.8, 0.92], u)]
+
+
+def few_values_field(p, box=None):
+    """The `few_lengths` field over a box, by default the full field box."""
+    box = p.window.field_box if box is None else box
+    values = few_lengths([g.ravel() for g in box.coordinate_grids()], p)
+    return LField(params=p, values=values.reshape(box.shape), box=box)
+
+
+def point_query(p, sites, zeta, model):
+    """`axes_at`, on the model's lengths or on `few_lengths`."""
+    if model:
+        return axes_at(p, sites, zeta)
+    with mock.patch.object(forest_module, "sample_lengths", few_lengths):
+        return axes_at(p, sites, zeta)
 
 
 def crop(field, box):
@@ -235,13 +258,14 @@ def truncated_instances(draw):
 @given(truncated_instances())
 @example((Window((0, -2), (6, 1), 8), 6, 1, 11, False))   # d=2 long reaches, R < m
 @example((Window((-3, 1), (0, 5), 7), 7, -1, 12, False))  # d=2 long reaches, R = m
+@example((Window((0, 0), (5, 5), 4), 1, 1, 3, False))     # d=2 R = 1, -inf ties
 def test_forest_matches_truncated_brute_force(inst):
     # axis and tie flag are the argmin and tie of the brute-force suprema
     # over the vertices within l-infinity distance R
     window, radius, zeta, seed, model = inst
     d = window.dim
     p = default_params(d, window, seed)
-    field = generate_field(p) if model else few_values_field(p, seed)
+    field = generate_field(p) if model else few_values_field(p)
     forest = build_forest(field, zeta=zeta, radius=radius)
     for x in window.box.sites():
         ball = Box(tuple(c - radius for c in x), tuple(c + radius for c in x))
@@ -250,6 +274,15 @@ def test_forest_matches_truncated_brute_force(inst):
         low = min(lams)
         assert forest.axis_at(x) == lams.index(low) + 1
         assert forest.uncertain[window.box.local(x)] == (lams.count(low) > 1)
+    # the point query, on the window with margin R, gives the forest's axis
+    # and tie flag bit for bit at every window site
+    sites = np.array(list(window.box.sites()))
+    query = replace(p, window=Window(window.lo, window.hi, radius))
+    axis, uncertain = point_query(query, sites, zeta, model)
+    at = tuple(np.array([window.box.local(x) for x in sites]).T)
+    assert axis.dtype == forest.axis.dtype
+    assert np.array_equal(axis, forest.axis[at])
+    assert np.array_equal(uncertain, forest.uncertain[at])
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -267,7 +300,7 @@ def test_trailing_field_gives_the_full_field_forest(inst):
         full = generate_field(p)
         trailing = generate_field(p, window.forest_box(zeta))
     else:
-        full = few_values_field(p, seed)
+        full = few_values_field(p)
         trailing = crop(full, window.forest_box(zeta))
     tight = crop(full, Window(window.lo, window.hi, radius).forest_box(zeta))
     want = build_forest(full, zeta=zeta, radius=radius)
@@ -295,6 +328,52 @@ def test_trailing_field_gives_the_full_field_forest(inst):
         hi[k] -= 1
     with pytest.raises(ValueError):
         build_forest(crop(full, Box(tuple(lo), tuple(hi))), zeta=zeta, radius=radius)
+
+
+def test_axes_at_flags_uncovered_ties():
+    # at R = 1 the few-values field leaves both axes of some sites uncovered:
+    # the -inf tie takes axis 1 and is flagged, as in the forest
+    window = Window((0, 0), (7, 7), 1)
+    p = default_params(2, window, seed=3)
+    sites = np.array(list(window.box.sites()))
+    axis, uncertain = point_query(p, sites, 1, model=False)
+    field = few_values_field(p)
+    lams = []
+    for x in map(tuple, sites):
+        near = {y: field.value_at(y) for y in Box(tuple(c - 1 for c in x), x).sites()}
+        lams.append([lambda_brute(near, x, i, 1) for i in (1, 2)])
+    lams = np.array(lams)
+    uncovered = np.isneginf(lams).all(axis=1)
+    assert uncovered.any() and (uncertain & ~uncovered).any()
+    assert (axis[uncovered] == 1).all() and uncertain[uncovered].all()
+
+
+def test_axes_at_refuses_what_build_forest_refuses():
+    p = default_params(2, Window((0, 0), (4, 4), 3), seed=1)
+    with pytest.raises(ValueError, match="radius must be >= 1"):
+        axes_at(replace(p, window=Window((0, 0), (4, 4), 0)), [(0, 0)], 1)
+    with pytest.raises(ValueError, match="orientation"):
+        axes_at(p, [(0, 0)], 0)
+    with pytest.raises(ValueError, match="outside the window"):
+        axes_at(p, [(0, 0), (5, 0)], 1)
+    with pytest.raises(ValueError, match="outside the window"):
+        axes_at(p, [(0, -1)], -1)
+    with pytest.raises(ValueError, match="invalid parameters"):
+        axes_at(replace(p, tail_weight=-1.0), [(0, 0)], 1)
+
+
+@pytest.mark.parametrize("shifts,margin", [([2, 4], 6), ([8, 16, 32, 64], 24)])
+def test_forest_direction_sampler_reads_the_strip_forest(shifts, margin):
+    # each replica's indicators are those of the strip forest on its field
+    seed = 80_008
+    sampler = forest_direction_sampler(2, shifts, margin, seed)
+    strip = Window((-2, -2), (max(shifts) + 2, 2), margin)
+    for k in range(300):
+        p = default_params(2, strip, rng.stream("mixing-forest", seed, k))
+        forest = build_forest(generate_field(p, strip.forest_box(1)), zeta=1)
+        f0, fs = sampler(k)
+        assert f0 == float(forest.axis_at((0, 0)) == 1)
+        assert fs == {s: float(forest.axis_at((s, 0)) == 1) for s in shifts}
 
 
 def test_truncation_agreement_rate_and_uncertainty():
