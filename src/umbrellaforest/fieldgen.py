@@ -15,6 +15,7 @@ samples only the box it reads, `Window.forest_box(zeta)`.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, replace
 
@@ -88,14 +89,9 @@ def validate_params(p: ModelParams) -> list[str]:
     if gamma > 0 and theta < d ** d / gamma:
         bad.append(f"tail_weight = {theta} < dim^dim/orthant_ratio = {d ** d / gamma}")
     if gamma > 0 and n0 >= 1:
-        # sampled density-floor check; the count/ratio is nondecreasing in n
-        # beyond, so a clean prefix certifies the inequality for all n >= n0
-        for n in range(n0, n0 + 65):
-            if gamma * n ** (d - 1) > orthant_sphere_count(d, n):
-                bad.append(
-                    f"orthant sphere at n={n} has {orthant_sphere_count(d, n)} sites"
-                    f" < orthant_ratio * n^(d-1) = {gamma * n ** (d - 1):.6g}")
-                break
+        floor = _density_floor_violation(d, n0, gamma)
+        if floor:
+            bad.append(floor)
     if d >= 3:
         limit = (d - 2) / (2 * d)
         if p.beta is None:
@@ -105,6 +101,21 @@ def validate_params(p: ModelParams) -> list[str]:
     if p.window.dim != d:
         bad.append(f"window dimension {p.window.dim} != dim {d}")
     return bad
+
+
+@functools.lru_cache
+def _density_floor_violation(d: int, n0: int, gamma: float) -> str | None:
+    """The first sampled n >= n0 whose orthant sphere is below the floor.
+
+    The count/ratio is nondecreasing in n beyond the sampled prefix, so a
+    clean prefix certifies the inequality for all n >= n0.  Cached: callers
+    validate many params that differ only in window and seed.
+    """
+    for n in range(n0, n0 + 65):
+        if gamma * n ** (d - 1) > orthant_sphere_count(d, n):
+            return (f"orthant sphere at n={n} has {orthant_sphere_count(d, n)} sites"
+                    f" < orthant_ratio * n^(d-1) = {gamma * n ** (d - 1):.6g}")
+    return None
 
 
 def require_valid(p: ModelParams):

@@ -82,13 +82,16 @@ def min_sphere_ratio(d: int, scan_limit: int = 10_000) -> Fraction:
     """
     if d < 2:
         raise ValueError("d >= 2 required")
-    ratios = [Fraction(n ** (d - 1), sphere_count(d, n)) for n in range(1, scan_limit + 1)]
-    best = min(ratios)
-    tail_start = max(i for i, r in enumerate(ratios) if r == best)
-    for i in range(tail_start, len(ratios) - 1):
-        if ratios[i + 1] < ratios[i]:
+    # ratios as (numerator, denominator) pairs, compared by cross-multiplying
+    ratios = [(n ** (d - 1), sphere_count(d, n)) for n in range(1, scan_limit + 1)]
+    best = 0
+    for i, (a, b) in enumerate(ratios):
+        if a * ratios[best][1] <= ratios[best][0] * b:  # <=: the last minimum
+            best = i
+    for (a, b), (c, e) in zip(ratios[best:], ratios[best + 1:]):
+        if c * b < a * e:
             raise RuntimeError("sphere ratio not monotone beyond scanned minimum")
-    return best
+    return Fraction(*ratios[best])
 
 
 def umbrella_side(i: int, t: float, base: Site) -> set[Site]:

@@ -4,6 +4,13 @@ Finite windows cannot see the whole lattice, so every per-site value carries
 a status: EXACT, or AT_LEAST when the defining set may continue beyond a
 window face.  Downstream estimators keep two censoring brackets instead of
 pretending the window is the full lattice.
+
+Tree sweeps (h here; the chain layer, leaves and insulation depths in
+`pruning`) all run on one primitive, `RowFrame`: the window as rows along
+the last axis, grouped into levels by the sum of the other coordinates.  A
+sweep takes one step per level (side_1 + ... + side_(d-1) - d + 2 steps)
+and follows the links inside a row by segmented running maxima and minima
+along whole rows.
 """
 
 from __future__ import annotations
@@ -35,75 +42,138 @@ class StatusField:
         return int(self.value[loc]), bool(self.exact[loc])
 
 
-def _level_sets(shape: tuple[int, ...]) -> list[np.ndarray]:
-    """Flat site indices grouped by coordinate sum, ascending.
+class RowFrame:
+    """A forest's window as rows along the last axis, for tree sweeps.
 
-    Every forest edge joins consecutive level sets, so walking them in
-    order (children first: groups[::zeta]) or in reverse (parents first:
-    groups[::-zeta]) finishes one end of each edge before the other.
+    The frame flips every axis when zeta = -1, so each parent is
+    x + e_axis and each child is x - e_j.  Rows are listed level-major:
+    ordered by the coordinate sum of their first d - 1 coordinates, so
+    level s is the slice `a:b` of the (rows, side_d) arrays, where
+    (a, b) = `levels[s]`.  A link through axis j < d joins consecutive levels at the same
+    last coordinate k; a link through axis d stays in the row, from k to
+    k + 1.  A sweep therefore finishes a level by scanning each of its rows
+    once, reading the other levels through `kid` (the row of x - e_j, one
+    level down) or `parent` (the row of x + e_j, one level up).
     """
-    sums = np.indices(shape).sum(axis=0).ravel()
-    order = np.argsort(sums, kind="stable")
-    bounds = np.searchsorted(sums[order], np.arange(sums.max() + 2))
-    return [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def __init__(self, forest: Forest):
+        shape = forest.box.shape
+        self.shape = shape
+        self.flip = forest.zeta < 0
+        prefix = shape[:-1]
+        coords = np.indices(prefix).reshape(len(prefix), -1)
+        sums = coords.sum(axis=0)
+        self.order = np.argsort(sums, kind="stable")
+        bounds = np.searchsorted(sums[self.order], np.arange(sums.max() + 2)).tolist()
+        self.levels = list(zip(bounds[:-1], bounds[1:]))
+        rank = np.empty_like(self.order)
+        rank[self.order] = np.arange(self.order.size)
+        c = coords[:, self.order]
+        stride = np.cumprod((1,) + prefix[:0:-1])[::-1]
+        last = self.order.size - 1
+        # per prefix axis j, the level-major row of x - e_j and of x + e_j,
+        # or -1 where that row lies outside the window
+        self.kid = [np.where(c[j] > 0, rank[np.maximum(self.order - stride[j], 0)], -1)
+                    for j in range(len(prefix))]
+        self.parent = [np.where(c[j] < n - 1, rank[np.minimum(self.order + stride[j], last)], -1)
+                       for j, n in enumerate(prefix)]
+        self.axis = self.put(forest.axis)
+
+    def put(self, arr: np.ndarray) -> np.ndarray:
+        """A window array as level-major rows of the flipped frame."""
+        arr = np.flip(arr) if self.flip else arr
+        return arr.reshape(len(self.order), self.shape[-1])[self.order]
+
+    def take(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The inverse of `put`: level-major rows into the window array
+        `out` (C-contiguous), which is returned."""
+        view = out.reshape(rows.shape)
+        if self.flip:
+            view = view[::-1, ::-1]
+        view[self.order] = rows
+        return out
 
 
-def _neighbour(shape: tuple[int, ...], j: int, step: int) -> np.ndarray:
-    """Flat index of x + step * e_(j+1) at every site x, or the site count
-    where that neighbour lies outside the window.  Sweeps pad their arrays
-    with one entry at that index standing for everything outside."""
-    n = int(np.prod(shape))
-    out = np.arange(n).reshape(shape) + step * int(np.prod(shape[j + 1:]))
-    face = tuple((slice(-1, None) if step > 0 else slice(0, 1)) if k == j else slice(None)
-                 for k in range(len(shape)))
-    out[face] = n
-    return out.ravel()
-
-
-def _progeny_depth(forest: Forest, groups: list[np.ndarray],
-                   member: np.ndarray | None = None):
+def _progeny_depth(forest: Forest, member: np.ndarray | None = None):
     """(depth, exact) of the children-first reduce over a member set.
 
     depth is 1 + the maximum over in-window member children, 0 at a member
     with no member child and -1 off the member set (every site is a member
     when `member` is None).  exact is False on the face that children enter
     from and wherever an in-window child is censored.
-    """
-    shape = forest.box.shape
-    n = forest.axis.size
-    axis = np.append(forest.axis.ravel(), 0)
-    member = np.ones(n, dtype=bool) if member is None else member.ravel()
-    # depth is -1 off the member set and at the padded entry, so neither
-    # ever wins the maximum
-    depth = np.full(n + 1, -1, dtype=np.int32)
-    exact = np.ones(n + 1, dtype=bool)
-    kids = []  # per axis: the child through that axis, or the padded entry
-    for j in range(forest.dim):
-        below = _neighbour(shape, j, -forest.zeta)
-        exact[:n] &= below < n  # face sites: a child may exist outside the window
-        kids.append(np.where(axis[below] == j + 1, below, n))
 
-    for idx in groups[::forest.zeta]:
-        best = np.full(idx.size, -1, dtype=np.int32)
-        ok = exact[idx]
-        for kid in kids:
-            child = kid[idx]
-            np.maximum(best, depth[child], out=best)
-            ok &= exact[child]
-        depth[idx] = np.where(member[idx], best + 1, -1)
-        exact[idx] = ok
-    return depth[:n].reshape(shape), exact[:n].reshape(shape)
+    One `RowFrame` sweep, levels ascending.  In a row, the in-row child of
+    site k is k - 1 when axis(k - 1) = d, so along a segment of linked
+    members depth(k) = k + max over the segment's sites j <= k of
+    1 + b(j) - j, where b is the best depth over the member children
+    through the other axes, all one level down.  That is one running
+    maximum per level, which an offset of span * (the segment's first
+    position) restarts at a missing link or a non-member.  exact is the same
+    scan over "censored" flags with segments broken only by missing links:
+    exactness ignores membership.  Depths off the member set are never
+    read, and are set to -1 at the end.
+    """
+    # the results first, below the working arrays on the heap, so that the
+    # working arrays can go back to the system when they are freed
+    depth_out = np.empty(forest.box.shape, dtype=np.int32)
+    exact_out = np.empty(forest.box.shape, dtype=bool)
+    frame = RowFrame(forest)
+    ax = frame.axis
+    side = ax.shape[1]
+    span = sum(frame.shape) + side + 2  # wider than the range of 1 + b - k
+    dtype = np.int32 if side * span < 2 ** 31 else np.int64
+    k = np.arange(side, dtype=dtype)
+    unlinked = np.ones(ax.shape, dtype=bool)  # no in-row child at k - 1
+    unlinked[:, 1:] = ax[:, :-1] != forest.dim
+    kid = [(r >= 0)[:, None] & (ax[r] == j + 1) for j, r in enumerate(frame.kid)]
+    face = np.zeros(ax.shape, dtype=bool)  # some child may lie outside
+    face[:, 0] = True
+    for r in frame.kid:
+        face[r < 0] = True
+
+    def offsets(breaks):
+        return np.maximum.accumulate(breaks * (k * dtype(span)), axis=1)
+
+    link_off = offsets(unlinked)
+    if member is None:
+        kid_m, shift = kid, link_off - k
+    else:
+        mem = frame.put(member)
+        kid_m = [kj & mem[r] for kj, r in zip(kid, frame.kid)]
+        unlinked[:, 1:] |= ~mem[:, :-1]
+        shift = offsets(unlinked) - k
+    # min(depth of the kid, cap) is its depth where it is a member kid, else -1
+    cap = [kj * np.int32(2 ** 30) - np.int32(1) for kj in kid_m]
+    lift = shift + 1
+
+    depth = np.zeros(ax.shape, dtype=np.int32)
+    censored = np.zeros(ax.shape, dtype=bool)
+    for a, b in frame.levels:
+        best, bad = None, face[a:b]
+        for kj, cj, r in zip(kid, cap, frame.kid):
+            r = r[a:b]
+            got = np.minimum(depth[r], cj[a:b])
+            best = got if best is None else np.maximum(best, got, out=best)
+            bad = bad | (kj[a:b] & censored[r])
+        run = np.add(best, lift[a:b], dtype=dtype)
+        np.subtract(np.maximum.accumulate(run, axis=1, out=run), shift[a:b], out=depth[a:b])
+        run = np.add(bad, link_off[a:b], dtype=dtype)
+        np.greater(np.maximum.accumulate(run, axis=1, out=run), link_off[a:b],
+                   out=censored[a:b])
+    if member is not None:
+        depth[~mem] = -1
+    return frame.take(depth, depth_out), frame.take(~censored, exact_out)
 
 
 def compute_h(forest: Forest) -> StatusField:
     """Longest progeny branch length at every window site.
 
-    Sites are swept so that all in-window children of a site are finished
-    before the site itself; h = 1 + max over children, 0 at childless sites.
-    A site is censored (AT_LEAST) when it sits on the face that children
-    enter from, or when any child is censored.
+    h = 1 + max over in-window children, 0 at childless sites, from one
+    children-first `_progeny_depth` sweep.  A site is censored (AT_LEAST)
+    when it sits on the face that children enter from, or when any child is
+    censored.
     """
-    h, exact = _progeny_depth(forest, _level_sets(forest.box.shape))
+    h, exact = _progeny_depth(forest)
     h.setflags(write=False)
     exact.setflags(write=False)
     return StatusField(window=forest.window, zeta=forest.zeta, value=h, exact=exact)

@@ -12,6 +12,9 @@ every instance, and everything censored is counted, not guessed.
 Layer dependency order: depth field h -> insulation sup H -> keep layer
 (strictly taller than the opposite insulation over the own ball) -> chain
 layer (whole ancestral line kept) -> leaves -> insulation unions.
+
+The chain layer is a parents-first sweep and leaves and the ray depths are
+children-first sweeps, all on the row scan of `metrics.RowFrame`.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ import numpy as np
 
 from .forest import Forest
 from .lattice import Box, Site, Window
-from .metrics import (StatusField, _ball_max, _ball_union, _level_sets, _neighbour,
-                      _progeny_depth)
+from .metrics import RowFrame, StatusField, _ball_max, _ball_union, _progeny_depth
 
 OUT = np.int8(0)       # certain violation somewhere
 UNKNOWN = np.int8(1)   # own depth censored; no verdict
@@ -80,43 +82,94 @@ class ChainResult:
         return self.layer >= FRONTIER
 
 
+# "no violation" on a line; the line adds less than its length to it
+_NO_VIOLATION = np.int32(-2 ** 30)
+
+
 def prune_to_infinite(forest: Forest, keep: np.ndarray) -> ChainResult:
     """Chain layer: the ancestral line must stay inside the keep layer.
 
-    Swept parents-first, so each site combines its own keep verdict with
-    the finished verdict of its parent; the tier order makes min() the
-    right combiner (any OUT kills the line, any censored depth blocks a
-    verdict, any frontier lean demotes IN to FRONTIER).  The line exiting
-    the window is itself a frontier lean.
+    The tier of a site is the min of the keep tiers (OUT < UNKNOWN <
+    FRONTIER < IN) on its ancestral line: any OUT kills the line, any
+    censored depth blocks a verdict, any frontier lean demotes IN to
+    FRONTIER.  The line exiting the window is itself a frontier lean, so
+    the tier is OUT after a certain violation, else UNKNOWN after a
+    censored verdict, else FRONTIER.
+
+    One `RowFrame` sweep, levels descending (parents first).  In a row the
+    parent of site k is k + 1 while axis(k) = d, so a line runs along the
+    row to the end of its run of such links and leaves there, to a row
+    one level up or out of the window.  What a site sees of its own run
+    (some UNKNOWN verdict, the farthest OUT, the distance to the run end)
+    is fixed by `keep` and is scanned once for the whole window by reverse
+    running minima and maxima along the rows.  The sweep then joins each
+    run end to its parent's finished values, or to a padded entry standing
+    for every parent outside the window.
     """
+    # the results first, below the working arrays on the heap (see
+    # `_progeny_depth`)
     shape = forest.box.shape
-    n = keep.size
-    axis = forest.axis.ravel()
-    parent = np.full(n, n)
-    for j in range(forest.dim):
-        parent = np.where(axis == j + 1, _neighbour(shape, j, forest.zeta), parent)
-    keep_flat = keep.ravel()
+    res = ChainResult(layer=np.empty(shape, dtype=np.int8),
+                      last_violation=np.empty(shape, dtype=np.int32),
+                      chain_censored=np.empty(shape, dtype=bool),
+                      depth_available=np.empty(shape, dtype=np.int32))
+    frame = RowFrame(forest)
+    ax = frame.axis
+    side = ax.shape[1]
+    k = np.arange(side, dtype=np.int32)
+    own = frame.put(keep)
+    # the end of x's run of in-row links: the first site at or after x
+    # whose parent leaves the row
+    ends = ax != forest.dim
+    ends[:, -1] = True
+    end = _first_at_or_after(ends)
+    at_end = (end + np.arange(0, ax.size, side)[:, None]).ravel()
+    # flat level-major index of the parent where it lies in another row,
+    # else the padded entry after the last site: the parent is outside
+    pad = ax.size
+    up = np.full(ax.shape, pad)
+    for j, r in enumerate(frame.parent):
+        up += ((ax == j + 1) & (r >= 0)[:, None]) * (r[:, None] * side + k - pad)
+    above = up.ravel()[at_end]
+    steps = (end - k + 1).ravel()
+    # the keep verdicts on the run from x to its end: some UNKNOWN, and the
+    # distance to the farthest OUT
+    unknown = (_first_at_or_after(own == UNKNOWN) <= end).ravel()
+    far = np.maximum.accumulate((own == OUT) * (k + 1) - 1, axis=1).ravel()[at_end]
+    far = far.reshape(ax.shape) - k
+    own_viol = np.where(far >= 0, far, _NO_VIOLATION).ravel()
 
-    # one padded entry at index n stands for every parent outside the window
-    layer = np.full(n + 1, FRONTIER, dtype=np.int8)
-    last_viol = np.full(n + 1, -1, dtype=np.int32)
-    censored = np.zeros(n + 1, dtype=bool)
-    depth_avail = np.full(n + 1, -1, dtype=np.int32)
+    last_viol = np.full(pad + 1, _NO_VIOLATION, dtype=np.int32)
+    censored = np.zeros(pad + 1, dtype=bool)
+    depth_avail = np.full(pad + 1, -1, dtype=np.int32)
+    for a, b in reversed(frame.levels):
+        sl = slice(a * side, b * side)
+        p = above[sl]
+        # a violation above the run is farther than any on it
+        np.maximum(last_viol[p] + steps[sl], own_viol[sl], out=last_viol[sl])
+        np.logical_or(censored[p], unknown[sl], out=censored[sl])
+        np.add(depth_avail[p], steps[sl], out=depth_avail[sl])
+    last_viol = np.maximum(last_viol[:pad], -1)
+    censored, depth_avail = censored[:pad], depth_avail[:pad]
+    # the line ends in the frontier, so its tier is OUT after a certain
+    # violation, else UNKNOWN after a censored verdict, else FRONTIER
+    layer = np.full(pad, FRONTIER, dtype=np.int8)
+    layer[censored] = UNKNOWN
+    layer[last_viol >= 0] = OUT
 
-    for idx in _level_sets(shape)[::-forest.zeta]:
-        p = parent[idx]
-        own = keep_flat[idx]
-        layer[idx] = np.minimum(own, layer[p])
-        p_viol = last_viol[p]
-        lifted = np.where(p_viol >= 0, p_viol + 1, -1)
-        own_viol = np.where(own == OUT, 0, -1)
-        last_viol[idx] = np.maximum(own_viol, lifted)
-        censored[idx] = (own == UNKNOWN) | censored[p]
-        depth_avail[idx] = depth_avail[p] + 1
+    frame.take(layer.reshape(ax.shape), res.layer)
+    frame.take(last_viol.reshape(ax.shape), res.last_violation)
+    frame.take(censored.reshape(ax.shape), res.chain_censored)
+    frame.take(depth_avail.reshape(ax.shape), res.depth_available)
+    return res
 
-    rs = lambda a: a[:n].reshape(shape)
-    return ChainResult(layer=rs(layer), last_violation=rs(last_viol),
-                       chain_censored=rs(censored), depth_available=rs(depth_avail))
+
+def _first_at_or_after(flags: np.ndarray) -> np.ndarray:
+    """Per row site k, the first position at or after k whose flag is set,
+    or the row length where none is."""
+    side = flags.shape[1]
+    at = side + flags * (np.arange(side, dtype=np.int32) - side)
+    return np.minimum.accumulate(at[:, ::-1], axis=1)[:, ::-1]
 
 
 def depth_decay_table(chain: ChainResult, interior: np.ndarray,
@@ -147,8 +200,7 @@ def depth_decay_table(chain: ChainResult, interior: np.ndarray,
 
 def leaves(chain_layer: np.ndarray, forest: Forest) -> list[Site]:
     """Kept sites with no kept child (the starting points of the kept rays)."""
-    depth, _ = _progeny_depth(forest, _level_sets(forest.box.shape),
-                              chain_layer >= FRONTIER)
+    depth, _ = _progeny_depth(forest, chain_layer >= FRONTIER)
     return _depth_zero_sites(depth, forest.box)
 
 
@@ -181,9 +233,8 @@ def insulate(chain: ChainResult, h_own: StatusField, forest: Forest,
     # greatest kept-chain depth below each site (0 at leaves, -1 off the
     # layer): a site at depth n is the n-th ancestor of some kept leaf, so
     # its ray ball has radius n^beta
-    groups = _level_sets(shape)
-    depth_c, _ = _progeny_depth(forest, groups, kept)
-    depth_p, _ = _progeny_depth(forest, groups, layer >= UNKNOWN)
+    depth_c, _ = _progeny_depth(forest, kept)
+    depth_p, _ = _progeny_depth(forest, layer >= UNKNOWN)
 
     def radius(v):
         return np.floor(np.power(np.maximum(v, 0).astype(np.float64), beta)).astype(np.int64)

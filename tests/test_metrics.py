@@ -1,10 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from umbrellaforest.fieldgen import default_params, generate_field
 from umbrellaforest.forest import Forest, build_forest, example1_forest
 from umbrellaforest.lattice import Window
-from umbrellaforest.metrics import (StatusField, accumulate_tail, compute_h,
+from umbrellaforest.metrics import (StatusField, _progeny_depth, accumulate_tail, compute_h,
                                     compute_insulation_sup, empty_tail,
                                     interior_mask, ray, tail_estimate)
 from umbrellaforest.oracles import h_brute, insulation_sup_brute
@@ -190,3 +194,58 @@ def test_interior_mask_default_buffer():
     h = compute_h(forest)
     mask = interior_mask(h)
     assert mask.sum() == 8 * 8  # window 16, buffer 4 per side
+
+
+@st.composite
+def member_instances(draw):
+    """A window with asymmetric sides (some of length 1, so that levels hold
+    one row), an orientation, parent axes with a chosen share along the
+    last axis (long in-row segments) and a member mask of chosen density,
+    or None for every site."""
+    d = draw(st.sampled_from([2, 3]))
+    lo = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+    hi = tuple(l + draw(st.integers(0, 9 if d == 2 else 5)) for l in lo)
+    return (Window(lo, hi, 0), draw(st.sampled_from([1, -1])),
+            draw(st.sampled_from([None, 0.7, 0.95])),
+            draw(st.sampled_from([None, 0.95, 0.8, 0.5, 0.2])), draw(st.integers(0, 2 ** 16)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(member_instances())
+@example((Window((0, 0, 0), (0, 3, 7), 0), 1, 0.95, 0.8, 1))    # one-row levels, d = 3
+@example((Window((-1, 2), (6, 9), 0), -1, 0.95, 0.5, 2))        # segments cut by non-members
+def test_progeny_depth_matches_recursion(inst):
+    # depth over a member set and exactness against the defining recursion
+    window, zeta, last_share, density, seed = inst
+    d = window.dim
+    box = window.box
+    rng = np.random.default_rng(seed)
+    axis_p = None if last_share is None else [(1 - last_share) / (d - 1)] * (d - 1) + [last_share]
+    axes = rng.choice(np.arange(1, d + 1), size=window.shape, p=axis_p)
+    forest = Forest(window=window, zeta=zeta, axis=axes.astype(np.int8),
+                    uncertain=np.zeros(window.shape, dtype=bool), radius=1, miss_bound=0.0)
+    member = None if density is None else rng.random(window.shape) < density
+    depth, exact = _progeny_depth(forest, member)
+
+    def below(x, j):
+        return tuple(c - zeta * (k == j) for k, c in enumerate(x))
+
+    def kids(x):
+        return [below(x, j) for j in range(d)
+                if box.contains(below(x, j)) and forest.axis_at(below(x, j)) == j + 1]
+
+    @functools.cache
+    def want_depth(x):
+        if member is not None and not member[box.local(x)]:
+            return -1
+        return 1 + max((want_depth(y) for y in kids(x)), default=-1)
+
+    @functools.cache
+    def want_exact(x):
+        # censored on the face children enter from, or below a censored child
+        face = any(not box.contains(below(x, j)) for j in range(d))
+        return not face and all(want_exact(y) for y in kids(x))
+
+    for x in sorted(box.sites(), key=lambda s: zeta * sum(s)):
+        assert (depth[box.local(x)], exact[box.local(x)]) == (want_depth(x), want_exact(x))
+    assert depth.dtype == np.int32 and exact.dtype == bool

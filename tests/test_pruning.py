@@ -106,6 +106,53 @@ def test_prune_unknown_blocks_but_out_dominates():
     assert res.layer[0, 1] == UNKNOWN
 
 
+@st.composite
+def chain_instances(draw):
+    """A window with asymmetric sides (some of length 1), an orientation,
+    parent axes drawn with a chosen share along the last axis (long in-row
+    runs) and keep tiers drawn with chosen weights."""
+    d = draw(st.sampled_from([2, 3]))
+    lo = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+    hi = tuple(l + draw(st.integers(0, 9 if d == 2 else 5)) for l in lo)
+    last_share = draw(st.sampled_from([None, 0.7, 0.95]))
+    tiers = draw(st.sampled_from([(1, 1, 1, 1), (1, 0, 0, 8), (0, 1, 1, 8), (1, 1, 0, 20)]))
+    return (Window(lo, hi, 0), draw(st.sampled_from([1, -1])), last_share, tiers,
+            draw(st.integers(0, 2 ** 16)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(chain_instances())
+@example((Window((0, 0, 0), (0, 4, 6), 0), -1, 0.95, (1, 1, 0, 20), 3))  # one-row levels
+@example((Window((-2, 1), (5, 1), 0), 1, None, (1, 1, 1, 1), 5))         # last side 1
+def test_chain_matches_ancestor_lines(inst):
+    # all four ChainResult arrays against a walk up each site's ancestor line
+    window, zeta, last_share, tiers, seed = inst
+    d = window.dim
+    box = window.box
+    rng = np.random.default_rng(seed)
+    axis_p = None if last_share is None else [(1 - last_share) / (d - 1)] * (d - 1) + [last_share]
+    axes = rng.choice(np.arange(1, d + 1), size=window.shape, p=axis_p)
+    forest = Forest(window=window, zeta=zeta, axis=axes.astype(np.int8),
+                    uncertain=np.zeros(window.shape, dtype=bool), radius=1, miss_bound=0.0)
+    weights = np.array(tiers, dtype=float) / sum(tiers)
+    keep = rng.choice(np.array([OUT, UNKNOWN, FRONTIER, IN], dtype=np.int8),
+                      size=window.shape, p=weights)
+    res = prune_to_infinite(forest, keep)
+    for x in box.sites():
+        line = [x]
+        while box.contains(forest.parent_of(line[-1])):
+            line.append(forest.parent_of(line[-1]))
+        verdicts = [keep[box.local(y)] for y in line]
+        loc = box.local(x)
+        assert res.layer[loc] == min(verdicts + [FRONTIER])  # the exit leans on the frontier
+        assert res.last_violation[loc] == max(
+            (n for n, v in enumerate(verdicts) if v == OUT), default=-1)
+        assert res.chain_censored[loc] == (UNKNOWN in verdicts)
+        assert res.depth_available[loc] == len(line) - 1
+    assert res.layer.dtype == np.int8 and res.chain_censored.dtype == bool
+    assert res.last_violation.dtype == res.depth_available.dtype == np.int32
+
+
 def test_leaves_exhaustive_no_kept_children():
     pair = small_pair()
     for i in (1, 2):
