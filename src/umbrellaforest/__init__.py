@@ -19,11 +19,12 @@ from .metrics import StatusField, TailEstimate, compute_h, \
     compute_insulation_sup, interior_mask, ray, tail_estimate
 from .pruning import FRONTIER, IN, OUT, UNKNOWN, check_disjoint, insulate, \
     leaves, prune_to_infinite, tilde_membership
-from .raygeom import InsulationConstants, RayHandle, build_ray, \
+from .raygeom import InsulationConstants, RayHandle, build_ray, build_rays, \
     drift_directions, ellipticity_constant, score_and_index, \
-    solve_insulation_constants, tube_geometry
+    solve_insulation_constants, tube_geometries, tube_geometry
 from .environment import ExitStats, PatchedEnv, exit_functionals, patch, \
-    ray_environment, ray_row, supermartingale_residuals, tube_row, uniform_row
+    ray_environment, ray_environments, ray_row, supermartingale_residuals, \
+    tube_row, uniform_row
 from .walker import TrapEstimate, WalkConfig, run_walks, step, trap_probability
 from .stats import exponent_fit, load_report, assemble_report, \
     mixing_covariance, wilson_interval

@@ -7,17 +7,20 @@ the ellipticity floor 1/(20(2d-1)).  Outside every tube the row is uniform.
 A row depends only on the pair (forward, inward), so one table per d holds
 every exact rational row, (2d)^2 + 1 of them, and tubes and patched windows
 store a small integer row type per site.  Dumps are written from the
-table's exact rows and read back by matching against them, and walks read
-the same rows.
+table's exact rows and read back by one sorted lookup of each row among
+them, and walks read the same rows.
 
-Each tube gets one sparse operator, built from its slot array: row j holds
-the float weights of site j's 2d moves in direction order, and every move
-off the tube points at one absorbing column.  A DP call stacks the operators
-of all the tubes it serves block-diagonally over one shared absorbing column
-and sweeps them together, so a patch pays the per-step cost once.  The
-exit-time dynamic program is two matrix-vector products per step, with
-rounding error far below the 1e-9 assertion tolerance at desk horizons.  Its
-values are reproducible bit for bit, and equal to one tube swept alone,
+`ray_environments` takes the row types of a whole batch of tubes from one
+drift pass over all their sites.  A tube's operator comes from its row
+types and its neighbour rows: row j holds the float weights of site j's 2d
+moves in direction order, and every move off the tube points at one
+absorbing column.  A DP call stacks the operators of all the tubes it serves
+block-diagonally over one shared absorbing column and sweeps them together,
+so a patch pays the per-step cost once; `exit_table` orders the stack by
+largest horizon and, at step t, multiplies only the prefix of tubes still
+live.  The exit-time dynamic program is two matrix-vector products per step,
+with rounding error far below the 1e-9 assertion tolerance at desk horizons.
+Its values are reproducible bit for bit, and equal to one tube swept alone,
 because scipy's CSR product sums each row's stored entries in order,
 starting from 0, rounding each product on its own (checked on x86-64, where
 the compiled kernel does not fuse multiply-add); the stacked rows keep their
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +45,7 @@ from scipy.sparse import csr_array
 
 from .lattice import Box, Direction, Site, Window, all_directions
 from .raygeom import (RayHandle, TubeGeometry, drift_directions, drift_indices,
-                      ellipticity_constant, tube_geometry)
+                      ellipticity_constant, tube_geometries, tube_geometry)
 
 ENV_MAGIC = b"UMBE"
 ENV_VERSION = 1
@@ -104,36 +107,54 @@ def row_table(d: int) -> RowTable:
 
 @dataclass
 class RayEnvironment:
-    """One tube: a row type per site and its one-step operator.
+    """One tube: a row type per site, and its one-step operator.
 
     Row j of `operator` stores exactly 2d entries, site j's moves in
     direction order with its row's float weights; a move off the tube points
-    at the absorbing column S, one entry per move.
+    at the absorbing column S, one entry per move.  It is built on first use,
+    as the `_block_operator` of this tube alone.
     """
 
     geom: TubeGeometry
     row_type: np.ndarray    # (S,) int8 index into row_table(d)
-    operator: csr_array     # (S, S + 1) float64
 
     @property
     def dim(self) -> int:
         return self.geom.ray.dim
 
+    @cached_property
+    def operator(self) -> csr_array:
+        """(S, S + 1) float64."""
+        return _block_operator([self])
+
+
+def ray_environments(rays: list[RayHandle]) -> list[RayEnvironment]:
+    """The tube environment of every ray, from one `tube_geometries` batch."""
+    return tube_environments(tube_geometries(rays))
+
 
 def ray_environment(ray: RayHandle, geom: TubeGeometry | None = None) -> RayEnvironment:
-    if geom is None:
-        geom = tube_geometry(ray)
-    d = ray.dim
-    S = geom.size
-    forward, inward = drift_indices(ray, geom.sites, geom.n_attain)
+    """The tube environment of one ray: `tube_environments` of a batch of one."""
+    return tube_environments([tube_geometry(ray) if geom is None else geom])[0]
+
+
+def tube_environments(geoms: list[TubeGeometry]) -> list[RayEnvironment]:
+    """Row types of every tube, from one drift pass over all sites."""
+    if not geoms:
+        return []
+    d = geoms[0].ray.dim
+    count = np.array([geom.ray.depth + 1 for geom in geoms])
+    first = np.cumsum(count) - count
+    sizes = [geom.size for geom in geoms]
+    of = np.repeat(np.arange(len(geoms)), sizes)
+    forward, inward = drift_indices(
+        np.concatenate([geom.ray.spine for geom in geoms]), first[of], (first + count - 1)[of],
+        np.concatenate([geom.sites for geom in geoms]),
+        first[of] + np.concatenate([geom.n_attain for geom in geoms]))
     row_type = (1 + 2 * d * forward + inward).astype(np.int8)
-    local = geom.sites - geom.box.lo
-    cols = np.stack([geom.slot[tuple((local + dir_.vector(d)).T)]
-                     for dir_ in all_directions(d)], axis=1)
-    cols[cols < 0] = S
-    operator = csr_array((row_table(d).weights[row_type].ravel(), cols.ravel(),
-                          np.arange(0, 2 * d * S + 1, 2 * d)), shape=(S, S + 1))
-    return RayEnvironment(geom=geom, row_type=row_type, operator=operator)
+    cut = np.cumsum([0] + sizes).tolist()
+    return [RayEnvironment(geom=geom, row_type=row_type[a:b])
+            for geom, a, b in zip(geoms, cut[:-1], cut[1:])]
 
 
 @dataclass
@@ -155,38 +176,46 @@ class ExitStats:
 def _block_operator(envs: list[RayEnvironment]) -> csr_array:
     """The tubes' operators stacked block-diagonally: (N, N + 1), N sites in all.
 
-    Tube k's columns are offset by the sites before it, and its exit column
-    S_k becomes the shared absorbing column N.  The arrays are concatenated
-    as they are stored, so every row keeps its 2d entries in stored order.
+    Row j holds site j's 2d moves in direction order, weighted by its row
+    type.  Tube k's columns are its neighbour rows offset by the sites
+    before it, and every move off a tube points at the shared absorbing
+    column N, so each row keeps the entry order it has in its own tube.
     """
+    d = envs[0].dim
     offsets = np.cumsum([0] + [env.geom.size for env in envs])
     N = int(offsets[-1])
-    nnz = np.cumsum([0] + [env.operator.nnz for env in envs])
-    indices = [np.where(env.operator.indices == env.geom.size, N, env.operator.indices + off)
-               for env, off in zip(envs, offsets)]
-    indptr = [np.zeros(1, dtype=np.int64)] + [env.operator.indptr[1:] + n
-                                              for env, n in zip(envs, nnz)]
-    return csr_array((np.concatenate([env.operator.data for env in envs]),
-                      np.concatenate(indices), np.concatenate(indptr)), shape=(N, N + 1))
+    cols = np.concatenate([np.where(env.geom.neighbors < 0, N, env.geom.neighbors + off)
+                           for env, off in zip(envs, offsets)])
+    weights = row_table(d).weights[np.concatenate([env.row_type for env in envs])]
+    return csr_array((weights.ravel(), cols.ravel(), np.arange(0, 2 * d * N + 1, 2 * d)),
+                     shape=(N, N + 1))
 
 
-def _dp_sweep(W: csr_array, horizon: int, capture: dict[int, np.ndarray | list[int]]):
+def _dp_sweep(W: csr_array, horizon: int, capture: dict[int, np.ndarray | list[int]],
+              rows: np.ndarray | None = None):
     """Backward induction under operator W to `horizon`; capture[t] = site
     indices to read.
 
     Returns {t: (p, e)}, the captured sites' values after step t.  Entry N
-    of p and e is the absorbed state: p = 1, e = 0.  The values rest on
-    scipy's CSR matvec summing each row's 2d entries in stored order from 0,
-    without fused multiply-add (verified on x86-64).
+    of p and e is the absorbed state: p = 1, e = 0.  With `rows`, a
+    nonincreasing count per step, step t updates only the first rows[t]
+    rows, which must read no later row: a prefix of a block stack.  The
+    values rest on scipy's CSR matvec summing each row's 2d entries in
+    stored order from 0, without fused multiply-add (verified on x86-64).
     """
     N = W.shape[0]
     p = np.zeros(N + 1)
     e = np.zeros(N + 1)
     p[N] = 1.0
     captured = {0: (p[capture[0]], e[capture[0]])} if 0 in capture else {}
+    op, R = W, N
     for t in range(1, horizon + 1):
-        e[:N] = W @ (e + p)
-        p[:N] = W @ p
+        if rows is not None and rows[t] < R:
+            R = int(rows[t])
+            end = W.indptr[R]
+            op = csr_array((W.data[:end], W.indices[:end], W.indptr[:R + 1]), shape=(R, N + 1))
+        e[:R] = op @ (e + p)
+        p[:R] = op @ p
         if t in capture:
             captured[t] = (p[capture[t]], e[capture[t]])
     return captured
@@ -219,25 +248,43 @@ def exit_table(envs: list[RayEnvironment],
                horizons: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
     """(p, e) for every site of every tube, each at its own horizon.
 
-    horizons: one (S_k,) int array per tube, -1 to skip a site.  One sweep
-    of the stacked operator to the largest horizon, reading each site off at
-    its own time; the values equal those of each tube swept alone.
+    horizons: one (S_k,) int array per tube, -1 to skip a site.  The tubes
+    with a live site are stacked by largest horizon, descending, and swept
+    together to the largest one, reading each site off at its own time.
+    Step t multiplies only the rows of the tubes whose largest horizon is at
+    least t, a prefix of the stack, and every row keeps its stored entries,
+    so the values equal those of each tube swept alone.
     """
-    if not envs:
-        return []
-    flat = np.concatenate([np.asarray(h, dtype=np.int64) for h in horizons])
+    horizons = [np.asarray(h, dtype=np.int64) for h in horizons]
+    top = [int(h.max(initial=-1)) for h in horizons]
+    out = [(np.full(env.geom.size, np.nan), np.full(env.geom.size, np.nan)) for env in envs]
+    order = sorted((k for k in range(len(envs)) if top[k] >= 0), key=lambda k: -top[k])
+    if not order:
+        return out
+    sizes = [envs[k].geom.size for k in order]
+    flat = np.concatenate([horizons[k] for k in order])
+    live = np.flatnonzero(flat >= 0)
+    live = live[np.argsort(flat[live], kind="stable")]
+    times, first = np.unique(flat[live], return_index=True)
+    capture = dict(zip(times.tolist(), np.split(live, first[1:])))
     p_out = np.full(flat.size, np.nan)
     e_out = np.full(flat.size, np.nan)
-    live = np.flatnonzero(flat >= 0)
-    if live.size:
-        live = live[np.argsort(flat[live], kind="stable")]
-        times, first = np.unique(flat[live], return_index=True)
-        capture = dict(zip(times.tolist(), np.split(live, first[1:])))
-        for t, (p, e) in _dp_sweep(_block_operator(envs), int(times[-1]), capture).items():
-            p_out[capture[t]] = p
-            e_out[capture[t]] = e
-    cuts = np.cumsum([env.geom.size for env in envs])[:-1]
-    return list(zip(np.split(p_out, cuts), np.split(e_out, cuts)))
+    swept = _dp_sweep(_block_operator([envs[k] for k in order]), top[order[0]], capture,
+                      _live_rows(sizes, [top[k] for k in order]))
+    for t, (p, e) in swept.items():
+        p_out[capture[t]] = p
+        e_out[capture[t]] = e
+    cuts = np.cumsum(sizes)[:-1]
+    for k, p, e in zip(order, np.split(p_out, cuts), np.split(e_out, cuts)):
+        out[k] = (p, e)
+    return out
+
+
+def _live_rows(sizes: list[int], tops: list[int]) -> np.ndarray:
+    """Rows of a stack of tubes still live at steps 0 .. tops[0]: the tubes
+    whose largest horizon is at least t.  tops must be descending."""
+    ends = np.cumsum([0] + sizes)
+    return ends[np.searchsorted(-np.asarray(tops), -np.arange(tops[0] + 1), side="right")]
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +542,18 @@ def read_environment(path: str) -> tuple[Box, np.ndarray]:
         raise ValueError(f"environment dump body holds {len(data) - head} bytes, "
                          f"expected {8 * words * box.size}")
     body = np.frombuffer(data, dtype="<u8", offset=head).reshape(box.size, words)
-    types = np.full(box.size, -1, dtype=np.int8)
-    for k, row in enumerate(_row_fractions(d).reshape(-1, words)):
-        types[(body == row).all(axis=1)] = k
-    off = np.flatnonzero(types < 0)
+    table = _row_fractions(d).reshape(-1, words)
+    # each row as one byte string, looked up among the sorted table rows,
+    # then checked word by word
+    row = f"V{8 * words}"
+    order = np.argsort(table.view(row).ravel())
+    at = np.searchsorted(table.view(row).ravel()[order], body.view(row).ravel())
+    types = order[np.minimum(at, order.size - 1)]
+    off = np.flatnonzero((body != table[types]).any(axis=1))
     if off.size:
         raise ValueError(f"environment dump row {body[off[0]].tolist()} at site index "
                          f"{off[0]} is not in the row table at d = {d}")
-    return box, types.reshape(box.shape)
+    return box, types.astype(np.int8).reshape(box.shape)
 
 
 def environment_manifest(env: PatchedEnv, beta: float) -> dict:

@@ -186,11 +186,15 @@ class Box:
         return list(np.meshgrid(*axes, indexing="ij"))
 
     def boundary_distance(self) -> np.ndarray:
-        """Per-site min over axes of the distance to the nearest face."""
-        grids = self.coordinate_grids()
+        """Per-site min over axes of the distance to the nearest face, int64.
+
+        Each axis contributes its 1-D distances, broadcast along the others.
+        """
+        d = self.dim
         dist = None
-        for g, l, h in zip(grids, self.lo, self.hi):
-            dd = np.minimum(g - l, h - g)
+        for j, n in enumerate(self.shape):
+            k = np.arange(n, dtype=np.int64)
+            dd = np.minimum(k, n - 1 - k).reshape((1,) * j + (n,) + (1,) * (d - 1 - j))
             dist = dd if dist is None else np.minimum(dist, dd)
         return dist
 

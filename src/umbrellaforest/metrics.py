@@ -209,6 +209,14 @@ def _ball_union(rad: np.ndarray, source: np.ndarray) -> np.ndarray:
     return covered
 
 
+def ball_radius(v: np.ndarray, beta: float) -> np.ndarray:
+    """floor(max(v, 0)^beta) per entry, int64: the ball radius of a depth,
+    read from one table over 0 .. max(v)."""
+    top = max(int(v.max(initial=0)), 0)
+    table = np.floor(np.power(np.arange(top + 1, dtype=np.float64), beta)).astype(np.int64)
+    return table[np.maximum(v, 0)]
+
+
 def compute_insulation_sup(h: StatusField, beta: float) -> StatusField:
     """H(x): the largest h(y) among sites y whose insulation ball covers x.
 
@@ -221,7 +229,7 @@ def compute_insulation_sup(h: StatusField, beta: float) -> StatusField:
     if not 0 < beta < 1:
         raise ValueError("beta must be in (0, 1)")
     hv = h.value
-    radius = np.floor(np.power(np.maximum(hv, 0).astype(np.float64), beta)).astype(np.int64)
+    radius = ball_radius(hv, beta)
     out = np.zeros(hv.shape, dtype=np.int32)
     unc_reach = np.zeros(hv.shape, dtype=bool)
     for r in np.unique(radius):

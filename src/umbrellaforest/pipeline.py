@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng
 from .environment import (PatchedEnv, choose_horizon_factor, patch,
-                          ray_environment, row_table)
+                          ray_environments, row_table)
 from .fieldgen import ModelParams, default_params, generate_field
 from .forest import Forest, axes_at, build_forest, example1_forest
 from .lattice import Box, Site, Window
@@ -27,9 +27,9 @@ from .metrics import (StatusField, TailEstimate, accumulate_tail,
 from .pruning import (IN, ChainResult, DisjointReport, Insulation,
                       check_disjoint, depth_decay_table, insulate,
                       prune_to_infinite, tilde_membership)
-from .raygeom import (InsulationConstants, RayHandle, build_ray,
+from .raygeom import (InsulationConstants, RayHandle, build_rays,
                       ellipticity_constant, solve_insulation_constants,
-                      trap_start, tube_geometry)
+                      trap_start, tube_geometries)
 from .walker import TrapEstimate, WalkBatch, WalkConfig, run_walks, trap_probability
 
 
@@ -94,8 +94,8 @@ def orientation_rays(forest: Forest, leaf_sites: list[Site], beta: float,
                      forest_index: int, min_depth: int = 1) -> list[RayHandle]:
     """Ray handles of one forest's kept leaves with spines of at least
     `min_depth`, sorted deepest-first, ties by leaf."""
-    side = [build_ray(forest, leaf, beta, forest_index) for leaf in leaf_sites]
-    side = [r for r in side if r.depth >= min_depth]
+    side = [r for r in build_rays(forest, leaf_sites, beta, forest_index)
+            if r.depth >= min_depth]
     side.sort(key=lambda r: (-r.depth, r.leaf))
     return side
 
@@ -137,7 +137,7 @@ def build_patched(pair: PrunedPair, rays: list[RayHandle] | None = None,
         rays = select_rays(pair, min_depth=min_depth)
     if not rays:
         raise ValueError("no rays deep enough to build an environment")
-    envs = [ray_environment(ray) for ray in rays]
+    envs = ray_environments(rays)
     if horizon_factor is None:
         pairs = []
         for k, env in enumerate(envs[:6]):
@@ -302,13 +302,13 @@ def _best_trap_start(rays: list[RayHandle], forest_index: int, u_min: int,
     if not cands:
         raise ValueError(f"no rays for orientation {forest_index}")
     best, best_runway = None, -1
-    for ray in cands[:tries]:
+    for geom in tube_geometries(cands[:tries]):
         try:
-            site, n = trap_start(tube_geometry(ray), u_min)
+            site, n = trap_start(geom, u_min)
         except ValueError:
             continue
-        if ray.depth - n > best_runway:
-            best, best_runway = site, ray.depth - n
+        if geom.ray.depth - n > best_runway:
+            best, best_runway = site, geom.ray.depth - n
     if best is None:
         raise ValueError(f"no spine site with insulation depth >= {u_min}; "
                          f"a deeper window is required")

@@ -26,7 +26,8 @@ import numpy as np
 
 from .forest import Forest
 from .lattice import Box, Site, Window
-from .metrics import RowFrame, StatusField, _ball_max, _ball_union, _progeny_depth
+from .metrics import (RowFrame, StatusField, _ball_max, _ball_union, _progeny_depth,
+                      ball_radius)
 
 OUT = np.int8(0)       # certain violation somewhere
 UNKNOWN = np.int8(1)   # own depth censored; no verdict
@@ -51,7 +52,7 @@ def tilde_membership(h_own: StatusField, ins_opp: StatusField, beta: float) -> n
     """
     hv = h_own.value
     shape = hv.shape
-    radius = np.floor(np.power(np.maximum(hv, 0).astype(np.float64), beta)).astype(np.int64)
+    radius = ball_radius(hv, beta)
     ball_max = np.zeros(shape, dtype=np.int32)
     ball_unc = np.zeros(shape, dtype=bool)
     for r in np.unique(radius):
@@ -236,12 +237,9 @@ def insulate(chain: ChainResult, h_own: StatusField, forest: Forest,
     depth_c, _ = _progeny_depth(forest, kept)
     depth_p, _ = _progeny_depth(forest, layer >= UNKNOWN)
 
-    def radius(v):
-        return np.floor(np.power(np.maximum(v, 0).astype(np.float64), beta)).astype(np.int64)
-
-    ray_certain = _ball_union(radius(depth_c), depth_c >= 0)
-    ray_potential = _ball_union(radius(depth_p), depth_p >= 0)
-    ball_r = radius(h_own.value)
+    ray_certain = _ball_union(ball_radius(depth_c, beta), depth_c >= 0)
+    ray_potential = _ball_union(ball_radius(depth_p, beta), depth_p >= 0)
+    ball_r = ball_radius(h_own.value, beta)
     ball_certain = _ball_union(ball_r, kept)
     ball_potential = _ball_union(ball_r, layer >= UNKNOWN)
 

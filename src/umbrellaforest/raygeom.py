@@ -9,11 +9,15 @@ provable cutoff: a candidate index n can be ruled out once
 n^beta - (n - |x - z|) falls below the running best, because the spine is
 directed and moves one l1-step per index.
 
-`tube_geometry` works on one padded box per tube.  It stamps the union of
-the spine balls with the package's ball-stamp primitive, evaluates v on the
-stamped sites only, and measures u by unit dilations of the complement.  The
-box-shaped slot array it keeps is the tube's only site index: the tube
-environment reads its neighbours from it and every lookup goes through it.
+`tube_geometries` builds every tube of a call as one sparse batch.  Spines
+come from `build_rays`, which walks all leaves of a forest together, one
+parent step per level.  A tube's sites are the union of the l1-ball offsets
+of radius floor(n^beta) around spine[n], stored as sorted int64 keys ordered
+by (ray, row-major coordinates); the key index is the tube's only site
+index, and neighbours and `locate` are `searchsorted` lookups in it.  The
+spine is directed, so only the 2 r_max + 1 indices nearest a site's own
+progress along it can attain v, and u takes one frontier round per unit of
+depth.  `tube_geometry` is the batch of one.
 """
 
 from __future__ import annotations
@@ -21,12 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .forest import Forest
-from .lattice import Box, Direction, Site, all_directions, l1_norm
-from .metrics import _ball_max, _ball_union
+from .lattice import Box, Direction, Site, all_directions, l1_ball_offsets, l1_norm
 
 
 @dataclass(frozen=True)
@@ -51,11 +55,45 @@ class RayHandle:
         return float(n) ** self.beta if n > 0 else 0.0
 
 
+def build_rays(forest: Forest, leaves: list[Site], beta: float,
+               forest_index: int) -> list[RayHandle]:
+    """One ray handle per leaf, in order, with every spine walked at once.
+
+    Each step moves all walks still inside the window to their parents and
+    drops those that left it, so a spine is the ancestor chain of
+    `metrics.ray`: the leaf, then each ancestor until the next one would
+    leave the window.
+    """
+    d = forest.dim
+    lo = np.asarray(forest.box.lo)
+    shape = np.asarray(forest.box.shape)
+
+    def inside(pos):
+        return ((pos >= lo) & (pos - lo < shape)).all(axis=1)
+
+    pos = np.asarray(leaves, dtype=np.int64).reshape(-1, d)
+    owner = np.arange(pos.shape[0])
+    walked_pos, walked_owner = [pos], [owner]
+    keep = inside(pos)
+    owner, pos = owner[keep], pos[keep]
+    while owner.size:
+        axis = forest.axis[tuple((pos - lo).T)].astype(np.intp) - 1
+        pos = pos.copy()
+        pos[np.arange(pos.shape[0]), axis] += forest.zeta
+        keep = inside(pos)
+        owner, pos = owner[keep], pos[keep]
+        walked_pos.append(pos)
+        walked_owner.append(owner)
+    pos = np.concatenate(walked_pos)
+    owner = np.concatenate(walked_owner)
+    counts = np.bincount(owner, minlength=len(leaves))
+    spines = np.split(pos[np.argsort(owner, kind="stable")], np.cumsum(counts)[:-1])
+    return [RayHandle(leaf=leaf, forest_index=forest_index, zeta=forest.zeta, beta=beta,
+                      spine=spine) for leaf, spine in zip(leaves, spines)]
+
+
 def build_ray(forest: Forest, leaf: Site, beta: float, forest_index: int) -> RayHandle:
-    from .metrics import ray as _ray
-    chain = _ray(forest, leaf)
-    return RayHandle(leaf=leaf, forest_index=forest_index, zeta=forest.zeta,
-                     beta=beta, spine=np.asarray(chain, dtype=np.int64))
+    return build_rays(forest, [leaf], beta, forest_index)[0]
 
 
 class RayDepthError(RuntimeError):
@@ -101,26 +139,29 @@ def drift_directions(ray: RayHandle, x: Site,
         v, n_attain = score_and_index(ray, x, settled=False)
         if v < 0:
             raise ValueError(f"{x} is not inside the tube")
-    forward, inward = drift_indices(ray, np.asarray([x]), np.asarray([n_attain]))
+    forward, inward = drift_indices(ray.spine, 0, ray.depth, np.asarray([x]),
+                                    np.asarray([n_attain]))
     dirs = all_directions(ray.dim)
     return dirs[int(forward[0])], dirs[int(inward[0])]
 
 
-def drift_indices(ray: RayHandle, sites: np.ndarray,
-                  n_attain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Direction indices (forward, inward) at sites (S, d) with their
-    attaining spine indices: forward steps along the spine at the attaining
-    index, inward reduces the distance to the attaining spine site.
+def drift_indices(spine: np.ndarray, first, last, sites: np.ndarray,
+                  at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direction indices (forward, inward) at sites (S, d), over spines
+    stacked in one (P, d) array: per site, its spine occupies rows
+    first..last and `at` is the row of its attaining index.  Forward steps
+    along the spine at the attaining index (index 0 on a spine of depth 0,
+    which has no step), inward reduces the distance to the attaining spine
+    site.
 
     On the spine itself the inward step is taken equal to the forward step.
     Off the spine the inward step picks the lowest-index coordinate where x
     differs from the target, signed toward it (any fixed rule works; this
     one is order-stable).
     """
-    spine = ray.spine
-    n_step = np.minimum(n_attain, spine.shape[0] - 2)
-    forward = _direction_index(spine[n_step + 1] - spine[n_step])
-    diff = spine[n_attain] - sites
+    step = np.minimum(at, last - 1)
+    forward = _direction_index(spine[step + 1] - spine[np.maximum(step, first)])
+    diff = spine[at] - sites
     inward = np.where(diff.any(axis=1), _direction_index(diff), forward)
     return forward, inward
 
@@ -134,76 +175,173 @@ def _direction_index(v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TubeGeometry:
-    """Per-site geometry over one tube, indexed by one padded box.
+    """Per-site geometry over one tube, indexed by sorted keys.
 
-    `slot` covers `box`, the spine's bounding box grown by the largest ball
-    radius plus one, so every tube site and every neighbour of one lies in
-    it.  It holds each tube site's row in `sites` and -1 off the tube.
+    `keys` holds each site's row-major flat index in `box`, the spine's
+    bounding box grown by the largest ball radius plus one, so every tube
+    site and every neighbour of one lies in it.  `neighbors` holds each
+    site's neighbour in direction order as a row of `sites`, -1 off the
+    tube.
     """
 
     ray: RayHandle
-    box: Box
-    slot: np.ndarray         # box-shaped int64 index into sites, -1 off the tube
+    keys: np.ndarray         # (S,) int64, sorted
     sites: np.ndarray        # (S, d) member sites in row-major order
     v: np.ndarray            # (S,) depth score
     n_attain: np.ndarray     # (S,) largest attaining spine index
     u: np.ndarray            # (S,) l1-distance to the tube complement
     score_censored: np.ndarray  # (S,) True: deeper spine could raise v / n
+    neighbors: np.ndarray    # (S, 2d) int64 rows of `sites`, -1 off the tube
 
     @property
     def size(self) -> int:
         return self.sites.shape[0]
 
+    @cached_property
+    def box(self) -> Box:
+        spine = self.ray.spine
+        pad = math.floor(self.ray.radius_at(self.ray.depth)) + 1
+        return Box(tuple(map(int, spine.min(axis=0) - pad)),
+                   tuple(map(int, spine.max(axis=0) + pad)))
+
     def locate(self, x: Site) -> int:
         """Index of x into `sites`, -1 off the tube."""
-        return int(self.slot[self.box.local(x)]) if self.box.contains(x) else -1
+        box = self.box
+        if not box.contains(x):
+            return -1
+        key = 0
+        for c, lo, n in zip(x, box.lo, box.shape):
+            key = key * n + c - lo
+        j = int(self.keys.searchsorted(key))
+        return j if j < self.size and self.keys[j] == key else -1
+
+
+def tube_geometries(rays: list[RayHandle]) -> list[TubeGeometry]:
+    """The tube of every ray, with v, attaining index and u per member.
+
+    A site is a member iff floor(n^beta) >= |x - spine[n]| for some n, so
+    the union of the spine balls is exactly the set with v >= 0.  Each ray
+    keys its sites by their row-major index in its own box, offset by the
+    boxes of the rays before it, and one sort orders them all.
+
+    v and n: the spine is directed, each step a unit step along an axis in
+    that axis's fixed orientation w (w = zeta (1, ..., 1) for a forest's
+    rays), so w . (spine[n] - leaf) = n and |x - spine[n]| >= |s(x) - n| with
+    s(x) = w . (x - leaf).  An index with |s(x) - n| > r_max then scores
+    below 0, while some index within r_max scores at least 0, so the scan
+    over s(x) - r_max .. s(x) + r_max in increasing order, keeping ties,
+    equals the scan over the whole spine.  A spine that is not directed is
+    refused with ValueError.
+
+    u: a member with a neighbour off the tube is at distance 1, and one at
+    distance k + 1 has a neighbour at distance k, so each frontier round
+    settles one more unit of depth.  This is the l1-distance, since every
+    site on a shortest path to the nearest non-member is itself a member.
+    """
+    if not rays:
+        return []
+    d = rays[0].dim
+    if any(ray.dim != d for ray in rays):
+        raise ValueError("the rays of one batch must share a dimension")
+    count = np.array([ray.depth + 1 for ray in rays])
+    first = np.cumsum(count) - count
+    spine = np.concatenate([ray.spine for ray in rays])
+    of = np.repeat(np.arange(len(rays)), count)    # ray of each spine row
+    index = np.arange(spine.shape[0]) - first[of]   # spine index of each row
+    betas = np.array([ray.beta for ray in rays])
+    rad = np.empty(spine.shape[0])
+    for beta in np.unique(betas):
+        rows = betas[of] == beta
+        ray = rays[int(np.argmax(betas == beta))]
+        rad[rows] = np.array([ray.radius_at(n) for n in range(int(index[rows].max()) + 1)])[
+            index[rows]]
+    reach = np.floor(rad).astype(np.int64)
+    r_max = reach[first + count - 1]              # radii never shrink along a spine
+    # per ray, the orientation of each axis: every step must be one unit
+    # step with w . step = 1, so that w . (spine[n] - leaf) = n
+    inner = index[1:] > 0
+    step, step_of = np.diff(spine, axis=0)[inner], of[1:][inner]
+    w = np.ones((len(rays), d), dtype=np.int64)
+    back = np.nonzero(step < 0)
+    w[step_of[back[0]], back[1]] = -1
+    if not ((np.abs(step).sum(axis=1) == 1) & ((w[step_of] * step).sum(axis=1) == 1)).all():
+        raise ValueError("a tube spine must move one unit step per index, monotone along "
+                         "every axis")
+
+    # each ray's box and its key offset
+    lo = np.minimum.reduceat(spine, first, axis=0) - (r_max + 1)[:, None]
+    shape = np.maximum.reduceat(spine, first, axis=0) + (r_max + 1)[:, None] - lo + 1
+    sizes = [math.prod(s) for s in shape.tolist()]
+    if sum(sizes) > np.iinfo(np.int64).max:
+        raise OverflowError(f"{len(rays)} tube boxes hold {sum(sizes)} sites; "
+                            f"their keys overflow int64")
+    base = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+    stride = np.ones_like(shape)
+    stride[:, :-1] = np.cumprod(shape[:, :0:-1], axis=1)[:, ::-1]
+
+    spine_key = base[of] + ((spine - lo[of]) * stride[of]).sum(axis=1)
+    balls = []
+    for r in np.unique(reach):
+        at = np.flatnonzero(reach == r)
+        offsets = np.array(l1_ball_offsets(d, int(r)), dtype=np.int64)
+        balls.append((spine_key[at, None] + stride[of[at]] @ offsets.T).ravel())
+    keys = np.unique(np.concatenate(balls))
+    owner = np.searchsorted(base, keys, side="right") - 1
+    local = keys - base[owner]
+    sites = local[:, None] // stride[owner] % shape[owner] + lo[owner]
+    cut = np.searchsorted(keys, np.append(base, sum(sizes)))
+    N = keys.size
+
+    # v and the largest attaining index over the candidate window
+    start = first[owner]
+    depth = count[owner] - 1
+    leaf = spine[start]
+    lead = (w[owner] * (sites - leaf)).sum(axis=1)
+    v = np.full(N, -np.inf)
+    n_at = np.full(N, -1, dtype=np.int64)
+    R = int(r_max.max())
+    for c in range(-R, R + 1):
+        n = np.clip(lead + c, 0, depth)
+        term = rad[start + n] - np.abs(sites - spine[start + n]).sum(axis=1)
+        upd = term >= v
+        v[upd] = term[upd]
+        n_at[upd] = n[upd]
+    # the best unseen index is max(depth + 1, base_dist): the bound rises
+    # toward n = base_dist and falls beyond it
+    base_dist = np.abs(sites - leaf).sum(axis=1)
+    n_peak = np.maximum(depth + 1, base_dist).astype(np.float64)
+    beyond = np.empty(N)
+    for beta in np.unique(betas):
+        on = betas[owner] == beta
+        beyond[on] = np.power(n_peak[on], beta) - (n_peak[on] - base_dist[on])
+    censored = beyond >= v
+
+    # neighbours in direction order, N off the tube
+    nbr = np.empty((N, 2 * d), dtype=np.int64)
+    for dir_ in all_directions(d):
+        q = keys + dir_.sign * stride[owner, dir_.axis - 1]
+        j = np.searchsorted(keys, q)
+        nbr[:, dir_.index] = np.where(keys[np.minimum(j, N - 1)] == q, j, N)
+    u = np.full(N + 1, -1, dtype=np.int64)
+    u[N] = 0
+    todo = np.arange(N)
+    level = 0
+    while todo.size:
+        level += 1
+        hit = (u[nbr[todo]] == level - 1).any(axis=1)
+        u[todo[hit]] = level
+        todo = todo[~hit]
+    nbr = np.where(nbr < N, nbr - cut[owner][:, None], -1)
+
+    return [TubeGeometry(ray=ray, keys=local[a:b], sites=sites[a:b], v=v[a:b],
+                         n_attain=n_at[a:b], u=u[a:b], score_censored=censored[a:b],
+                         neighbors=nbr[a:b])
+            for ray, a, b in zip(rays, cut[:-1].tolist(), cut[1:].tolist())]
 
 
 def tube_geometry(ray: RayHandle) -> TubeGeometry:
-    """Stamp the tube on its padded box and compute v, attaining index and
-    u for every member.
-
-    A site is a member iff floor(n^beta) >= |x - spine[n]| for some n, so the
-    stamped union of the spine balls is exactly the set with v >= 0, and v
-    is evaluated on it alone.  u counts the unit dilations of the complement
-    before they reach a site; this is the l1-distance, since every site on a
-    shortest path to the nearest non-member is itself a member.
-    """
-    spine = ray.spine
-    k_max = ray.depth
-    radii = np.array([math.floor(ray.radius_at(n)) for n in range(k_max + 1)], dtype=np.int64)
-    pad = int(radii[-1]) + 1
-    box = Box(tuple(map(int, spine.min(axis=0) - pad)), tuple(map(int, spine.max(axis=0) + pad)))
-    source = np.zeros(box.shape, dtype=bool)
-    rad = np.zeros(box.shape, dtype=np.int64)
-    at = tuple((spine - box.lo).T)
-    source[at] = True
-    rad[at] = radii
-    member = _ball_union(rad, source)
-    sites = np.argwhere(member) + box.lo
-
-    base_dist = np.abs(sites - np.asarray(ray.leaf)).sum(axis=1)
-    v = np.full(sites.shape[0], -np.inf)
-    n_at = np.full(sites.shape[0], -1, dtype=np.int64)
-    for n in range(k_max + 1):
-        term = ray.radius_at(n) - np.abs(sites - spine[n]).sum(axis=1)
-        upd = term >= v
-        v[upd] = term[upd]
-        n_at[upd] = n
-    # the best unseen index is max(k_max + 1, base_dist): the bound rises
-    # toward n = base_dist and falls beyond it
-    n_peak = np.maximum(k_max + 1, base_dist).astype(np.float64)
-    beyond = np.power(n_peak, ray.beta) - (n_peak - base_dist)
-
-    u = member.astype(np.int64)
-    reached = ~member
-    while not reached.all():
-        reached = _ball_max(reached, 1)
-        u += ~reached
-    slot = np.full(box.shape, -1, dtype=np.int64)
-    slot[member] = np.arange(sites.shape[0])
-    return TubeGeometry(ray=ray, box=box, slot=slot, sites=sites, v=v, n_attain=n_at,
-                        u=u[member], score_censored=beyond >= v)
+    """The tube of one ray: `tube_geometries` of a batch of one."""
+    return tube_geometries([ray])[0]
 
 
 def trap_start(geom: TubeGeometry, u_min: int) -> tuple[Site, int]:
@@ -213,7 +351,9 @@ def trap_start(geom: TubeGeometry, u_min: int) -> tuple[Site, int]:
     the longest in-window runway up the widening tube.
     """
     ray = geom.ray
-    deep = np.flatnonzero(geom.u[geom.slot[tuple((ray.spine - geom.box.lo).T)]] >= u_min)
+    box = geom.box
+    at = np.searchsorted(geom.keys, np.ravel_multi_index(tuple((ray.spine - box.lo).T), box.shape))
+    deep = np.flatnonzero(geom.u[at] >= u_min)
     if deep.size == 0:
         raise ValueError(f"no spine site with insulation depth >= {u_min}; "
                          f"a deeper ray is required")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import umbrellaforest as uf
-from umbrellaforest.environment import (PatchedEnv, _block_operator,
+from umbrellaforest.environment import (PatchedEnv, _block_operator, _live_rows,
                                         choose_horizon_factor,
                                         environment_manifest, exit_functionals,
                                         exit_table, patch, ray_environment,
@@ -127,8 +127,10 @@ def test_exit_dp_matches_path_enumeration():
 @st.composite
 def tube_lists(draw):
     """2-5 random directed spines in one dimension, each with random per-site
-    horizons (-1 skips a site) and one site read at a horizon of at most 4."""
+    horizons (-1 skips a site) and one site read at a horizon of at most 4.
+    Some tubes skip every site, and some share one largest horizon."""
     d = draw(st.sampled_from([2, 3]))
+    shared = draw(st.integers(1, 40))
     envs, horizons, picks = [], [], []
     for _ in range(draw(st.integers(2, 5))):
         zeta = draw(st.sampled_from([1, -1]))
@@ -143,9 +145,17 @@ def tube_lists(draw):
                                         spine=spine))
         S = env.geom.size
         gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        kind = draw(st.sampled_from(["random", "skipped", "shared"]))
         hz = gen.integers(-1, 41, size=S)
         j = draw(st.integers(0, S - 1))
-        hz[j] = draw(st.integers(1, 4))
+        if kind == "skipped":
+            hz[:] = -1
+            j = -1
+        else:
+            if kind == "shared":
+                hz = np.minimum(hz, shared)
+                hz[gen.integers(S)] = shared
+            hz[j] = draw(st.integers(1, 4))
         envs.append(env)
         horizons.append(hz)
         picks.append(j)
@@ -162,6 +172,13 @@ def test_block_exit_table_equals_each_tube_alone(case):
     W.check_format(full_check=True)
     N = sum(env.geom.size for env in envs)
     assert W.shape == (N, N + 1) and W.nnz == sum(env.operator.nnz for env in envs)
+    # each step sweeps exactly the tubes still live, largest horizon first
+    tops = sorted((int(hz.max()) for hz in horizons if hz.max() >= 0), reverse=True)
+    sizes = [env.geom.size for env, hz in sorted(zip(envs, horizons), key=lambda c: -c[1].max())
+             if hz.max() >= 0]
+    if tops:
+        assert _live_rows(sizes, tops).tolist() == [
+            sum(s for s, top in zip(sizes, tops) if top >= t) for t in range(tops[0] + 1)]
     together = exit_table(envs, horizons)
     assert len(together) == len(envs)
     for env, hz, j, (p, e) in zip(envs, horizons, picks, together):
@@ -169,6 +186,8 @@ def test_block_exit_table_equals_each_tube_alone(case):
         # bit for bit, NaN on skipped sites included
         assert p.tobytes() == p1.tobytes() and e.tobytes() == e1.tobytes()
         assert np.array_equal(np.isnan(p), hz < 0)
+        if j < 0:
+            continue
         # against path enumeration at the picked site
         ray, geom = env.geom.ray, env.geom
         member = {tuple(map(int, s)): True for s in geom.sites}

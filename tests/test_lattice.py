@@ -125,6 +125,13 @@ def test_boundary_distance():
     assert dist[0, 3] == 0
     assert dist[2, 3] == 2
     assert dist.min() == 0
+    # site by site, on boxes with axes of length 1 and in d = 1 and 3
+    for b in (Box((-2,), (3,)), Box((1, -3, 0), (4, 2, 0)), Box((0, 0, 0), (0, 5, 2))):
+        dist = b.boundary_distance()
+        assert dist.dtype == "int64" and dist.shape == b.shape
+        for x in b.sites():
+            want = min(min(c - lo, hi - c) for c, lo, hi in zip(x, b.lo, b.hi))
+            assert dist[b.local(x)] == want
 
 
 def test_l1_ball_offsets_count():

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from umbrellaforest.fieldgen import default_params, generate_field
 from umbrellaforest.forest import Forest, build_forest, example1_forest
 from umbrellaforest.lattice import Window
-from umbrellaforest.metrics import (StatusField, _progeny_depth, accumulate_tail, compute_h,
-                                    compute_insulation_sup, empty_tail,
-                                    interior_mask, ray, tail_estimate)
+from umbrellaforest.metrics import (StatusField, _progeny_depth, accumulate_tail,
+                                    ball_radius, compute_h, compute_insulation_sup,
+                                    empty_tail, interior_mask, ray, tail_estimate)
 from umbrellaforest.oracles import h_brute, insulation_sup_brute
 from umbrellaforest.pipeline import TailJob, tail_experiment
 
@@ -249,3 +249,15 @@ def test_progeny_depth_matches_recursion(inst):
     for x in sorted(box.sites(), key=lambda s: zeta * sum(s)):
         assert (depth[box.local(x)], exact[box.local(x)]) == (want_depth(x), want_exact(x))
     assert depth.dtype == np.int32 and exact.dtype == bool
+
+
+def test_ball_radius_matches_power():
+    gen = np.random.default_rng(3)
+    for beta in (0.1, 0.2, 0.3, 0.45, 0.6):
+        for v in (gen.integers(-1, 3000, size=(7, 9, 5)).astype(np.int32),
+                  np.arange(-2, 4097, dtype=np.int32), np.full(4, -1, dtype=np.int32),
+                  np.zeros(0, dtype=np.int32)):
+            want = np.floor(np.power(np.maximum(v, 0).astype(np.float64), beta)).astype(np.int64)
+            got = ball_radius(v, beta)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)

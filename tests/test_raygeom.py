@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbrellaforest.environment import exit_functionals, ray_environment, ray_row
+from umbrellaforest.environment import (exit_functionals, ray_environment,
+                                        ray_environments, ray_row)
 from umbrellaforest.fieldgen import default_params
+from umbrellaforest.forest import Forest
 from umbrellaforest.lattice import Direction, Window, all_directions, l1_norm
+from umbrellaforest.metrics import ray as ancestor_chain
 from umbrellaforest.oracles import exit_stats_brute, tube_distance_brute
 from umbrellaforest.pipeline import build_pruned_pair, select_rays
-from umbrellaforest.raygeom import (RayDepthError, RayHandle,
+from umbrellaforest.raygeom import (RayDepthError, RayHandle, build_rays,
                                     drift_directions, ellipticity_constant,
                                     score_and_index, solve_insulation_constants,
-                                    trap_start, tube_geometry)
+                                    trap_start, tube_geometries, tube_geometry)
 
 
 def straight_ray(depth=64, beta=0.2, d=3, axis=0):
@@ -83,6 +86,83 @@ def test_tube_geometry_matches_scalar_references(ray, horizon, pick):
     p_want, e_want = exit_stats_brute(rows, member, x, horizon)
     assert stats.exit_prob == pytest.approx(float(p_want), abs=1e-12)
     assert stats.exit_mass == pytest.approx(float(e_want), abs=1e-12)
+
+
+@st.composite
+def ray_batches(draw):
+    """2-5 directed rays in one dimension, depth 0 included, with leaves
+    close enough that their tubes overlap."""
+    d = draw(st.sampled_from([2, 3]))
+    rays = []
+    for _ in range(draw(st.integers(2, 5))):
+        zeta = draw(st.sampled_from([1, -1]))
+        depth = draw(st.integers(0, 30))
+        leaf = tuple(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
+        axes = draw(st.lists(st.integers(0, d - 1), min_size=depth, max_size=depth))
+        spine = np.tile(np.asarray(leaf, dtype=np.int64), (depth + 1, 1))
+        for n, a in enumerate(axes, start=1):
+            spine[n:, a] += zeta
+        rays.append(RayHandle(leaf=leaf, forest_index=1 if zeta > 0 else 2, zeta=zeta,
+                              beta=draw(st.floats(0.1, 0.6)), spine=spine))
+    return rays
+
+
+def same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ray_batches())
+def test_tube_batch_equals_each_ray_alone(rays):
+    together = ray_environments(rays)
+    for ray, geom, env in zip(rays, tube_geometries(rays), together):
+        alone = ray_environment(ray)
+        for g in (geom, env.geom):
+            assert g.ray is ray and g.box == alone.geom.box
+            for name in ("keys", "sites", "v", "n_attain", "u", "score_censored", "neighbors"):
+                assert same_array(getattr(g, name), getattr(alone.geom, name)), name
+        assert same_array(env.row_type, alone.row_type)
+        W, W1 = env.operator, alone.operator
+        assert W.shape == W1.shape
+        for name in ("data", "indices", "indptr"):
+            assert same_array(getattr(W, name), getattr(W1, name)), name
+
+
+def test_tube_batch_refuses_undirected_spines_and_key_overflow():
+    back = RayHandle(leaf=(0, 0), forest_index=1, zeta=1, beta=0.3,
+                     spine=np.array([[0, 0], [1, 0], [0, 0]], dtype=np.int64))
+    with pytest.raises(ValueError, match="monotone"):
+        tube_geometries([straight_ray(depth=3, d=2), back])
+    # a d = 6 staircase whose box holds about 1506^6 > 2^63 sites
+    d, depth = 6, 9000
+    spine = np.zeros((depth + 1, d), dtype=np.int64)
+    for n in range(1, depth + 1):
+        spine[n] = spine[n - 1]
+        spine[n, n % d] += 1
+    wide = RayHandle(leaf=(0,) * d, forest_index=1, zeta=1, beta=0.1, spine=spine)
+    with pytest.raises(OverflowError, match="overflow int64"):
+        tube_geometries([wide])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(d=st.sampled_from([2, 3]), zeta=st.sampled_from([1, -1]),
+       shape=st.lists(st.integers(1, 9), min_size=3, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_spine_walk_equals_ancestor_chain(d, zeta, shape, seed):
+    gen = np.random.default_rng(seed)
+    lo = tuple(int(c) for c in gen.integers(-4, 4, size=d))
+    window = Window(lo, tuple(c + n - 1 for c, n in zip(lo, shape[:d])))
+    axis = gen.integers(1, d + 1, size=window.shape).astype(np.int8)
+    forest = Forest(window=window, zeta=zeta, axis=axis,
+                    uncertain=np.zeros(window.shape, dtype=bool), radius=1, miss_bound=0.0)
+    # every window site, in random order, and one site outside the window
+    leaves = list(window.box.sites())
+    leaves = [leaves[k] for k in gen.permutation(len(leaves))] + [window.box.expand(1).lo]
+    rays = build_rays(forest, leaves, 0.3, 2)
+    assert len(rays) == len(leaves)
+    for leaf, ray in zip(leaves, rays):
+        assert ray.leaf == leaf and ray.zeta == zeta and ray.forest_index == 2
+        assert same_array(ray.spine, np.asarray(ancestor_chain(forest, leaf), dtype=np.int64))
 
 
 def test_score_at_leaf():
