@@ -389,8 +389,10 @@ def patch(window: Window, envs: list[RayEnvironment], ins_sup_by_forest: dict[in
     smallest leaf).  Sites whose insulation sup is censored get the first
     covering ray's row and a flag.  `certain_cover` optionally restricts
     installation to certainly-covered sites.  Every tube's exit masses come
-    from one `exit_table` call.  `objective="max"` installs the worst ray
-    instead and exists only so tests can prove the checker catches a
+    from one `exit_table` call, whose memory grows with the sites of the
+    tubes it stacks (those with a live site); `state_budget` bounds that
+    count, not the number of steps.  `objective="max"` installs the worst
+    ray instead and exists only so tests can prove the checker catches a
     mispatched environment.
     """
     if objective not in ("min", "max"):
@@ -421,10 +423,11 @@ def patch(window: Window, envs: list[RayEnvironment], ins_sup_by_forest: dict[in
         hval = np.maximum(ins.value.reshape(-1)[at[exact]], 1)
         hz = np.full(geom.size, -1, dtype=np.int64)
         hz[j[exact]] = np.maximum(1, np.ceil(horizon_factor * hval))
-        if int(np.max(hz, initial=0)) * geom.size > state_budget:
-            raise MemoryError("patch DP exceeds the state budget")
         covered.append((j, at, exact))
         horizons.append(hz)
+    stacked = sum(hz.size for hz in horizons if hz.max(initial=-1) >= 0)
+    if stacked > state_budget:
+        raise MemoryError(f"patch DP stacks {stacked} tube sites, budget {state_budget}")
     tables = exit_table([envs[rank] for rank in order], horizons)
 
     for rank, (j, at, exact), (p_tab, e_tab) in zip(order, covered, tables):

@@ -10,7 +10,10 @@ Sampling is inverse-CDF on a counter-based uniform keyed by (seed, site),
 so fields are site-addressable: enlarging the margin, sampling a smaller
 box or re-partitioning work across processes never changes the value at a
 covered site.  The full field covers window + margin; an in-memory forest
-samples only the box it reads, `Window.forest_box(zeta)`.
+samples only the box it reads, `Window.forest_box(zeta)`.  A box is
+hashed by `rng.uniform_blocks`, a block of about 2^16 sites of whole
+leading planes at a time, into the preallocated output, so sampling holds
+the output plus one block's temporaries.
 """
 
 from __future__ import annotations
@@ -190,14 +193,16 @@ def generate_field(p: ModelParams, box: Box | None = None,
 
     The box defaults to window + margin; a forest of orientation zeta reads
     only `p.window.forest_box(zeta)`.  The budget is on the sampled box.
+    Values equal `sample_lengths` at the same sites, bit for bit.
     """
     require_valid(p)
     if box is None:
         box = p.window.field_box
     if box.size > site_budget:
         raise MemoryError(f"sampled {box} has {box.size} sites, budget {site_budget}")
-    grids = box.coordinate_grids()
-    values = sample_lengths([g.ravel() for g in grids], p).reshape(box.shape)
+    values = np.empty(box.shape)
+    for planes, u in rng.uniform_blocks(p.seed, box.lo, box.hi):
+        values[planes] = length_from_uniform(u, p)
     values.setflags(write=False)
     return LField(params=p, values=values, box=box)
 

@@ -353,9 +353,9 @@ def axes_at(params, sites, zeta: int) -> tuple[np.ndarray, np.ndarray]:
 def example1_forest(seed: int, window: Window, d: int) -> Forest:
     """Baseline forest: independent uniform parent axis at every site."""
     box = Box(window.lo, window.hi)
-    grids = box.coordinate_grids()
-    u = rng.uniform_vec(rng.stream("example1", seed), [g.ravel() for g in grids])
-    axis = (np.minimum((u * d).astype(np.int64), d - 1) + 1).astype(np.int8).reshape(box.shape)
+    axis = np.empty(box.shape, dtype=np.int8)
+    for planes, u in rng.uniform_blocks(rng.stream("example1", seed), box.lo, box.hi):
+        axis[planes] = np.minimum((u * d).astype(np.int64), d - 1) + 1
     uncertain = np.zeros(box.shape, dtype=bool)
     axis.setflags(write=False)
     uncertain.setflags(write=False)

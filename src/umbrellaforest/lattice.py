@@ -180,11 +180,6 @@ class Box:
         for local in itertools.product(*(range(s) for s in self.shape)):
             yield self.site(local)
 
-    def coordinate_grids(self) -> list[np.ndarray]:
-        """One int64 grid per axis holding absolute coordinates, C-order."""
-        axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(self.lo, self.hi)]
-        return list(np.meshgrid(*axes, indexing="ij"))
-
     def boundary_distance(self) -> np.ndarray:
         """Per-site min over axes of the distance to the nearest face, int64.
 

@@ -337,6 +337,13 @@ def accumulate_tail(est: TailEstimate, values: np.ndarray, exact: np.ndarray):
         est.count_hi[k] += int(np.count_nonzero(geq | ~e))
 
 
+def merge_tail(est: TailEstimate, part: TailEstimate):
+    """Add the counts of `part`, taken on the same grid, into `est`."""
+    est.total += part.total
+    est.count_lo = [a + b for a, b in zip(est.count_lo, part.count_lo)]
+    est.count_hi = [a + b for a, b in zip(est.count_hi, part.count_hi)]
+
+
 def tail_estimate(dim: int, grid: list[int], samples) -> TailEstimate:
     """Pooled bracketed tail curve over an iterable of (values, exact) pairs."""
     est = empty_tail(dim, grid)

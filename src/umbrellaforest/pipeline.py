@@ -23,7 +23,7 @@ from .forest import Forest, axes_at, build_forest, example1_forest
 from .lattice import Box, Site, Window
 from .metrics import (StatusField, TailEstimate, accumulate_tail,
                       compute_h, compute_insulation_sup, empty_tail,
-                      interior_mask)
+                      interior_mask, merge_tail)
 from .pruning import (IN, ChainResult, DisjointReport, Insulation,
                       check_disjoint, depth_decay_table, insulate,
                       prune_to_infinite, tilde_membership)
@@ -173,7 +173,8 @@ class TailJob:
     buffer: int | None = None
 
 
-def _tail_replica(args: tuple[TailJob, int]):
+def _tail_replica(args: tuple[TailJob, int]) -> TailEstimate:
+    """One replica's bracketed counts, reduced where the replica ran."""
     job, k = args
     window = Window.centered(job.side, job.dim, job.margin)
     seed = rng.stream("tails", job.seed, k)
@@ -184,7 +185,9 @@ def _tail_replica(args: tuple[TailJob, int]):
         forest = build_forest(generate_field(params, window.forest_box(1)), zeta=1)
     h = compute_h(forest)
     mask = interior_mask(h, job.buffer)
-    return h.value[mask], h.exact[mask]
+    est = empty_tail(job.dim, list(job.grid))
+    accumulate_tail(est, h.value[mask], h.exact[mask])
+    return est
 
 
 def parallel_map(fn, items, threads: int):
@@ -195,10 +198,12 @@ def parallel_map(fn, items, threads: int):
 
 
 def tail_experiment(job: TailJob, replicas: int, threads: int = 1) -> TailEstimate:
+    """Pooled bracketed counts over replicas.  Each worker returns its
+    replica's integer counts, not its samples; the sums are exact and do
+    not depend on the order the replicas finish in."""
     est = empty_tail(job.dim, list(job.grid))
-    for values, exact in parallel_map(_tail_replica,
-                                      [(job, k) for k in range(replicas)], threads):
-        accumulate_tail(est, values, exact)
+    for part in parallel_map(_tail_replica, [(job, k) for k in range(replicas)], threads):
+        merge_tail(est, part)
     return est
 
 
@@ -440,10 +445,9 @@ def oracle_suite(max_box: int = 7, seed: int = 5, dims: tuple[int, ...] = (2, 3)
         window = Window.centered(side, d, margin=0)
         box = window.field_box
         params = default_params(d, window, seed)
-        grids = box.coordinate_grids()
-        u = rng.uniform_vec(rng.stream("oracle", seed, d),
-                            [g.ravel() for g in grids]).reshape(box.shape)
-        vals = length_from_uniform(u, params)
+        vals = np.empty(box.shape)
+        for planes, u in rng.uniform_blocks(rng.stream("oracle", seed, d), box.lo, box.hi):
+            vals[planes] = length_from_uniform(u, params)
         site_vals = oracles.enumerate_box_field(vals, box)
         bad = 0
         total = 0

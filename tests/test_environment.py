@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -489,3 +490,50 @@ def test_patch_locality_under_ray_removal():
     # observed on covered sites, and the dropped rays did cover some
     assert np.count_nonzero((env.chosen >= 0) & same) >= 1
     assert np.count_nonzero(env.chosen[~same] >= 0) >= 1
+
+
+def staircase_ray(depth, beta, d=3, shift=0):
+    spine = np.zeros((depth + 1, d), dtype=np.int64)
+    for n in range(1, depth + 1):
+        spine[n] = spine[n - 1]
+        spine[n, n % d] += 1
+    spine[:, 0] += shift
+    return RayHandle(leaf=tuple(map(int, spine[0])), forest_index=1, zeta=1, beta=beta,
+                     spine=spine)
+
+
+def certain_sup(window, value=1):
+    shape = window.box.shape
+    return {1: SimpleNamespace(value=np.full(shape, value, dtype=np.int64),
+                               exact=np.ones(shape, dtype=bool))}
+
+
+def test_patch_budget_holds_many_steps_on_few_sites():
+    # 7 358 tube sites swept 2 281 steps: 1.7e7 site-steps exceed 2^24, but
+    # the sweep holds only the tube's sites
+    env = ray_environment(staircase_ray(300, 0.3))
+    size = env.geom.size
+    steps = (1 << 24) // size + 1
+    assert size * steps > 1 << 24
+    window = Window((0, 0, 0), (30, 30, 30), 0)
+    got = patch(window, [env], certain_sup(window), float(steps))
+    j, at = window.box.locate(env.geom.sites)
+    hz = np.full(size, -1)
+    hz[j] = steps
+    [(p_tab, e_tab)] = exit_table([env], [hz])
+    assert np.count_nonzero(got.chosen >= 0) == at.size > 0
+    assert np.array_equal(got.exit_mass.reshape(-1)[at], e_tab[j])
+    assert np.array_equal(got.exit_prob.reshape(-1)[at], p_tab[j])
+
+
+def test_patch_budget_is_on_the_stacked_sites():
+    # two live copies of a tube stack 2S sites; a tube with no site in the
+    # window is never swept and does not count
+    window = Window((0, 0, 0), (12, 12, 12), 0)
+    envs = [ray_environment(staircase_ray(30, 0.3, shift=s)) for s in (0, 0, 500)]
+    size = envs[0].geom.size
+    assert envs[2].geom.size == size
+    sup = certain_sup(window)
+    patch(window, envs, sup, 1.0, state_budget=2 * size)
+    with pytest.raises(MemoryError, match=f"stacks {2 * size} tube sites"):
+        patch(window, envs, sup, 1.0, state_budget=2 * size - 1)

@@ -1,13 +1,19 @@
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from umbrellaforest import rng
 from umbrellaforest.fieldgen import (LField, ModelParams, default_params,
                                      generate_field, length_from_uniform,
-                                     read_field, sample_length, tail_mass,
-                                     validate_params, with_margin, write_field)
-from umbrellaforest.lattice import Window
+                                     read_field, sample_length, sample_lengths,
+                                     tail_mass, validate_params, with_margin,
+                                     write_field)
+from umbrellaforest.lattice import Box, Window
 
 
 def mk(dim=2, side=8, margin=2, seed=3, **kw):
@@ -117,6 +123,46 @@ def test_forest_box_values_are_the_field_box_values(zeta):
         assert part.value_at(x) == full.value_at(x)
     with pytest.raises(ValueError):
         LField(params=p, values=full.values, box=part.box)
+
+
+@st.composite
+def sub_boxes(draw):
+    d = draw(st.sampled_from([2, 3]))
+    lo = tuple(draw(st.one_of(st.integers(-40, 40),
+                              st.integers(-(1 << 40) - 3, -(1 << 40) + 3))) for _ in range(d))
+    sides = [draw(st.integers(1, 40)) for _ in range(d)]
+    return d, Box(lo, tuple(l + s - 1 for l, s in zip(lo, sides)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=sub_boxes(), seed=st.integers(0, (1 << 64) - 1),
+       block=st.sampled_from([rng.BLOCK_SITES, 1, 50, 1000]))
+def test_generate_field_equals_sample_lengths_on_any_box(case, seed, block):
+    # small block sizes split these boxes into many blocks of leading planes
+    d, box = case
+    p = mk(d, seed=seed)
+    axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(box.lo, box.hi)]
+    want = sample_lengths([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], p)
+    with mock.patch.object(rng, "BLOCK_SITES", block):
+        got = generate_field(p, box)
+    assert got.box == box
+    assert np.array_equal(got.values.view(np.uint64).ravel(), want.view(np.uint64))
+
+
+def test_generate_field_memory_is_the_output_plus_a_block():
+    # 80^3 = 512 000 sites, 4.1 MB of output; the blocks' temporaries are
+    # about 2.6 MB, while full coordinate grids would be 7x the output
+    allowance = 4 << 20
+    p = mk(3, side=16, margin=64, seed=20_240_803)
+    box = p.window.forest_box(1)
+    tracemalloc.start()
+    try:
+        field = generate_field(p, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert box.size == 512_000
+    assert peak <= field.values.nbytes + allowance
 
 
 def test_field_dump_roundtrip(tmp_path):

@@ -49,7 +49,8 @@ def few_lengths(coords, p):
 def few_values_field(p, box=None):
     """The `few_lengths` field over a box, by default the full field box."""
     box = p.window.field_box if box is None else box
-    values = few_lengths([g.ravel() for g in box.coordinate_grids()], p)
+    axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(box.lo, box.hi)]
+    values = few_lengths([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], p)
     return LField(params=p, values=values.reshape(box.shape), box=box)
 
 

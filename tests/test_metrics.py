@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from umbrellaforest import rng
 from umbrellaforest.fieldgen import default_params, generate_field
 from umbrellaforest.forest import Forest, build_forest, example1_forest
 from umbrellaforest.lattice import Window
@@ -178,13 +179,24 @@ def test_tail_estimate_zero_case_and_empty_error():
         tail_estimate(2, [1], [])
 
 
+def replica_samples(job, k):
+    window = Window.centered(job.side, job.dim, job.margin)
+    params = default_params(job.dim, window, rng.stream("tails", job.seed, k))
+    h = compute_h(build_forest(generate_field(params, window.forest_box(1)), zeta=1))
+    mask = interior_mask(h, job.buffer)
+    return h.value[mask], h.exact[mask]
+
+
 def test_tail_experiment_independent_of_thread_count():
-    # replicas are keyed by (seed, index), so fork workers change nothing
+    # replicas are keyed by (seed, index), so fork workers change nothing;
+    # each returns its counts, and their sums are the pooled samples' counts
     job = TailJob(dim=3, side=12, margin=6, seed=77, grid=(1, 2, 4))
     serial = tail_experiment(job, replicas=3, threads=1)
     forked = tail_experiment(job, replicas=3, threads=2)
-    assert serial.total == forked.total == 3 * 6 ** 3
-    assert serial.count_lo == forked.count_lo and serial.count_hi == forked.count_hi
+    pooled = tail_estimate(3, [1, 2, 4], (replica_samples(job, k) for k in range(3)))
+    assert serial.total == forked.total == pooled.total == 3 * 6 ** 3
+    assert serial.count_lo == forked.count_lo == pooled.count_lo
+    assert serial.count_hi == forked.count_hi == pooled.count_hi
     assert serial.count_hi[0] > serial.count_hi[-1] > 0
 
 
