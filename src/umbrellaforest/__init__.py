@@ -19,7 +19,7 @@ from .metrics import StatusField, TailEstimate, compute_h, \
     compute_insulation_sup, interior_mask, ray, tail_estimate
 from .pruning import FRONTIER, IN, OUT, UNKNOWN, check_disjoint, insulate, \
     leaves, prune_to_infinite, tilde_membership
-from .raygeom import InsulationConstants, RayHandle, build_ray, build_rays, \
+from .raygeom import InsulationConstants, RayHandle, build_rays, \
     drift_directions, ellipticity_constant, score_and_index, \
     solve_insulation_constants, tube_geometries, tube_geometry
 from .environment import ExitStats, PatchedEnv, exit_functionals, patch, \

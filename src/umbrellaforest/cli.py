@@ -4,7 +4,11 @@ walk | tails | mixing | oracle | report.
 Configuration is a flat key=value file plus command-line overrides; every
 stage is a deterministic function of (config, seed) and records what it
 wrote in the run manifest with content hashes, so reruns are byte-identical
-and downstream stages can verify their inputs.
+and downstream stages can verify their inputs.  Each object of a staged run
+has one producer, and later stages read its dump: `forest` reads the field
+dumps, `metrics` the forest dumps, `prune` and `env` the forest dumps and
+the h and H of `metrics.npz` (each re-derives keep, chain and insulation
+from them), and `walk` reads `env.umbe`, `membership.json` and the forests.
 
 Exit codes: 0 ok, 1 invariant/integrity failure or any other error, 2 usage
 or config error, 3 resource budget exceeded.
@@ -26,7 +30,8 @@ from .environment import (environment_manifest, read_environment,
                           supermartingale_residuals, write_environment)
 from .fieldgen import ModelParams, default_params, validate_params
 from .lattice import Window, min_sphere_ratio
-from .metrics import compute_h, compute_insulation_sup, interior_mask, tail_estimate
+from .metrics import (StatusField, compute_h, compute_insulation_sup, interior_mask,
+                      tail_estimate)
 from .raygeom import ellipticity_constant, solve_insulation_constants
 from .walker import trap_probability, walks_csv
 
@@ -278,24 +283,32 @@ def stage_metrics(cfg: RunConfig) -> int:
     return 0
 
 
+def _load_pair(cfg: RunConfig) -> pipeline.PrunedPair:
+    """The forests that `forest` wrote, with the h and H that `metrics`
+    wrote, kept, chained and insulated; nothing is regrown."""
+    forests = tuple(_load_forests(cfg))
+    _require_stage(cfg, "metrics")
+    with np.load(os.path.join(cfg.out, "metrics.npz")) as z:
+        try:
+            depth, ins_sup = ([StatusField(f.window, f.zeta, z[f"{k}{i}_value"], z[f"{k}{i}_exact"])
+                               for i, f in enumerate(forests, start=1)] for k in "hH")
+        except KeyError as e:
+            raise InvariantFailure(f"metrics.npz: {e}") from e
+    return pipeline.prune_pair(cfg.params(), forests, tuple(depth), tuple(ins_sup))
+
+
 def stage_prune(cfg: RunConfig) -> int:
     if cfg.dim < 3:
         raise UsageError("pruning requires dim >= 3")
-    _require_stage(cfg, "gen")
-    pair = pipeline.build_pruned_pair(cfg.params())
-    layers = {
-        "keep_1": pair.keep[0], "keep_2": pair.keep[1],
-        "chain_1": pair.chains[0].layer, "chain_2": pair.chains[1].layer,
-        "ball_1": pair.insulation[0].ball_layer, "ball_2": pair.insulation[1].ball_layer,
-        "ray_cover_1": pair.insulation[0].ray_layer,
-        "ray_cover_2": pair.insulation[1].ray_layer,
-    }
+    pair = _load_pair(cfg)
+    layers = {}
+    for i, (keep, chain, ins) in enumerate(zip(pair.keep, pair.chains, pair.insulation), start=1):
+        layers.update({f"keep_{i}": keep, f"chain_{i}": chain.layer,
+                       f"ball_{i}": ins.ball_layer, f"ray_cover_{i}": ins.ray_layer})
     mpath = os.path.join(cfg.out, "membership.json")
     pruning.write_membership(mpath, cfg.params().window, layers)
     summary = pruning.membership_summary(
-        layers,
-        {"forest_1": len(pair.insulation[0].leaf_sites),
-         "forest_2": len(pair.insulation[1].leaf_sites)},
+        layers, {f"forest_{i}": len(ins.leaf_sites) for i, ins in enumerate(pair.insulation, 1)},
         len(pair.disjoint.certain_overlaps))
     spath = os.path.join(cfg.out, "membership_summary.json")
     with open(spath, "w") as f:
@@ -313,17 +326,13 @@ def stage_prune(cfg: RunConfig) -> int:
 def stage_env(cfg: RunConfig) -> int:
     if cfg.dim < 3:
         raise UsageError("the patched environment requires dim >= 3")
-    _require_stage(cfg, "gen")
-    pair = pipeline.build_pruned_pair(cfg.params())
-    built = pipeline.build_patched(pair)
+    built = pipeline.build_patched(_load_pair(cfg))
     env_path = os.path.join(cfg.out, "env.umbe")
     write_environment(built.env, env_path)
     man = environment_manifest(built.env, cfg.params().beta)
-    man["residuals"] = supermartingale_residuals(built.env).__dict__.copy()
-    man["residuals"]["witness"] = (list(man["residuals"]["witness"])
-                                   if man["residuals"]["witness"] else None)
-    man["residuals"]["worst"] = (None if man["residuals"]["eligible"] == 0
-                                 else man["residuals"]["worst"])
+    res = supermartingale_residuals(built.env)
+    man["residuals"] = dict(res.__dict__, witness=list(res.witness) if res.witness else None,
+                            worst=None if res.eligible == 0 else res.worst)
     jpath = os.path.join(cfg.out, "env_manifest.json")
     with open(jpath, "w") as f:
         json.dump(man, f, indent=1, sort_keys=True)

@@ -293,9 +293,10 @@ def _live_rows(sizes: list[int], tops: list[int]) -> np.ndarray:
 
 def choose_horizon_factor(envs: list[RayEnvironment], pairs: list[tuple[int, int, int]],
                           kappa: Fraction, floor: float,
-                          n_max: int = 4096, max_factor: float = 1 << 20) -> float:
-    """Smallest dyadic multiple of `floor` whose horizon keeps the measured
-    beyond-horizon exit mass below kappa^u on every calibration pair.
+                          n_max: int = 4096) -> float:
+    """Smallest dyadic multiple of `floor`, up to 2^20, whose horizon keeps
+    the measured beyond-horizon exit mass below kappa^u on every calibration
+    pair.
 
     pairs: (env_index, site_index, insulation_sup_value).  The returned
     factor is recorded in the run manifest; a fresh-sample plug-back check
@@ -313,7 +314,7 @@ def choose_horizon_factor(envs: list[RayEnvironment], pairs: list[tuple[int, int
     horizons_by_pair = []
     for ei, si, hval in pairs:
         hz = sorted({min(n_max, max(1, int(np.ceil(c * hval))))
-                     for c in _dyadic(floor, max_factor)} | {n_max})
+                     for c in _dyadic(floor)} | {n_max})
         horizons_by_pair.append(hz)
         for t in hz:
             capture.setdefault(t, []).append(int(offsets[ei]) + si)
@@ -325,7 +326,7 @@ def choose_horizon_factor(envs: list[RayEnvironment], pairs: list[tuple[int, int
         mass_curves.append((hval, int(envs[ei].geom.u[si]),
                             {t: swept[(t, int(offsets[ei]) + si)] for t in hz}))
     worst = None
-    for c in _dyadic(floor, max_factor):
+    for c in _dyadic(floor):
         ok = True
         for hval, u, masses in mass_curves:
             hz = min(n_max, max(1, int(np.ceil(c * hval))))
@@ -336,13 +337,13 @@ def choose_horizon_factor(envs: list[RayEnvironment], pairs: list[tuple[int, int
                 break
         if ok:
             return c
-    raise RuntimeError(f"horizon factor scan exhausted at {max_factor}; "
+    raise RuntimeError("horizon factor scan exhausted at 2^20; "
                        f"worst pair {worst}")
 
 
-def _dyadic(floor: float, max_factor: float):
+def _dyadic(floor: float):
     c = max(floor, 1.0)
-    while c <= max_factor:
+    while c <= 1 << 20:
         yield c
         c *= 2.0
 
@@ -437,9 +438,8 @@ def patch(window: Window, envs: list[RayEnvironment], ins_sup_by_forest: dict[in
         chosen[at[new]] = rank
         flagged[at[new]] = True
         row_type[at[new]] = env.row_type[j[new]]
-        # a certain verdict displaces a censored placeholder
+        # a certain verdict displaces a censored placeholder (best_mass still inf)
         j, at = j[exact], at[exact]
-        best_mass[at[flagged[at]]] = np.inf
         flagged[at] = False
         better = sign * e_tab[j] < best_mass[at]
         j, at = j[better], at[better]
@@ -462,7 +462,7 @@ class ResidualReport:
     skipped: int
 
 
-def supermartingale_residuals(env: PatchedEnv, tol_floor: float | None = None) -> ResidualReport:
+def supermartingale_residuals(env: PatchedEnv) -> ResidualReport:
     """One-step drift of the patched exit mass at eligible sites.
 
     Eligible: certainly covered sites whose exit mass sits below the
@@ -471,7 +471,7 @@ def supermartingale_residuals(env: PatchedEnv, tol_floor: float | None = None) -
     a positive residual is a patching bug (e.g. argmax instead of argmin).
     """
     box = env.box
-    kappa = float(env.kappa) if tol_floor is None else tol_floor
+    kappa = float(env.kappa)
     certain = (env.chosen >= 0) & ~env.flagged & np.isfinite(env.exit_mass)
     below = certain & (env.exit_mass < kappa)
     # a neighbour outside every tube exits at once (mass 0); NaN marks one

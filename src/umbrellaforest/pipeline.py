@@ -56,38 +56,38 @@ class PrunedPair:
         return self.forests[index - 1]
 
 
-def _pair_layers(params: ModelParams) -> dict:
-    """Forests, h, H, keep and chain layers of two opposite forests.
-
-    Keyed by the `PrunedPair` fields they fill; insulation is left out.
-    """
-    beta = params.beta
-    if beta is None:
+def _grow_pair(params: ModelParams) -> tuple[tuple, tuple, tuple]:
+    """Two opposite forests from their own fields, with their h and H."""
+    if params.beta is None:
         raise ValueError("pruning requires beta")
-    f1 = generate_field(derived_params(params, "field", 1), params.window.forest_box(1))
-    f2 = generate_field(derived_params(params, "field", 2), params.window.forest_box(-1))
-    a1 = build_forest(f1, zeta=1)
-    a2 = build_forest(f2, zeta=-1)
-    h1 = compute_h(a1)
-    h2 = compute_h(a2)
-    H1 = compute_insulation_sup(h1, beta)
-    H2 = compute_insulation_sup(h2, beta)
-    keep1 = tilde_membership(h1, H2, beta)
-    keep2 = tilde_membership(h2, H1, beta)
-    chain1 = prune_to_infinite(a1, keep1)
-    chain2 = prune_to_infinite(a2, keep2)
-    return dict(params=params, forests=(a1, a2),
-                depth=(h1, h2), ins_sup=(H1, H2), keep=(keep1, keep2),
-                chains=(chain1, chain2))
+    forests = tuple(build_forest(generate_field(derived_params(params, "field", i),
+                                                params.window.forest_box(zeta)), zeta=zeta)
+                    for i, zeta in ((1, 1), (2, -1)))
+    depth = tuple(compute_h(a) for a in forests)
+    return forests, depth, tuple(compute_insulation_sup(h, params.beta) for h in depth)
+
+
+def _chains(forests, depth, ins_sup, beta: float):
+    """Keep layers (each forest's h against the other's H) and chain layers."""
+    keep = (tilde_membership(depth[0], ins_sup[1], beta),
+            tilde_membership(depth[1], ins_sup[0], beta))
+    return keep, tuple(prune_to_infinite(a, k) for a, k in zip(forests, keep))
+
+
+def prune_pair(params: ModelParams, forests: tuple[Forest, Forest],
+               depth: tuple[StatusField, StatusField],
+               ins_sup: tuple[StatusField, StatusField]) -> PrunedPair:
+    """Keep, chain and insulate a grown pair, and check the insulation balls
+    of the two forests are disjoint."""
+    keep, chains = _chains(forests, depth, ins_sup, params.beta)
+    ins = tuple(insulate(c, h, a, params.beta) for c, h, a in zip(chains, depth, forests))
+    return PrunedPair(params, forests, depth, ins_sup, keep, chains, ins,
+                      check_disjoint(ins[0].ball_layer, ins[1].ball_layer, forests[0].box))
 
 
 def build_pruned_pair(params: ModelParams) -> PrunedPair:
     """Two independent opposite-orientation forests, pruned and insulated."""
-    layers = _pair_layers(params)
-    ins1, ins2 = (insulate(chain, h, a, params.beta) for chain, h, a in
-                  zip(layers["chains"], layers["depth"], layers["forests"]))
-    report = check_disjoint(ins1.ball_layer, ins2.ball_layer, layers["forests"][0].box)
-    return PrunedPair(**layers, insulation=(ins1, ins2), disjoint=report)
+    return prune_pair(params, *_grow_pair(params))
 
 
 def orientation_rays(forest: Forest, leaf_sites: list[Site], beta: float,
@@ -101,7 +101,6 @@ def orientation_rays(forest: Forest, leaf_sites: list[Site], beta: float,
 
 
 def select_rays(pair: PrunedPair, min_depth: int = 1,
-                max_rays: int | None = None,
                 max_per_forest: int | None = None) -> list[RayHandle]:
     """Ray handles for kept leaves with spines of at least `min_depth`.
 
@@ -114,7 +113,7 @@ def select_rays(pair: PrunedPair, min_depth: int = 1,
                                 pair.params.beta, i, min_depth)
         out.extend(side[:max_per_forest])
     out.sort(key=lambda r: (-r.depth, r.leaf))
-    return out[:max_rays]
+    return out
 
 
 @dataclass
@@ -128,9 +127,9 @@ class BuiltEnvironment:
 
 def build_patched(pair: PrunedPair, rays: list[RayHandle] | None = None,
                   horizon_factor: float | None = None,
-                  min_depth: int = 1, calibration_cap: int = 24,
-                  n_max: int = 2048) -> BuiltEnvironment:
-    """Calibrate the horizon factor (unless given) and patch the window."""
+                  min_depth: int = 1) -> BuiltEnvironment:
+    """Calibrate the horizon factor (unless given) on at most 24 sites of
+    each of the first 6 tubes, swept 2048 steps, and patch the window."""
     params = pair.params
     consts = solve_insulation_constants(params.dim, params.beta)
     if rays is None:
@@ -144,11 +143,11 @@ def build_patched(pair: PrunedPair, rays: list[RayHandle] | None = None,
             ins = pair.ins_sup[env.geom.ray.forest_index - 1]
             j, at = params.window.box.locate(env.geom.sites)
             ok = ins.exact.reshape(-1)[at] & (env.geom.u[j] >= 1)
-            hval = np.maximum(ins.value.reshape(-1)[at[ok]], 1)[:calibration_cap]
+            hval = np.maximum(ins.value.reshape(-1)[at[ok]], 1)[:24]
             pairs += [(k, int(jj), int(h)) for jj, h in zip(j[ok], hval)]
         horizon_factor = choose_horizon_factor(
             envs[:6], pairs, ellipticity_constant(params.dim),
-            floor=max(consts.depth_factor, 1.0), n_max=n_max)
+            floor=max(consts.depth_factor, 1.0), n_max=2048)
     certain_cover = (pair.insulation[0].ray_layer == IN) | \
         (pair.insulation[1].ray_layer == IN)
     env = patch(params.window, envs,
@@ -227,9 +226,9 @@ def depth_decay_experiment(params: ModelParams, replicas: int, k_grid: list[int]
 
 def _decay_replica(args):
     params, k, k_grid = args
-    layers = _pair_layers(derived_params(params, "decay", k))
+    forests, depth, ins_sup = _grow_pair(derived_params(params, "decay", k))
     rows = None
-    for chain, h in zip(layers["chains"], layers["depth"]):
+    for chain, h in zip(_chains(forests, depth, ins_sup, params.beta)[1], depth):
         t = depth_decay_table(chain, interior_mask(h), list(k_grid))
         if rows is None:
             rows = t
@@ -254,8 +253,7 @@ class TrapRun:
 
 
 def trap_experiment(params: ModelParams, horizon: int, replicas: int,
-                    u_min: int = 1, walk_seed: int | None = None,
-                    built: BuiltEnvironment | None = None) -> TrapRun:
+                    u_min: int = 1, built: BuiltEnvironment | None = None) -> TrapRun:
     """Deepest-ray starts for both orientations plus the uniform control."""
     if built is None:
         built = build_patched(build_pruned_pair(params))
@@ -263,7 +261,7 @@ def trap_experiment(params: ModelParams, horizon: int, replicas: int,
     run = TrapRun(estimates={}, batches={}, starts={})
     for name, start, batch in trap_walks(
             built.env.row_type, inside, built.rays, built.pair.forest_of(1).box, horizon,
-            replicas, u_min, params.seed if walk_seed is None else walk_seed):
+            replicas, u_min, params.seed):
         run.estimates[name] = trap_probability(batch)
         run.batches[name] = batch
         run.starts[name] = start
@@ -297,17 +295,16 @@ def trap_walks(row_type: np.ndarray, inside: tuple[np.ndarray, np.ndarray],
                                               cfg, orientation_sign=sign)
 
 
-def _best_trap_start(rays: list[RayHandle], forest_index: int, u_min: int,
-                     tries: int = 6) -> Site:
+def _best_trap_start(rays: list[RayHandle], forest_index: int, u_min: int) -> Site:
     """Start with the longest runway: earliest u_min-insulated spine index
-    on whichever of the deepest rays (ties by leaf) leaves the most spine
+    on whichever of the 6 deepest rays (ties by leaf) leaves the most spine
     above it."""
     cands = sorted((r for r in rays if r.forest_index == forest_index),
                    key=lambda r: (-r.depth, r.leaf))
     if not cands:
         raise ValueError(f"no rays for orientation {forest_index}")
     best, best_runway = None, -1
-    for geom in tube_geometries(cands[:tries]):
+    for geom in tube_geometries(cands[:6]):
         try:
             site, n = trap_start(geom, u_min)
         except ValueError:
@@ -350,33 +347,28 @@ def forest_direction_sampler(dim: int, shifts: list[int], margin: int, seed: int
 class EnvMixingJob:
     """Growing-block coverage functional of the patched environment rows.
 
-    Per shift s the block is the l1-ball of radius mu * s^nu (nu defaults
-    to 1/(8 dim)); the functional is the indicator that the block contains
-    a site with a non-uniform installed row, i.e. a certainly ray-covered
-    site, which is measurable with respect to the rows on the block.
+    Per shift s the block is the l1-ball of radius 6 s^(1/(8 dim)); the
+    functional is the indicator that the block contains a site with a
+    non-uniform installed row, i.e. a certainly ray-covered site, which is
+    measurable with respect to the rows on the block.  The strip window
+    pads the largest block by 4 sites.
     """
 
     dim: int
     shifts: tuple[int, ...]
     margin: int
     seed: int
-    mu: float = 6.0
-    nu: float | None = None
-    thickness: int | None = None
 
     def geometry(self):
-        nu = self.nu if self.nu is not None else 1.0 / (8 * self.dim)
+        from .lattice import l1_ball_offsets
+        radius = {s: int(np.floor(6.0 * s ** (1.0 / (8 * self.dim)))) for s in self.shifts}
         smax = max(self.shifts)
-        r_max = int(np.floor(self.mu * smax ** nu))
-        t = self.thickness if self.thickness is not None else 4
-        pad = t + r_max
+        pad = 4 + radius[smax]
         strip = Window((-pad,) * self.dim,
                        (smax + pad,) + (pad,) * (self.dim - 1), self.margin)
-        from .lattice import l1_ball_offsets
         blocks = {}
         for s in self.shifts:
-            r = int(np.floor(self.mu * s ** nu))
-            offs = l1_ball_offsets(self.dim, r)
+            offs = l1_ball_offsets(self.dim, radius[s])
             origin = [tuple(o) for o in offs]
             shifted = [(s + o[0],) + tuple(o[1:]) for o in offs]
             blocks[s] = (origin, shifted)

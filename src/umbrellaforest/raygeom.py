@@ -92,10 +92,6 @@ def build_rays(forest: Forest, leaves: list[Site], beta: float,
                       spine=spine) for leaf, spine in zip(leaves, spines)]
 
 
-def build_ray(forest: Forest, leaf: Site, beta: float, forest_index: int) -> RayHandle:
-    return build_rays(forest, [leaf], beta, forest_index)[0]
-
-
 class RayDepthError(RuntimeError):
     """The stored spine is too short to settle a depth-score query."""
 

@@ -2,13 +2,16 @@ import hashlib
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from umbrellaforest import pipeline
 from umbrellaforest.cli import main
+from umbrellaforest.environment import write_environment
 from umbrellaforest.fieldgen import default_params
 from umbrellaforest.lattice import Window
 from umbrellaforest.pipeline import build_patched, build_pruned_pair, trap_experiment
+from umbrellaforest.pruning import write_membership
 from umbrellaforest.walker import walks_csv
 
 
@@ -165,6 +168,52 @@ def test_walk_reads_the_dumps_of_earlier_stages(staged, tmp_path, monkeypatch):
     for name in want.batches:
         assert (out / f"walks_{name}.csv").read_bytes() == \
             (staged / f"walks_{name}.csv").read_bytes()
+
+
+def test_prune_and_env_read_the_dumps_of_earlier_stages(staged, tmp_path, monkeypatch):
+    params = default_params(3, Window.centered(22, 3, 7), 12)
+    pair = build_pruned_pair(params)
+    layers = {f"{name}_{i}": layer for i in (1, 2) for name, layer in (
+        ("keep", pair.keep[i - 1]), ("chain", pair.chains[i - 1].layer),
+        ("ball", pair.insulation[i - 1].ball_layer),
+        ("ray_cover", pair.insulation[i - 1].ray_layer))}
+    write_membership(str(tmp_path / "membership.json"), params.window, layers)
+    write_environment(build_patched(pair).env, str(tmp_path / "env.umbe"))
+
+    # neither stage generates a field, grows a forest or builds the pair
+    out = copy_of(staged, tmp_path)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("prune or env regrew what earlier stages wrote")
+
+    for name in ("build_pruned_pair", "generate_field", "build_forest"):
+        monkeypatch.setattr(pipeline, name, no_build)
+    for stage in ("prune", "env"):
+        assert run([stage, *base_args(out)]) == 0, stage
+    for name in ("membership.json", "env.umbe"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("stage", ["prune", "env"])
+def test_prune_and_env_require_metrics(staged, tmp_path, capsys, stage):
+    out = copy_of(staged, tmp_path)
+    man = json.loads((out / "manifest.json").read_text())
+    del man["stages"]["metrics"]
+    (out / "manifest.json").write_text(json.dumps(man))
+    assert run([stage, *base_args(out)]) == 2
+    assert "'metrics'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["prune", "env"])
+def test_metrics_without_insulation_sup_is_integrity_error(staged, tmp_path, capsys, stage):
+    out = copy_of(staged, tmp_path)
+    with np.load(out / "metrics.npz") as z:
+        kept = {k: z[k] for k in z.files if not k.startswith("H1_")}
+    np.savez_compressed(out / "metrics.npz", **kept)
+    rehash(out, "metrics", "metrics.npz")
+    assert run([stage, *base_args(out)]) == 1
+    err = capsys.readouterr().err
+    assert "integrity error" in err and "H1_" in err
 
 
 def test_walk_requires_prune(staged, tmp_path, capsys):

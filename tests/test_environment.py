@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -537,3 +538,25 @@ def test_patch_budget_is_on_the_stacked_sites():
     patch(window, envs, sup, 1.0, state_budget=2 * size)
     with pytest.raises(MemoryError, match=f"stacks {2 * size} tube sites"):
         patch(window, envs, sup, 1.0, state_budget=2 * size - 1)
+
+
+def test_certain_ray_displaces_censored_placeholder():
+    # forest 1's ray has the smaller leaf and a censored H, so it installs a
+    # flagged placeholder first; forest 2's ray, with an exact H, displaces
+    # it on the sites the two tubes share
+    window = Window((0, 0, 0), (12, 12, 12), 0)
+    first = ray_environment(staircase_ray(30, 0.3))
+    second = ray_environment(replace(staircase_ray(30, 0.3, shift=1), forest_index=2))
+    shape = window.box.shape
+    sup = {1: SimpleNamespace(value=np.ones(shape, dtype=np.int64),
+                              exact=np.zeros(shape, dtype=bool)),
+           2: certain_sup(window)[1]}
+    got = patch(window, [first, second], sup, 1.0)
+    _, a = window.box.locate(first.geom.sites)
+    _, b = window.box.locate(second.geom.sites)
+    shared, alone = np.intersect1d(a, b), np.setdiff1d(a, b)
+    assert shared.size > 0 and alone.size > 0
+    chosen, flagged, mass = (f.reshape(-1) for f in (got.chosen, got.flagged, got.exit_mass))
+    assert (chosen[shared] == 1).all() and not flagged[shared].any()
+    assert np.isfinite(mass[shared]).all()
+    assert (chosen[alone] == 0).all() and flagged[alone].all()
