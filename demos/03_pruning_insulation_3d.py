@@ -36,7 +36,8 @@ for i in (1, 2):
 print(f"\ncertain insulation overlap sites: {len(pair.disjoint.certain_overlaps)}"
       f" (must be zero); unknown overlaps: {pair.disjoint.unknown_overlaps}")
 
-rays = select_rays(pair, min_depth=6)
+rays = select_rays(pair.forests, [ins.leaf_sites for ins in pair.insulation], params.beta,
+                  min_depth=6)
 deep = rays[0]
 print(f"\ndeepest kept ray: leaf {deep.leaf}, {deep.depth} ancestors, "
       f"orientation {deep.zeta:+d}")

@@ -10,15 +10,20 @@ probability, which is exactly the advertised zero-one-law violation.
 
 from umbrellaforest.fieldgen import default_params
 from umbrellaforest.lattice import Window
-from umbrellaforest.pipeline import build_pruned_pair, build_patched, trap_experiment
+from umbrellaforest.pipeline import (build_pruned_pair, build_patched, select_rays,
+                                     trap_experiment)
+from umbrellaforest.pruning import IN
 
 params = default_params(3, Window.centered(48, 3, margin=10), seed=31)
 pair = build_pruned_pair(params)
-built = build_patched(pair, min_depth=6)
+rays = select_rays(pair.forests, [ins.leaf_sites for ins in pair.insulation], params.beta,
+                   min_depth=6)
+built = build_patched(params, rays, pair.ins_sup,
+                      tuple(ins.ray_layer == IN for ins in pair.insulation))
 print(f"patched environment: horizon factor {built.horizon_factor:.2f}, "
       f"{len(built.rays)} tubes")
 
-run = trap_experiment(params, horizon=4000, replicas=400, u_min=1, built=built)
+run = trap_experiment(built, horizon=4000, replicas=400, u_min=1, walk_seed=params.seed)
 for name in ("orient_1", "orient_2", "control"):
     est = run.estimates[name]
     lo, hi = est.ci

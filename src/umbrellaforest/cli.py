@@ -6,9 +6,11 @@ stage is a deterministic function of (config, seed) and records what it
 wrote in the run manifest with content hashes, so reruns are byte-identical
 and downstream stages can verify their inputs.  Each object of a staged run
 has one producer, and later stages read its dump: `forest` reads the field
-dumps, `metrics` the forest dumps, `prune` and `env` the forest dumps and
-the h and H of `metrics.npz` (each re-derives keep, chain and insulation
-from them), and `walk` reads `env.umbe`, `membership.json` and the forests.
+dumps, `metrics` the forest dumps, and `prune` the forest dumps and the h
+and H of `metrics.npz`; it keeps, chains and insulates, and writes the
+chain and ray-cover layers to `membership.json`.  `env` reads the forests,
+the H of `metrics.npz` and `membership.json`, and derives nothing of the
+pruning; `walk` reads the forests, `membership.json` and `env.umbe`.
 
 Exit codes: 0 ok, 1 invariant/integrity failure or any other error, 2 usage
 or config error, 3 resource budget exceeded.
@@ -181,23 +183,24 @@ def _require_stage(cfg: RunConfig, stage: str) -> dict:
 # stages
 # ---------------------------------------------------------------------------
 
+def _constants(params: ModelParams) -> dict:
+    """The ellipticity and sphere ratio, and at d >= 3 with a beta the
+    insulation constants."""
+    consts = {"ellipticity": str(ellipticity_constant(params.dim)),
+              "min_sphere_ratio": str(min_sphere_ratio(params.dim))}
+    if params.dim >= 3 and params.beta:
+        ic = solve_insulation_constants(params.dim, params.beta)
+        consts.update(insulation_gap=ic.gap, insulation_outer=ic.outer,
+                      depth_factor=ic.depth_factor)
+    return consts
+
+
 def stage_validate(cfg: RunConfig) -> int:
     params = cfg.params()
     bad = validate_params(params)
-    consts = {
-        "dim": params.dim,
-        "tail_start": params.tail_start,
-        "tail_weight": params.tail_weight,
-        "orthant_ratio": params.orthant_ratio,
-        "beta": params.beta,
-        "ellipticity": str(ellipticity_constant(params.dim)),
-        "min_sphere_ratio": str(min_sphere_ratio(params.dim)),
-    }
-    if params.dim >= 3 and params.beta is not None:
-        ic = solve_insulation_constants(params.dim, params.beta)
-        consts["insulation_gap"] = ic.gap
-        consts["insulation_outer"] = ic.outer
-        consts["depth_factor"] = ic.depth_factor
+    consts = {"dim": params.dim, "tail_start": params.tail_start,
+              "tail_weight": params.tail_weight, "orthant_ratio": params.orthant_ratio,
+              "beta": params.beta, **_constants(params)}
     for k, v in consts.items():
         print(f"{k} = {v}")
     if bad:
@@ -283,30 +286,34 @@ def stage_metrics(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_pair(cfg: RunConfig) -> pipeline.PrunedPair:
-    """The forests that `forest` wrote, with the h and H that `metrics`
-    wrote, kept, chained and insulated; nothing is regrown."""
-    forests = tuple(_load_forests(cfg))
+def _load_metrics(cfg: RunConfig, forests, keys: str) -> list[tuple[StatusField, ...]]:
+    """Field `k` ('h' or 'H') of each forest, per k in `keys`, as `metrics` wrote it."""
     _require_stage(cfg, "metrics")
     with np.load(os.path.join(cfg.out, "metrics.npz")) as z:
         try:
-            depth, ins_sup = ([StatusField(f.window, f.zeta, z[f"{k}{i}_value"], z[f"{k}{i}_exact"])
-                               for i, f in enumerate(forests, start=1)] for k in "hH")
+            return [tuple(StatusField(f.window, f.zeta, z[f"{k}{i}_value"], z[f"{k}{i}_exact"])
+                          for i, f in enumerate(forests, start=1)) for k in keys]
         except KeyError as e:
             raise InvariantFailure(f"metrics.npz: {e}") from e
-    return pipeline.prune_pair(cfg.params(), forests, tuple(depth), tuple(ins_sup))
+
+
+_MEMBERSHIP = ("chain", "ray_cover")   # the layers a later stage reads
 
 
 def stage_prune(cfg: RunConfig) -> int:
+    """Keep, chain and insulate the forests that `forest` wrote, with the h
+    and H that `metrics` wrote; nothing is regrown."""
     if cfg.dim < 3:
         raise UsageError("pruning requires dim >= 3")
-    pair = _load_pair(cfg)
+    forests = tuple(_load_forests(cfg))
+    pair = pipeline.prune_pair(cfg.params(), forests, *_load_metrics(cfg, forests, "hH"))
     layers = {}
     for i, (keep, chain, ins) in enumerate(zip(pair.keep, pair.chains, pair.insulation), start=1):
         layers.update({f"keep_{i}": keep, f"chain_{i}": chain.layer,
                        f"ball_{i}": ins.ball_layer, f"ray_cover_{i}": ins.ray_layer})
     mpath = os.path.join(cfg.out, "membership.json")
-    pruning.write_membership(mpath, cfg.params().window, layers)
+    pruning.write_membership(mpath, cfg.params().window,
+                             {k: v for k, v in layers.items() if k.startswith(_MEMBERSHIP)})
     summary = pruning.membership_summary(
         layers, {f"forest_{i}": len(ins.leaf_sites) for i, ins in enumerate(pair.insulation, 1)},
         len(pair.disjoint.certain_overlaps))
@@ -323,10 +330,32 @@ def stage_prune(cfg: RunConfig) -> int:
     return 0
 
 
+def _load_rays(cfg: RunConfig, forests):
+    """The rays of the leaves of the chain layers that `prune` wrote, and
+    the two certain ray covers it wrote."""
+    _require_stage(cfg, "prune")
+    params = cfg.params()
+    try:
+        window, layers = pruning.read_membership(os.path.join(cfg.out, "membership.json"))
+        if window != params.window:
+            raise ValueError(f"covers {window}, not the window {params.window}")
+        chains, covers = ([layers[f"{name}_{i}"] for i in (1, 2)] for name in _MEMBERSHIP)
+    except (KeyError, ValueError) as e:
+        raise InvariantFailure(f"membership.json: {e}") from e
+    rays = pipeline.select_rays(forests, [pruning.leaves(c, f) for c, f in zip(chains, forests)],
+                                params.beta)
+    return rays, tuple(c == pruning.IN for c in covers)
+
+
 def stage_env(cfg: RunConfig) -> int:
+    """Patch the window with the rays and ray covers that `prune` wrote,
+    at the insulation sups H that `metrics` wrote."""
     if cfg.dim < 3:
         raise UsageError("the patched environment requires dim >= 3")
-    built = pipeline.build_patched(_load_pair(cfg))
+    forests = _load_forests(cfg)
+    ins_sup, = _load_metrics(cfg, forests, "H")
+    rays, inside = _load_rays(cfg, forests)
+    built = pipeline.build_patched(cfg.params(), rays, ins_sup, inside)
     env_path = os.path.join(cfg.out, "env.umbe")
     write_environment(built.env, env_path)
     man = environment_manifest(built.env, cfg.params().beta)
@@ -348,7 +377,7 @@ def stage_walk(cfg: RunConfig) -> int:
     if cfg.dim < 3:
         raise UsageError("trapping walks require dim >= 3")
     forests = _load_forests(cfg)
-    _require_stage(cfg, "prune")
+    rays, inside = _load_rays(cfg, forests)
     _require_stage(cfg, "env")
     params = cfg.params()
     try:
@@ -357,11 +386,6 @@ def stage_walk(cfg: RunConfig) -> int:
         raise InvariantFailure(f"env.umbe: {e}") from e
     if box != params.window.box:
         raise InvariantFailure(f"env.umbe covers {box}, not the window {params.window.box}")
-    _, layers = pruning.read_membership(os.path.join(cfg.out, "membership.json"))
-    rays = [ray for i, forest in enumerate(forests, start=1)
-            for ray in pipeline.orientation_rays(
-                forest, pruning.leaves(layers[f"chain_{i}"], forest), params.beta, i)]
-    inside = tuple(layers[f"ray_cover_{i}"] == pruning.IN for i in (1, 2))
     arts, summary, estimates = [], {}, {}
     # each batch is written out and dropped before the next one runs
     for name, start, batch in pipeline.trap_walks(row_type, inside, rays, box, cfg.horizon,
@@ -448,12 +472,6 @@ def stage_oracle(cfg: RunConfig) -> int:
 def stage_report(cfg: RunConfig) -> int:
     man = _load_manifest(cfg)
     params = cfg.params()
-    consts = {"ellipticity": str(ellipticity_constant(params.dim)),
-              "min_sphere_ratio": str(min_sphere_ratio(params.dim))}
-    if params.dim >= 3 and params.beta:
-        ic = solve_insulation_constants(params.dim, params.beta)
-        consts.update(insulation_gap=ic.gap, insulation_outer=ic.outer,
-                      depth_factor=ic.depth_factor)
     tails = {}
     tpath = os.path.join(cfg.out, "tails.csv")
     if os.path.exists(tpath):
@@ -475,7 +493,7 @@ def stage_report(cfg: RunConfig) -> int:
                 "tail_start": params.tail_start, "tail_weight": params.tail_weight,
                 "orthant_ratio": params.orthant_ratio},
         seeds={"root": cfg.seed},
-        constants=consts, tails=tails, trapping=trapping, mixing=mixing,
+        constants=_constants(params), tails=tails, trapping=trapping, mixing=mixing,
         invariants={"stages_recorded": sorted(man["stages"])},
     )
     rpath = os.path.join(cfg.out, "report.json")

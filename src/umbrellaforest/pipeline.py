@@ -27,9 +27,8 @@ from .metrics import (StatusField, TailEstimate, accumulate_tail,
 from .pruning import (IN, ChainResult, DisjointReport, Insulation,
                       check_disjoint, depth_decay_table, insulate,
                       prune_to_infinite, tilde_membership)
-from .raygeom import (InsulationConstants, RayHandle, build_rays,
-                      ellipticity_constant, solve_insulation_constants,
-                      trap_start, tube_geometries)
+from .raygeom import (RayHandle, build_rays, ellipticity_constant,
+                      solve_insulation_constants, trap_start, tube_geometries)
 from .walker import TrapEstimate, WalkBatch, WalkConfig, run_walks, trap_probability
 
 
@@ -90,71 +89,55 @@ def build_pruned_pair(params: ModelParams) -> PrunedPair:
     return prune_pair(params, *_grow_pair(params))
 
 
-def orientation_rays(forest: Forest, leaf_sites: list[Site], beta: float,
-                     forest_index: int, min_depth: int = 1) -> list[RayHandle]:
-    """Ray handles of one forest's kept leaves with spines of at least
-    `min_depth`, sorted deepest-first, ties by leaf."""
-    side = [r for r in build_rays(forest, leaf_sites, beta, forest_index)
-            if r.depth >= min_depth]
-    side.sort(key=lambda r: (-r.depth, r.leaf))
-    return side
-
-
-def select_rays(pair: PrunedPair, min_depth: int = 1,
-                max_per_forest: int | None = None) -> list[RayHandle]:
-    """Ray handles for kept leaves with spines of at least `min_depth`.
-
-    Sorted deepest-first; `max_per_forest` caps each orientation separately
-    so neither side starves when the deepest spines cluster in one forest.
-    """
+def select_rays(forests: tuple[Forest, ...], leaf_sites: list[list[Site]], beta: float,
+                min_depth: int = 1, max_per_forest: int | None = None) -> list[RayHandle]:
+    """Ray handles of the kept leaves `leaf_sites[i-1]` of forest i with
+    spines of at least `min_depth`, sorted deepest-first, ties by leaf.
+    `max_per_forest` caps each orientation separately, so neither side
+    starves when the deepest spines cluster in one forest."""
     out: list[RayHandle] = []
-    for i in (1, 2):
-        side = orientation_rays(pair.forest_of(i), pair.insulation[i - 1].leaf_sites,
-                                pair.params.beta, i, min_depth)
-        out.extend(side[:max_per_forest])
+    for i, (forest, sites) in enumerate(zip(forests, leaf_sites), start=1):
+        side = [r for r in build_rays(forest, sites, beta, i) if r.depth >= min_depth]
+        out.extend(sorted(side, key=lambda r: (-r.depth, r.leaf))[:max_per_forest])
     out.sort(key=lambda r: (-r.depth, r.leaf))
     return out
 
 
 @dataclass
 class BuiltEnvironment:
-    pair: PrunedPair
     rays: list[RayHandle]
+    inside: tuple[np.ndarray, np.ndarray]   # certain ray cover per forest
     env: PatchedEnv
-    constants: InsulationConstants
     horizon_factor: float
 
 
-def build_patched(pair: PrunedPair, rays: list[RayHandle] | None = None,
-                  horizon_factor: float | None = None,
-                  min_depth: int = 1) -> BuiltEnvironment:
-    """Calibrate the horizon factor (unless given) on at most 24 sites of
-    each of the first 6 tubes, swept 2048 steps, and patch the window."""
-    params = pair.params
-    consts = solve_insulation_constants(params.dim, params.beta)
-    if rays is None:
-        rays = select_rays(pair, min_depth=min_depth)
+def build_patched(params: ModelParams, rays: list[RayHandle],
+                  ins_sup: tuple[StatusField, StatusField],
+                  inside: tuple[np.ndarray, np.ndarray],
+                  horizon_factor: float | None = None) -> BuiltEnvironment:
+    """Patch the window with the tubes of `rays` on the sites certainly
+    in some forest's ray cover (`inside[i-1]`: forest i's `ray_layer == IN`),
+    at horizons from the insulation sups `ins_sup`.  The horizon factor,
+    unless given, is calibrated on at most 24 sites of each of the first 6
+    tubes, swept 2048 steps."""
     if not rays:
         raise ValueError("no rays deep enough to build an environment")
     envs = ray_environments(rays)
     if horizon_factor is None:
         pairs = []
         for k, env in enumerate(envs[:6]):
-            ins = pair.ins_sup[env.geom.ray.forest_index - 1]
+            ins = ins_sup[env.geom.ray.forest_index - 1]
             j, at = params.window.box.locate(env.geom.sites)
             ok = ins.exact.reshape(-1)[at] & (env.geom.u[j] >= 1)
             hval = np.maximum(ins.value.reshape(-1)[at[ok]], 1)[:24]
             pairs += [(k, int(jj), int(h)) for jj, h in zip(j[ok], hval)]
+        depth_factor = solve_insulation_constants(params.dim, params.beta).depth_factor
         horizon_factor = choose_horizon_factor(
             envs[:6], pairs, ellipticity_constant(params.dim),
-            floor=max(consts.depth_factor, 1.0), n_max=2048)
-    certain_cover = (pair.insulation[0].ray_layer == IN) | \
-        (pair.insulation[1].ray_layer == IN)
-    env = patch(params.window, envs,
-                {1: pair.ins_sup[0], 2: pair.ins_sup[1]},
-                horizon_factor, certain_cover=certain_cover)
-    return BuiltEnvironment(pair=pair, rays=rays, env=env,
-                            constants=consts, horizon_factor=horizon_factor)
+            floor=max(depth_factor, 1.0), n_max=2048)
+    env = patch(params.window, envs, {1: ins_sup[0], 2: ins_sup[1]},
+                horizon_factor, certain_cover=inside[0] | inside[1])
+    return BuiltEnvironment(rays=rays, inside=inside, env=env, horizon_factor=horizon_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -252,16 +235,13 @@ class TrapRun:
     starts: dict[str, Site]
 
 
-def trap_experiment(params: ModelParams, horizon: int, replicas: int,
-                    u_min: int = 1, built: BuiltEnvironment | None = None) -> TrapRun:
-    """Deepest-ray starts for both orientations plus the uniform control."""
-    if built is None:
-        built = build_patched(build_pruned_pair(params))
-    inside = tuple(ins.ray_layer == IN for ins in built.pair.insulation)
+def trap_experiment(built: BuiltEnvironment, horizon: int, replicas: int,
+                    u_min: int, walk_seed: int) -> TrapRun:
+    """Walks in a built environment from each orientation's best start,
+    plus the uniform control (see `trap_walks`), kept in memory."""
     run = TrapRun(estimates={}, batches={}, starts={})
-    for name, start, batch in trap_walks(
-            built.env.row_type, inside, built.rays, built.pair.forest_of(1).box, horizon,
-            replicas, u_min, params.seed):
+    for name, start, batch in trap_walks(built.env.row_type, built.inside, built.rays,
+                                         built.env.box, horizon, replicas, u_min, walk_seed):
         run.estimates[name] = trap_probability(batch)
         run.batches[name] = batch
         run.starts[name] = start

@@ -25,6 +25,7 @@ from umbrellaforest.pipeline import (EnvMixingJob, TailJob, build_patched,
                                      forest_direction_sampler, oracle_suite,
                                      select_rays, tail_experiment,
                                      trap_experiment)
+from umbrellaforest.pruning import IN
 from umbrellaforest.raygeom import (ellipticity_constant,
                                     solve_insulation_constants, tube_geometry)
 from umbrellaforest.stats import exponent_fit, mixing_covariance, ols_loglog
@@ -129,10 +130,12 @@ def test_criterion_5_exact_invariant_suite():
             bad.append(f"inst {inst}: insulation overlap "
                        f"{pair.disjoint.certain_overlaps[:3]}")
             continue
-        rays = select_rays(pair, min_depth=4)[:6]
+        rays = select_rays(pair.forests, [ins.leaf_sites for ins in pair.insulation], p.beta,
+                           min_depth=4)[:6]
         if not rays:
             continue
-        built = build_patched(pair, rays=rays, horizon_factor=None)
+        built = build_patched(p, rays, pair.ins_sup,
+                              tuple(ins.ray_layer == IN for ins in pair.insulation))
         env = built.env
         box = env.box
 
@@ -219,9 +222,11 @@ def test_criterion_6_oracle_equivalence():
 def test_criterion_7_trapping_two_sided():
     p = default_params(3, Window.centered(56, 3, 10), seed=70_007)
     pair = build_pruned_pair(p)
-    rays = select_rays(pair, min_depth=8, max_per_forest=6)
-    built = build_patched(pair, rays=rays)
-    run = trap_experiment(p, horizon=10_000, replicas=500, u_min=1, built=built)
+    rays = select_rays(pair.forests, [ins.leaf_sites for ins in pair.insulation], p.beta,
+                       min_depth=8, max_per_forest=6)
+    built = build_patched(p, rays, pair.ins_sup,
+                          tuple(ins.ray_layer == IN for ins in pair.insulation))
+    run = trap_experiment(built, horizon=10_000, replicas=500, u_min=1, walk_seed=p.seed)
     e1 = run.estimates["orient_1"]
     e2 = run.estimates["orient_2"]
     ec = run.estimates["control"]

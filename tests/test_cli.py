@@ -5,13 +5,14 @@ import shutil
 import numpy as np
 import pytest
 
-from umbrellaforest import pipeline
+from umbrellaforest import pipeline, pruning
 from umbrellaforest.cli import main
 from umbrellaforest.environment import write_environment
 from umbrellaforest.fieldgen import default_params
 from umbrellaforest.lattice import Window
-from umbrellaforest.pipeline import build_patched, build_pruned_pair, trap_experiment
-from umbrellaforest.pruning import write_membership
+from umbrellaforest.pipeline import (build_patched, build_pruned_pair, select_rays,
+                                     trap_experiment)
+from umbrellaforest.pruning import IN, write_membership
 from umbrellaforest.walker import walks_csv
 
 
@@ -148,10 +149,20 @@ def test_oracle_stage(capsys):
     assert "exit_dp_horizon4: ok" in outp
 
 
-def test_walk_reads_the_dumps_of_earlier_stages(staged, tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def in_memory():
+    """The `base_args` instance pruned and patched in memory from its seed."""
     params = default_params(3, Window.centered(22, 3, 7), 12)
-    want = trap_experiment(params, horizon=300, replicas=40,
-                           built=build_patched(build_pruned_pair(params)))
+    pair = build_pruned_pair(params)
+    rays = select_rays(pair.forests, [ins.leaf_sites for ins in pair.insulation], params.beta)
+    built = build_patched(params, rays, pair.ins_sup,
+                          tuple(ins.ray_layer == IN for ins in pair.insulation))
+    return params, pair, built
+
+
+def test_walk_reads_the_dumps_of_earlier_stages(staged, in_memory, tmp_path, monkeypatch):
+    params, _, built = in_memory
+    want = trap_experiment(built, horizon=300, replicas=40, u_min=1, walk_seed=params.seed)
     for name, batch in want.batches.items():
         walks_csv(batch, str(tmp_path / name))
         assert (staged / f"walks_{name}.csv").read_bytes() == (tmp_path / name).read_bytes()
@@ -170,28 +181,40 @@ def test_walk_reads_the_dumps_of_earlier_stages(staged, tmp_path, monkeypatch):
             (staged / f"walks_{name}.csv").read_bytes()
 
 
-def test_prune_and_env_read_the_dumps_of_earlier_stages(staged, tmp_path, monkeypatch):
-    params = default_params(3, Window.centered(22, 3, 7), 12)
-    pair = build_pruned_pair(params)
+def test_prune_and_env_read_the_dumps_of_earlier_stages(staged, in_memory, tmp_path,
+                                                         monkeypatch):
+    params, pair, built = in_memory
     layers = {f"{name}_{i}": layer for i in (1, 2) for name, layer in (
-        ("keep", pair.keep[i - 1]), ("chain", pair.chains[i - 1].layer),
-        ("ball", pair.insulation[i - 1].ball_layer),
-        ("ray_cover", pair.insulation[i - 1].ray_layer))}
+        ("chain", pair.chains[i - 1].layer), ("ray_cover", pair.insulation[i - 1].ray_layer))}
     write_membership(str(tmp_path / "membership.json"), params.window, layers)
-    write_environment(build_patched(pair).env, str(tmp_path / "env.umbe"))
+    write_environment(built.env, str(tmp_path / "env.umbe"))
 
-    # neither stage generates a field, grows a forest or builds the pair
+    # neither stage generates a field, grows a forest or builds the pair,
+    # and env derives nothing of the pruning
     out = copy_of(staged, tmp_path)
 
     def no_build(*args, **kwargs):
-        raise AssertionError("prune or env regrew what earlier stages wrote")
+        raise AssertionError("prune or env recomputed what earlier stages wrote")
 
     for name in ("build_pruned_pair", "generate_field", "build_forest"):
         monkeypatch.setattr(pipeline, name, no_build)
-    for stage in ("prune", "env"):
-        assert run([stage, *base_args(out)]) == 0, stage
+    assert run(["prune", *base_args(out)]) == 0
+    monkeypatch.setattr(pipeline, "prune_pair", no_build)
+    for name in ("tilde_membership", "prune_to_infinite", "insulate"):
+        monkeypatch.setattr(pipeline, name, no_build)
+        monkeypatch.setattr(pruning, name, no_build)
+    assert run(["env", *base_args(out)]) == 0
     for name in ("membership.json", "env.umbe"):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_env_requires_prune(staged, tmp_path, capsys):
+    out = copy_of(staged, tmp_path)
+    man = json.loads((out / "manifest.json").read_text())
+    del man["stages"]["prune"]
+    (out / "manifest.json").write_text(json.dumps(man))
+    assert run(["env", *base_args(out)]) == 2
+    assert "'prune'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("stage", ["prune", "env"])
@@ -214,6 +237,23 @@ def test_metrics_without_insulation_sup_is_integrity_error(staged, tmp_path, cap
     assert run([stage, *base_args(out)]) == 1
     err = capsys.readouterr().err
     assert "integrity error" in err and "H1_" in err
+
+
+@pytest.mark.parametrize("stage", ["env", "walk"])
+@pytest.mark.parametrize("fault", ["ray_cover_2", "window"])
+def test_broken_membership_is_integrity_error(staged, tmp_path, capsys, stage, fault):
+    out = copy_of(staged, tmp_path)
+    doc = json.loads((out / "membership.json").read_text())
+    if fault == "window":
+        doc["window"]["lo"][0] += 1
+        doc["window"]["hi"][0] += 1
+    else:
+        del doc["layers"][fault]
+    (out / "membership.json").write_text(json.dumps(doc))
+    rehash(out, "prune", "membership.json")
+    assert run([stage, *base_args(out, WALK if stage == "walk" else ())]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("integrity error: membership.json: ") and fault in err
 
 
 def test_walk_requires_prune(staged, tmp_path, capsys):

@@ -302,8 +302,10 @@ def built_instance(seed=13, side=30, margin=8):
     w = Window.centered(side, 3, margin)
     p = default_params(3, w, seed=seed)
     pair = build_pruned_pair(p)
-    rays = uf.select_rays(pair, min_depth=4)[:8]
-    return p, pair, build_patched(pair, rays=rays)
+    rays = uf.select_rays(pair.forests, [ins.leaf_sites for ins in pair.insulation], p.beta,
+                          min_depth=4)[:8]
+    inside = tuple(ins.ray_layer == IN for ins in pair.insulation)
+    return p, pair, build_patched(p, rays, pair.ins_sup, inside)
 
 
 def test_patched_env_rows_exact(tmp_path):
@@ -375,7 +377,7 @@ def test_patch_argmin_choice():
     # the chosen ray's exit mass never exceeds another covering ray's
     p, pair, built = built_instance(seed=19)
     env = built.env
-    cover = (pair.insulation[0].ray_layer == IN) | (pair.insulation[1].ray_layer == IN)
+    cover = built.inside[0] | built.inside[1]
     envs = [ray_environment(ray) for ray in built.rays]
     worst = patch(p.window, envs, {1: pair.ins_sup[0], 2: pair.ins_sup[1]},
                   built.horizon_factor, certain_cover=cover, objective="max")
@@ -474,7 +476,7 @@ def test_patch_locality_under_ray_removal():
     p, pair, built = built_instance(seed=23)
     env = built.env
     box = env.box
-    cover = (pair.insulation[0].ray_layer == IN) | (pair.insulation[1].ray_layer == IN)
+    cover = built.inside[0] | built.inside[1]
     part = patch(p.window, [ray_environment(ray) for ray in built.rays[::2]],
                  {1: pair.ins_sup[0], 2: pair.ins_sup[1]},
                  built.horizon_factor, certain_cover=cover)

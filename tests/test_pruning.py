@@ -433,4 +433,35 @@ def test_layers_match_site_by_site_definitions(inst):
     kept = {x for x in sites if chain[box.local(x)] >= FRONTIER}
     tips = sorted(x for x in kept if not any(y in kept for y in children[x]))
     assert sorted(leaves(chain, own)) == tips
-    assert sorted(insulate(chained, h, own, beta).leaf_sites) == tips
+    ins = insulate(chained, h, own, beta)
+    assert sorted(ins.leaf_sites) == tips
+
+    # the certain insulation unions: a site is IN iff it lies in the
+    # l1-ball of radius floor(n^beta) around the n-th ancestor of a kept
+    # leaf (ray layer), or of radius floor(h^beta) around a kept site (ball
+    # layer); an ancestor of several leaves takes its largest n
+    def radius(v):
+        return int(np.floor(np.power(np.float64(max(v, 0)), beta)))
+
+    nth = {}
+    for x in tips:
+        n = 0
+        while box.contains(x):
+            nth[x] = max(nth.get(x, 0), n)
+            x, n = parent[x], n + 1
+    pts = np.array(sites)
+    for layer, centres in ((ins.ray_layer, {x: radius(n) for x, n in nth.items()}),
+                           (ins.ball_layer, {x: radius(h.at(x)[0]) for x in kept})):
+        hit = np.zeros(len(sites), dtype=bool)
+        for x, r in centres.items():
+            hit |= np.abs(pts - np.array(x)).sum(axis=1) <= r
+        assert [layer[box.local(x)] == IN for x in sites] == hit.tolist()
+
+    # check_disjoint reports the direct intersection of two IN sets; the
+    # ball and ray layers of one forest overlap wherever a ray runs
+    rep = check_disjoint(ins.ball_layer, ins.ray_layer, box)
+    pairs = [(ins.ball_layer[box.local(x)], ins.ray_layer[box.local(x)]) for x in sites]
+    assert sorted(rep.certain_overlaps) == sorted(
+        x for x, (a, b) in zip(sites, pairs) if a == IN and b == IN)
+    assert rep.unknown_overlaps == sum(OUT not in ab and ab != (IN, IN) for ab in pairs)
+    assert rep.disjoint == (not rep.certain_overlaps)

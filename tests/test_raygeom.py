@@ -291,7 +291,8 @@ def test_geometry_invariants_on_generated_rays():
     w = Window.centered(28, 3, 8)
     p = default_params(3, w, seed=43)
     pair = build_pruned_pair(p)
-    rays = select_rays(pair, min_depth=5)[:6]
+    rays = select_rays(pair.forests, [ins.leaf_sites for ins in pair.insulation], p.beta,
+                       min_depth=5)[:6]
     assert rays, "expected at least one ray on this seed"
     consts = solve_insulation_constants(3, p.beta)
     for ray in rays:
@@ -315,7 +316,8 @@ def test_distance_to_leaf_bounded_by_insulation_sup():
     w = Window.centered(28, 3, 8)
     p = default_params(3, w, seed=47)
     pair = build_pruned_pair(p)
-    rays = select_rays(pair, min_depth=4)[:6]
+    rays = select_rays(pair.forests, [ins.leaf_sites for ins in pair.insulation], p.beta,
+                       min_depth=4)[:6]
     assert rays
     box = pair.forest_of(1).box
     for ray in rays:
