@@ -435,21 +435,14 @@ def stage_tails(cfg: RunConfig) -> int:
 def stage_mixing(cfg: RunConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     shifts = cfg.grid or [8, 16, 32, 64]
-    rows = []
     if cfg.dim == 2:
         sampler = pipeline.forest_direction_sampler(2, shifts, cfg.margin, cfg.seed)
-        rows += stats.mixing_covariance(sampler, cfg.replicas, shifts,
-                                        target="forest", functional="step_is_e1",
-                                        gamma=1.0)
+        rows = stats.mixing_covariance(sampler, cfg.replicas, shifts,
+                                       target="forest", functional="step_is_e1",
+                                       gamma=1.0)
     else:
-        job = pipeline.EnvMixingJob(dim=cfg.dim, shifts=tuple(shifts),
-                                    margin=cfg.margin, seed=cfg.seed)
-        samples = pipeline.environment_mixing_samples(job, cfg.replicas,
-                                                      threads=cfg.threads)
-        rows += stats.mixing_covariance(lambda k: samples[k], cfg.replicas,
-                                        shifts, target="environment",
-                                        functional="block_covered",
-                                        gamma=1.0 / 13.0)
+        rows = pipeline.environment_mixing(cfg.params(), shifts, cfg.replicas,
+                                           threads=cfg.threads)
     path = os.path.join(cfg.out, "mixing.csv")
     stats.mixing_to_csv(rows, path)
     _record_stage(cfg, "mixing", [path])

@@ -131,15 +131,17 @@ def length_from_uniform(u, p: ModelParams):
     """Inverse CDF of the length law; scalar or ndarray u in (0, 1).
 
     Decreasing in u: small u lands on the power tail (exact branch
-    theta * L^-d = u), the rest maps linearly onto (1, n0].
+    theta * L^-d = u), the rest maps linearly onto (1, n0].  Only the sites
+    with u below the tail mass at n0 evaluate the tail's root.
     """
     d, n0 = p.dim, p.tail_start
     p0 = p.tail_mass_at_start
     u = np.asarray(u, dtype=np.float64)
-    tail = (p.tail_weight / np.maximum(u, 1e-300)) ** (1.0 / d)
-    body = 1.0 + (n0 - 1.0) * (1.0 - u) / (1.0 - p0)
-    out = np.where(u < p0, tail, body)
-    return float(out) if out.ndim == 0 else out
+    flat = u.reshape(-1)
+    out = 1.0 + (n0 - 1.0) * (1.0 - flat) / (1.0 - p0)
+    at = np.flatnonzero(flat < p0)
+    out[at] = (p.tail_weight / np.maximum(flat[at], 1e-300)) ** (1.0 / d)
+    return float(out[0]) if u.ndim == 0 else out.reshape(u.shape)
 
 
 def tail_mass(p: ModelParams, t: float) -> float:

@@ -2,8 +2,9 @@
 
 Each driver is a pure function of explicit parameters and a root seed; all
 per-replica randomness is derived through named streams, so any stage can
-be rerun in isolation and replicas can be farmed out to worker processes
-without coordination.
+be rerun in isolation and replicas or windows can be farmed out to worker
+processes without coordination.  The environment's mixing is measured by
+spatial averages over whole pruned-pair windows (`environment_mixing`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .environment import (PatchedEnv, choose_horizon_factor, patch,
 from .fieldgen import ModelParams, default_params, generate_field
 from .forest import Forest, axes_at, build_forest, example1_forest
 from .lattice import Box, Site, Window
-from .metrics import (StatusField, TailEstimate, accumulate_tail,
+from .metrics import (StatusField, TailEstimate, _ball_max, accumulate_tail,
                       compute_h, compute_insulation_sup, empty_tail,
                       interior_mask, merge_tail)
 from .pruning import (IN, ChainResult, DisjointReport, Insulation,
@@ -29,6 +30,7 @@ from .pruning import (IN, ChainResult, DisjointReport, Insulation,
                       prune_to_infinite, tilde_membership)
 from .raygeom import (RayHandle, build_rays, ellipticity_constant,
                       solve_insulation_constants, trap_start, tube_geometries)
+from .stats import MixingRow, covariance_rows
 from .walker import TrapEstimate, WalkBatch, WalkConfig, run_walks, trap_probability
 
 
@@ -323,58 +325,57 @@ def forest_direction_sampler(dim: int, shifts: list[int], margin: int, seed: int
     return sampler
 
 
-@dataclass(frozen=True)
-class EnvMixingJob:
-    """Growing-block coverage functional of the patched environment rows.
+def block_radius(s: int, dim: int) -> int:
+    """Radius of the l1 blocks compared at shift s: floor(6 s^(1/(8 dim)))."""
+    return int(np.floor(6.0 * s ** (1.0 / (8 * dim))))
 
-    Per shift s the block is the l1-ball of radius 6 s^(1/(8 dim)); the
-    functional is the indicator that the block contains a site with a
-    non-uniform installed row, i.e. a certainly ray-covered site, which is
-    measurable with respect to the rows on the block.  The strip window
-    pads the largest block by 4 sites.
+
+def block_covered_sums(covered: np.ndarray, shifts: list[int]) -> np.ndarray:
+    """(n, sum f, sum g, sum f g) per shift, shape (len(shifts), 4): f is
+    the indicator that the l1 block of radius `block_radius(s)` around a
+    base point x meets `covered`, g the same at x + s e_1.  The base points
+    are every second site on each axis, both blocks radius + 4 from the faces.
     """
-
-    dim: int
-    shifts: tuple[int, ...]
-    margin: int
-    seed: int
-
-    def geometry(self):
-        from .lattice import l1_ball_offsets
-        radius = {s: int(np.floor(6.0 * s ** (1.0 / (8 * self.dim)))) for s in self.shifts}
-        smax = max(self.shifts)
-        pad = 4 + radius[smax]
-        strip = Window((-pad,) * self.dim,
-                       (smax + pad,) + (pad,) * (self.dim - 1), self.margin)
-        blocks = {}
-        for s in self.shifts:
-            offs = l1_ball_offsets(self.dim, radius[s])
-            origin = [tuple(o) for o in offs]
-            shifted = [(s + o[0],) + tuple(o[1:]) for o in offs]
-            blocks[s] = (origin, shifted)
-        return strip, blocks
-
-
-def _env_mixing_replica(args: tuple[EnvMixingJob, int]):
-    job, k = args
-    strip, blocks = job.geometry()
-    params = default_params(job.dim, strip, rng.stream("mixing-env", job.seed, k))
-    pair = build_pruned_pair(params)
-    covered = (pair.insulation[0].ray_layer == IN) | \
-        (pair.insulation[1].ray_layer == IN)
-    box = pair.forest_of(1).box
-    out = {}
-    for s, (origin, shifted) in blocks.items():
-        f = 1.0 if any(covered[box.local(site)] for site in origin) else 0.0
-        g = 1.0 if any(covered[box.local(site)] for site in shifted) else 0.0
-        out[s] = (f, g)
+    out = np.zeros((len(shifts), 4))
+    for i, s in enumerate(shifts):
+        r = block_radius(s, covered.ndim)
+        pad = r + 4
+        blk = _ball_max(covered, r)
+        rest = tuple(slice(pad, n - pad, 2) for n in covered.shape[1:])
+        f = blk[(slice(pad, covered.shape[0] - pad - s, 2),) + rest]
+        g = blk[(slice(pad + s, covered.shape[0] - pad, 2),) + rest]
+        out[i] = (f.size, np.count_nonzero(f), np.count_nonzero(g),
+                  np.count_nonzero(f & g))
     return out
 
 
-def environment_mixing_samples(job: EnvMixingJob, replicas: int,
-                               threads: int = 1) -> list[dict]:
-    return parallel_map(_env_mixing_replica,
-                        [(job, k) for k in range(replicas)], threads)
+def _env_window_sums(args: tuple[ModelParams, list[int]]) -> np.ndarray:
+    params, shifts = args
+    pair = build_pruned_pair(params)
+    covered = (pair.insulation[0].ray_layer == IN) | (pair.insulation[1].ray_layer == IN)
+    return block_covered_sums(covered, shifts)
+
+
+def environment_mixing(params: ModelParams, shifts: list[int], windows: int,
+                       threads: int = 1) -> list[MixingRow]:
+    """Block covariance of the environment by spatial averages:
+    `block_covered_sums` of the sites certainly in either forest's ray cover
+    (the sites whose patched rows are not uniform) on `windows` pruned pairs
+    over the window of `params`, window k seeded by ("mixing-env", seed, k).
+    The environment is stationary, so one window holds many block pairs; the
+    sums are pooled over windows, and the error is the jackknife that leaves
+    out one window at a time.
+    """
+    if windows < 3:
+        raise ValueError(f"{windows} windows < required 3")
+    need = max(s + 2 * (block_radius(s, params.dim) + 4) for s in shifts)
+    if min(params.window.box.shape) <= need:
+        raise ValueError(f"window {params.window.box.shape} cannot hold a shift "
+                         f"plus two block pads: need a side > {need}")
+    jobs = [(derived_params(params, "mixing-env", k), shifts) for k in range(windows)]
+    sums = np.stack(parallel_map(_env_window_sums, jobs, threads))
+    return covariance_rows(sums, shifts, target="environment",
+                           functional="block_covered", gamma=1.0 / 13.0)
 
 
 def default_threads() -> int:

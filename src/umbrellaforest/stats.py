@@ -2,8 +2,9 @@
 
 The mixing measurement follows the block-covariance definition literally:
 bounded functionals of the variables inside a finite block, the same
-functional at a shifted block, plain covariance over independent replicas,
-jackknife intervals.  No spectral or coupling shortcuts.
+functional at a shifted block, covariance pooled over groups (independent
+replicas, or the block pairs of one window) and jackknife intervals that
+leave out one group at a time.  No spectral or coupling shortcuts.
 """
 
 from __future__ import annotations
@@ -74,16 +75,19 @@ def exponent_fit(tail) -> dict[str, tuple[float, float]]:
 # mixing
 # ---------------------------------------------------------------------------
 
-def _jackknife_cov(f: np.ndarray, g: np.ndarray) -> tuple[float, float]:
-    """Sample covariance and a jackknife standard error."""
-    n = f.size
-    if n < 3:
+def _jackknife_cov(n: np.ndarray, sf: np.ndarray, sg: np.ndarray,
+                   sfg: np.ndarray) -> tuple[float, float]:
+    """Pooled covariance of (f, g) over groups of samples, given each group's
+    count n and sums of f, g and f g, and the jackknife standard error that
+    leaves out one group at a time.  Independent replicas are groups of one."""
+    groups = n.size
+    if groups < 3:
         raise ValueError("need at least 3 replicas")
-    cov = float(np.mean(f * g) - np.mean(f) * np.mean(g))
-    sf, sg, sfg = f.sum(), g.sum(), (f * g).sum()
-    m = n - 1
-    loo = ((sfg - f * g) / m) - ((sf - f) / m) * ((sg - g) / m)
-    se = math.sqrt(max(0.0, (n - 1) / n * float(np.sum((loo - loo.mean()) ** 2))))
+    total, tf, tg, tfg = n.sum(), sf.sum(), sg.sum(), sfg.sum()
+    cov = float(tfg / total - (tf / total) * (tg / total))
+    m = total - n
+    loo = ((tfg - sfg) / m) - ((tf - sf) / m) * ((tg - sg) / m)
+    se = math.sqrt(max(0.0, (groups - 1) / groups * float(np.sum((loo - loo.mean()) ** 2))))
     return cov, se
 
 
@@ -98,38 +102,36 @@ class MixingRow:
     s_pow_gamma_cov: float
 
 
-def mixing_covariance(sampler, replicas: int, shifts: list[int],
-                      target: str, functional: str,
-                      gamma: float = 1.0, min_replicas: int = 64) -> list[MixingRow]:
-    """Block covariance decay over independent replicas.
-
-    `sampler(k)` evaluates replica k and returns either
-    (f_at_origin_block, {shift: f_at_shifted_block}) for a fixed base
-    functional, or {shift: (f, g)} when the block grows with the shift.
-    Functionals must be bounded by 1 in absolute value; the covariance then
-    sits in [-1, 1] automatically.
-    """
-    if replicas < min_replicas:
-        raise ValueError(f"{replicas} replicas < required {min_replicas}")
-    f0 = {s: np.empty(replicas) for s in shifts}
-    fs = {s: np.empty(replicas) for s in shifts}
-    for k in range(replicas):
-        got = sampler(k)
-        if isinstance(got, dict):
-            for s in shifts:
-                f0[s][k], fs[s][k] = got[s]
-        else:
-            base, shifted = got
-            for s in shifts:
-                f0[s][k] = base
-                fs[s][k] = shifted[s]
+def covariance_rows(sums: np.ndarray, shifts: list[int], target: str,
+                    functional: str, gamma: float) -> list[MixingRow]:
+    """One row per shift from grouped sums: sums[k, i] holds group k's
+    (n, sum f, sum g, sum f g) at shifts[i]."""
     rows = []
-    for s in shifts:
-        cov, se = _jackknife_cov(f0[s], fs[s])
+    for i, s in enumerate(shifts):
+        cov, se = _jackknife_cov(*sums[:, i].T)
         rows.append(MixingRow(target=target, functional=functional, s_l1=s,
                               cov=cov, ci=1.96 * se, gamma=gamma,
                               s_pow_gamma_cov=abs(cov) * s ** gamma))
     return rows
+
+
+def mixing_covariance(sampler, replicas: int, shifts: list[int],
+                      target: str, functional: str,
+                      gamma: float = 1.0) -> list[MixingRow]:
+    """Block covariance decay over at least 64 independent replicas.
+
+    `sampler(k)` evaluates replica k and returns
+    (f_at_origin_block, {shift: f_at_shifted_block}).  Functionals must be
+    bounded by 1 in absolute value; the covariance then sits in [-1, 1]
+    automatically.
+    """
+    if replicas < 64:
+        raise ValueError(f"{replicas} replicas < required 64")
+    got = [sampler(k) for k in range(replicas)]
+    f = np.array([[base] * len(shifts) for base, _ in got])
+    g = np.array([[shifted[s] for s in shifts] for _, shifted in got])
+    sums = np.stack([np.ones_like(f), f, g, f * g], axis=-1)
+    return covariance_rows(sums, shifts, target, functional, gamma)
 
 
 def mixing_to_csv(rows: list[MixingRow], path: str):

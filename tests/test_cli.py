@@ -142,6 +142,30 @@ def test_mixing_stage_small(tmp_path):
     assert len(lines) == 3
 
 
+def test_mixing_stage_3d_counts_windows(tmp_path, capsys):
+    out = tmp_path / "m"
+    code = run(["mixing", "--dim", "3", "--window", "40", "--margin", "6",
+                "--seed", "4", "--replicas", "3", "--out", str(out), "--grid", "4,8"])
+    assert code == 0
+    lines = (out / "mixing.csv").read_text().splitlines()
+    assert lines[0] == "target,functional,s_l1,cov,ci,s_pow_gamma_cov"
+    assert [ln.split(",")[:3] for ln in lines[1:]] == [
+        ["environment", "block_covered", "4"], ["environment", "block_covered", "8"]]
+    assert "|s|=8: cov" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("extra", [
+    ("--window", "40", "--replicas", "2", "--grid", "4,8"),   # too few windows
+    ("--window", "32", "--replicas", "3"),   # default shifts up to 64
+])
+def test_mixing_stage_3d_rejects_what_it_cannot_estimate(tmp_path, capsys, extra):
+    code = run(["mixing", "--dim", "3", "--margin", "6", "--seed", "4",
+                "--out", str(tmp_path / "m"), *extra])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_oracle_stage(capsys):
     assert run(["oracle", "--max-box", "5"]) == 0
     outp = capsys.readouterr().out

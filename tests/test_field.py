@@ -66,6 +66,25 @@ def test_tail_branch_exactness():
     assert np.max(np.abs(back - us) / us) < 1e-12
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_inverse_cdf_at_the_branch_point_and_the_smallest_uniform(dim):
+    # u = p0 is the body's top end, the next float below is on the tail, and
+    # the smallest positive u hits the tail's clamp; each must equal both
+    # branches evaluated everywhere and selected per site, bit for bit
+    p = mk(dim)
+    p0 = p.tail_mass_at_start
+    us = np.array([p0, np.nextafter(p0, 0.0), np.nextafter(0.0, 1.0)])
+    tail = (p.tail_weight / np.maximum(us, 1e-300)) ** (1.0 / dim)
+    body = 1.0 + (p.tail_start - 1.0) * (1.0 - us) / (1.0 - p0)
+    want = np.where(us < p0, tail, body)
+    got = length_from_uniform(us, p)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert [length_from_uniform(u, p) for u in us] == list(want)
+    assert got[0] == pytest.approx(p.tail_start, rel=1e-12)
+    assert got[1] == pytest.approx(p.tail_start, rel=1e-12)
+    assert np.isfinite(got[2]) and got[2] > got[1]
+
+
 def test_tail_mass_at_three():
     assert tail_mass(mk(2), 3.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
 

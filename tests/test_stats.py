@@ -1,12 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from umbrellaforest import rng
 from umbrellaforest.metrics import TailEstimate
+from umbrellaforest.pipeline import block_covered_sums, block_radius
 from umbrellaforest.stats import (assemble_report, canonical_json,
-                                  exponent_fit, insulation_tail_table,
-                                  load_report, mixing_covariance,
-                                  mixing_to_csv, ols_loglog, wilson_interval)
+                                  covariance_rows, exponent_fit,
+                                  insulation_tail_table, load_report,
+                                  mixing_covariance, mixing_to_csv, ols_loglog,
+                                  wilson_interval)
 
 
 def synthetic_tail(exponent: float) -> TailEstimate:
@@ -73,6 +77,46 @@ def test_mixing_requires_enough_replicas():
     with pytest.raises(ValueError):
         mixing_covariance(lambda k: (0.0, {1: 0.0}), 8, [1], target="t",
                           functional="f", gamma=1.0)
+
+
+def bernoulli_mask(seed: int, shape: tuple[int, ...], q: float) -> np.ndarray:
+    """I.i.d. sites covered with probability q, keyed by (seed, site)."""
+    axes = np.meshgrid(*(np.arange(n) for n in shape), indexing="ij")
+    return rng.uniform_vec(seed, [a.ravel() for a in axes]).reshape(shape) < q
+
+
+def test_block_sums_match_a_direct_l1_search():
+    mask = bernoulli_mask(11, (40, 26, 26), 0.002)
+    shifts = [2, 5]
+    got = block_covered_sums(mask, shifts)
+    covered = np.argwhere(mask)
+    for i, s in enumerate(shifts):
+        r = block_radius(s, 3)
+        pad = r + 4
+        want = np.zeros(4)
+        for x in itertools.product(*(range(pad, n - pad, 2) for n in mask.shape)):
+            x = np.array(x)
+            if x[0] + s > mask.shape[0] - 1 - pad:
+                continue
+            y = x + [s, 0, 0]
+            f = np.abs(covered - x).sum(axis=1).min() <= r
+            g = np.abs(covered - y).sum(axis=1).min() <= r
+            want += (1, f, g, f and g)
+        assert want[0] > 0 and 0 < want[1] < want[0]
+        assert np.array_equal(got[i], want), s
+
+
+def test_block_covariance_vanishes_between_disjoint_blocks():
+    # blocks of radius r at l1 distance s >= 2r + 1 share no site, so on an
+    # i.i.d. mask they are independent; overlapping blocks are not
+    shifts = [4, 13, 20]
+    assert 2 * block_radius(13, 3) + 1 == 13
+    sums = np.stack([block_covered_sums(bernoulli_mask(k, (64, 40, 40), 0.002), shifts)
+                     for k in range(8)])
+    rows = covariance_rows(sums, shifts, target="toy", functional="block", gamma=1.0)
+    assert rows[0].cov > 3 * rows[0].ci
+    for row in rows[1:]:
+        assert abs(row.cov) <= 3 * row.ci, row
 
 
 def test_mixing_csv_columns(tmp_path):
