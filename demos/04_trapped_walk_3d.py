@@ -18,12 +18,12 @@ params = default_params(3, Window.centered(48, 3, margin=10), seed=31)
 pair = build_pruned_pair(params)
 rays = select_rays(pair.forests, [ins.leaf_sites for ins in pair.insulation], params.beta,
                    min_depth=6)
-built = build_patched(params, rays, pair.ins_sup,
-                      tuple(ins.ray_layer == IN for ins in pair.insulation))
-print(f"patched environment: horizon factor {built.horizon_factor:.2f}, "
-      f"{len(built.rays)} tubes")
+inside = tuple(ins.ray_layer == IN for ins in pair.insulation)
+env = build_patched(params, rays, pair.ins_sup, inside)
+print(f"patched environment: horizon factor {env.horizon_factor:.2f}, "
+      f"{len(env.rays)} tubes")
 
-run = trap_experiment(built, horizon=4000, replicas=400, u_min=1, walk_seed=params.seed)
+run = trap_experiment(env, inside, horizon=4000, replicas=400, u_min=1, walk_seed=params.seed)
 for name in ("orient_1", "orient_2", "control"):
     est = run.estimates[name]
     lo, hi = est.ci

@@ -28,7 +28,7 @@ from .environment import ExitStats, PatchedEnv, exit_functionals, patch, \
 from .walker import TrapEstimate, WalkConfig, run_walks, step, trap_probability
 from .stats import exponent_fit, load_report, assemble_report, \
     mixing_covariance, wilson_interval
-from .pipeline import BuiltEnvironment, PrunedPair, build_patched, \
+from .pipeline import PrunedPair, build_patched, \
     build_pruned_pair, select_rays, tail_experiment, trap_experiment
 
 __version__ = "0.1.0"

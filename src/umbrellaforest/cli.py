@@ -355,19 +355,19 @@ def stage_env(cfg: RunConfig) -> int:
     forests = _load_forests(cfg)
     ins_sup, = _load_metrics(cfg, forests, "H")
     rays, inside = _load_rays(cfg, forests)
-    built = pipeline.build_patched(cfg.params(), rays, ins_sup, inside)
+    env = pipeline.build_patched(cfg.params(), rays, ins_sup, inside)
     env_path = os.path.join(cfg.out, "env.umbe")
-    write_environment(built.env, env_path)
-    man = environment_manifest(built.env, cfg.params().beta)
-    res = supermartingale_residuals(built.env)
+    write_environment(env, env_path)
+    man = environment_manifest(env, cfg.params().beta)
+    res = supermartingale_residuals(env)
     man["residuals"] = dict(res.__dict__, witness=list(res.witness) if res.witness else None,
                             worst=None if res.eligible == 0 else res.worst)
     jpath = os.path.join(cfg.out, "env_manifest.json")
     with open(jpath, "w") as f:
         json.dump(man, f, indent=1, sort_keys=True)
     _record_stage(cfg, "env", [env_path, jpath])
-    print(f"patched environment: horizon factor {built.horizon_factor:.4g}, "
-          f"{int(np.count_nonzero(built.env.chosen >= 0))} covered sites")
+    print(f"patched environment: horizon factor {env.horizon_factor:.4g}, "
+          f"{int(np.count_nonzero(env.chosen >= 0))} covered sites")
     return 0
 
 

@@ -14,18 +14,21 @@ them, and walks read the same rows.
 drift pass over all their sites.  A tube's operator comes from its row
 types and its neighbour rows: row j holds the float weights of site j's 2d
 moves in direction order, and every move off the tube points at one
-absorbing column.  A DP call stacks the operators of all the tubes it serves
-block-diagonally over one shared absorbing column and sweeps them together,
-so a patch pays the per-step cost once; `exit_table` orders the stack by
-largest horizon and, at step t, multiplies only the prefix of tubes still
-live.  The exit-time dynamic program is two matrix-vector products per step,
-with rounding error far below the 1e-9 assertion tolerance at desk horizons.
-Its values are reproducible bit for bit, and equal to one tube swept alone,
-because scipy's CSR product sums each row's stored entries in order,
-starting from 0, rounding each product on its own (checked on x86-64, where
-the compiled kernel does not fuse multiply-add); the stacked rows keep their
-entries in stored order, and no operator is ever canonicalised, which would
-merge a row's exits into one entry and change that order.
+absorbing column.  `exit_table` is the one exit-time dynamic program: it
+takes one horizon per site, or several along a second axis, stacks the
+operators of the tubes with a live entry block-diagonally over one shared
+absorbing column, orders the stack by largest horizon and, at step t,
+multiplies only the prefix of tubes still live.  Patching, the horizon
+calibration and one-site queries (`exit_functionals`) each make one call,
+so they pay the per-step cost once, under one budget on the stacked sites.
+Each step is two matrix-vector products, with rounding error far below the
+1e-9 assertion tolerance at desk horizons.  The values are reproducible bit
+for bit, and equal to one tube swept alone, because scipy's CSR product
+sums each row's stored entries in order, starting from 0, rounding each
+product on its own (checked on x86-64, where the compiled kernel does not
+fuse multiply-add); the stacked rows keep their entries in stored order,
+and no operator is ever canonicalised, which would merge a row's exits into
+one entry and change that order.
 
 Patching picks, per covered site, the covering ray whose truncated expected
 exit-time mass is smallest (lexicographic tie-break), which is exactly what
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -107,13 +110,8 @@ def row_table(d: int) -> RowTable:
 
 @dataclass
 class RayEnvironment:
-    """One tube: a row type per site, and its one-step operator.
-
-    Row j of `operator` stores exactly 2d entries, site j's moves in
-    direction order with its row's float weights; a move off the tube points
-    at the absorbing column S, one entry per move.  It is built on first use,
-    as the `_block_operator` of this tube alone.
-    """
+    """One tube: a row type per site; `_block_operator` turns a list of
+    tubes into the DP's one-step operator."""
 
     geom: TubeGeometry
     row_type: np.ndarray    # (S,) int8 index into row_table(d)
@@ -121,11 +119,6 @@ class RayEnvironment:
     @property
     def dim(self) -> int:
         return self.geom.ray.dim
-
-    @cached_property
-    def operator(self) -> csr_array:
-        """(S, S + 1) float64."""
-        return _block_operator([self])
 
 
 def ray_environments(rays: list[RayHandle]) -> list[RayEnvironment]:
@@ -191,92 +184,86 @@ def _block_operator(envs: list[RayEnvironment]) -> csr_array:
                      shape=(N, N + 1))
 
 
-def _dp_sweep(W: csr_array, horizon: int, capture: dict[int, np.ndarray | list[int]],
-              rows: np.ndarray | None = None):
-    """Backward induction under operator W to `horizon`; capture[t] = site
-    indices to read.
-
-    Returns {t: (p, e)}, the captured sites' values after step t.  Entry N
-    of p and e is the absorbed state: p = 1, e = 0.  With `rows`, a
-    nonincreasing count per step, step t updates only the first rows[t]
-    rows, which must read no later row: a prefix of a block stack.  The
-    values rest on scipy's CSR matvec summing each row's 2d entries in
-    stored order from 0, without fused multiply-add (verified on x86-64).
-    """
-    N = W.shape[0]
-    p = np.zeros(N + 1)
-    e = np.zeros(N + 1)
-    p[N] = 1.0
-    captured = {0: (p[capture[0]], e[capture[0]])} if 0 in capture else {}
-    op, R = W, N
-    for t in range(1, horizon + 1):
-        if rows is not None and rows[t] < R:
-            R = int(rows[t])
-            end = W.indptr[R]
-            op = csr_array((W.data[:end], W.indices[:end], W.indptr[:R + 1]), shape=(R, N + 1))
-        e[:R] = op @ (e + p)
-        p[:R] = op @ p
-        if t in capture:
-            captured[t] = (p[capture[t]], e[capture[t]])
-    return captured
-
-
 def exit_functionals(env: RayEnvironment, x: Site, horizon: int,
-                     extra_horizons: tuple[int, ...] = (),
-                     state_budget: int = 1 << 22) -> ExitStats:
-    """Exact DP values for one start site: the one-tube sweep.
+                     extra_horizons: tuple[int, ...] = ()) -> ExitStats:
+    """Exact DP values for one start site: one `exit_table` row.
 
     A start outside the tube exits at time zero: probability one, mass zero.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    S = env.geom.size
-    top = max((horizon, *extra_horizons), default=horizon)
-    if S * max(top, 1) > state_budget:
-        raise MemoryError(f"DP needs {S * top} site-steps, budget {state_budget}")
     j = env.geom.locate(x)
     if j < 0:
         return ExitStats(site=tuple(x), horizon=horizon, exit_prob=1.0, exit_mass=0.0,
                          mass_at={n: 0.0 for n in extra_horizons})
-    captured = _dp_sweep(env.operator, top, {t: [j] for t in {horizon, *extra_horizons}})
-    (p,), (e,) = captured[horizon]
-    return ExitStats(site=tuple(x), horizon=horizon, exit_prob=float(p), exit_mass=float(e),
-                     mass_at={n: float(captured[n][1][0]) for n in extra_horizons})
+    hz = np.full((env.geom.size, 1 + len(extra_horizons)), -1, dtype=np.int64)
+    hz[j] = (horizon, *extra_horizons)
+    [(p, e)] = exit_table([env], [hz])
+    return ExitStats(site=tuple(x), horizon=horizon, exit_prob=float(p[j, 0]),
+                     exit_mass=float(e[j, 0]),
+                     mass_at={n: float(m) for n, m in zip(extra_horizons, e[j, 1:])})
 
 
-def exit_table(envs: list[RayEnvironment],
-               horizons: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(p, e) for every site of every tube, each at its own horizon.
+def exit_table(envs: list[RayEnvironment], horizons: list[np.ndarray],
+               state_budget: int = 1 << 24) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(p, e) = (P[T <= n], E[T; T <= n]) for every entry n of `horizons`.
 
-    horizons: one (S_k,) int array per tube, -1 to skip a site.  The tubes
-    with a live site are stacked by largest horizon, descending, and swept
-    together to the largest one, reading each site off at its own time.
-    Step t multiplies only the rows of the tubes whose largest horizon is at
-    least t, a prefix of the stack, and every row keeps its stored entries,
-    so the values equal those of each tube swept alone.
+    horizons[k]: tube k's sites on the first axis; an optional second axis
+    asks one site for several horizons, and -1 skips an entry.  p and e come
+    back in the shape of horizons[k], NaN on skipped entries.  This is the
+    package's one backward induction.  The tubes with a live entry are
+    stacked by largest horizon, descending, and swept together to the
+    largest one; entry n of a site is read off after step n.  Step t
+    multiplies only the rows of the tubes whose largest horizon is at least
+    t, a prefix of the stack, and every row keeps its stored entries, so the
+    values equal those of each tube swept alone.  The sweep holds two
+    vectors over the stacked sites, whatever the horizons: `state_budget`
+    bounds that count of sites, not the number of steps.  Entry N of the
+    swept p and e is the absorbed state: p = 1, e = 0.
     """
     horizons = [np.asarray(h, dtype=np.int64) for h in horizons]
+    out = [(np.full(h.shape, np.nan), np.full(h.shape, np.nan)) for h in horizons]
     top = [int(h.max(initial=-1)) for h in horizons]
-    out = [(np.full(env.geom.size, np.nan), np.full(env.geom.size, np.nan)) for env in envs]
     order = sorted((k for k in range(len(envs)) if top[k] >= 0), key=lambda k: -top[k])
     if not order:
         return out
     sizes = [envs[k].geom.size for k in order]
-    flat = np.concatenate([horizons[k] for k in order])
+    N = sum(sizes)
+    if N > state_budget:
+        raise MemoryError(f"exit DP stacks {N} tube sites, budget {state_budget}")
+    # every entry's row in the stack; the live entries grouped by horizon
+    flat = np.concatenate([horizons[k].ravel() for k in order])
+    row = np.repeat(np.arange(N), np.repeat([horizons[k].size // S for k, S in zip(order, sizes)],
+                                            sizes))
     live = np.flatnonzero(flat >= 0)
     live = live[np.argsort(flat[live], kind="stable")]
     times, first = np.unique(flat[live], return_index=True)
     capture = dict(zip(times.tolist(), np.split(live, first[1:])))
     p_out = np.full(flat.size, np.nan)
     e_out = np.full(flat.size, np.nan)
-    swept = _dp_sweep(_block_operator([envs[k] for k in order]), top[order[0]], capture,
-                      _live_rows(sizes, [top[k] for k in order]))
-    for t, (p, e) in swept.items():
-        p_out[capture[t]] = p
-        e_out[capture[t]] = e
-    cuts = np.cumsum(sizes)[:-1]
+
+    W = _block_operator([envs[k] for k in order])
+    rows = _live_rows(sizes, [top[k] for k in order])
+    p = np.zeros(N + 1)
+    e = np.zeros(N + 1)
+    p[N] = 1.0
+    op, R = W, N
+    for t in range(top[order[0]] + 1):
+        if t:
+            if rows[t] < R:
+                R = int(rows[t])
+                end = W.indptr[R]
+                op = csr_array((W.data[:end], W.indices[:end], W.indptr[:R + 1]),
+                               shape=(R, N + 1))
+            e[:R] = op @ (e + p)
+            p[:R] = op @ p
+        if t in capture:
+            at = capture[t]
+            p_out[at] = p[row[at]]
+            e_out[at] = e[row[at]]
+    cuts = np.cumsum([horizons[k].size for k in order])[:-1]
     for k, p, e in zip(order, np.split(p_out, cuts), np.split(e_out, cuts)):
-        out[k] = (p, e)
+        out[k] = (p.reshape(horizons[k].shape), e.reshape(horizons[k].shape))
     return out
 
 
@@ -308,37 +295,22 @@ def choose_horizon_factor(envs: list[RayEnvironment], pairs: list[tuple[int, int
     if float(kappa) > 1.0 / (2 * d):
         raise ValueError(f"kappa {float(kappa)} exceeds 1/(2d); no row can be "
                          f"uniformly elliptic at that level")
-    # one sweep over all environments, capturing every pair's candidate horizons
-    offsets = np.cumsum([0] + [env.geom.size for env in envs])
-    capture: dict[int, list[int]] = {}
-    horizons_by_pair = []
+    # one exit_table call: per pair site, every candidate's horizon and n_max
+    cands = list(_dyadic(floor))
+    if len({(ei, si) for ei, si, _ in pairs}) < len(pairs):
+        raise ValueError("a calibration site is listed twice")
+    horizons = [np.full((env.geom.size, len(cands) + 1), -1, dtype=np.int64) for env in envs]
     for ei, si, hval in pairs:
-        hz = sorted({min(n_max, max(1, int(np.ceil(c * hval))))
-                     for c in _dyadic(floor)} | {n_max})
-        horizons_by_pair.append(hz)
-        for t in hz:
-            capture.setdefault(t, []).append(int(offsets[ei]) + si)
-    swept = {(t, k): float(m)
-             for t, (_, e) in _dp_sweep(_block_operator(envs), n_max, capture).items()
-             for k, m in zip(capture[t], e)}
-    mass_curves = []
-    for (ei, si, hval), hz in zip(pairs, horizons_by_pair):
-        mass_curves.append((hval, int(envs[ei].geom.u[si]),
-                            {t: swept[(t, int(offsets[ei]) + si)] for t in hz}))
-    worst = None
-    for c in _dyadic(floor):
-        ok = True
-        for hval, u, masses in mass_curves:
-            hz = min(n_max, max(1, int(np.ceil(c * hval))))
-            tail = masses[n_max] - masses[hz]
-            if tail > float(kappa) ** u + 1e-12:
-                ok = False
-                worst = (hval, u, tail)
-                break
-        if ok:
-            return c
-    raise RuntimeError("horizon factor scan exhausted at 2^20; "
-                       f"worst pair {worst}")
+        horizons[ei][si] = [min(n_max, max(1, int(np.ceil(c * hval)))) for c in cands] + [n_max]
+    tables = exit_table(envs, horizons)
+    masses = np.array([tables[ei][1][si] for ei, si, _ in pairs])
+    tails = masses[:, -1:] - masses[:, :-1]
+    us = [int(envs[ei].geom.u[si]) for ei, si, _ in pairs]
+    over = tails > np.array([float(kappa) ** u for u in us])[:, None] + 1e-12
+    passes = ~over.any(axis=0)
+    if not passes.any():
+        raise RuntimeError(f"horizon factor scan exhausted at 2^20 (n_max {n_max})")
+    return cands[int(np.argmax(passes))]
 
 
 def _dyadic(floor: float):
@@ -381,7 +353,7 @@ class PatchedEnv:
 
 def patch(window: Window, envs: list[RayEnvironment], ins_sup_by_forest: dict[int, "object"],
           horizon_factor: float, certain_cover: np.ndarray | None = None,
-          state_budget: int = 1 << 24, objective: str = "min") -> PatchedEnv:
+          objective: str = "min") -> PatchedEnv:
     """Assemble the global environment from per-ray tube environments.
 
     For every window site covered by at least one tube, compute the exit
@@ -390,9 +362,8 @@ def patch(window: Window, envs: list[RayEnvironment], ins_sup_by_forest: dict[in
     smallest leaf).  Sites whose insulation sup is censored get the first
     covering ray's row and a flag.  `certain_cover` optionally restricts
     installation to certainly-covered sites.  Every tube's exit masses come
-    from one `exit_table` call, whose memory grows with the sites of the
-    tubes it stacks (those with a live site); `state_budget` bounds that
-    count, not the number of steps.  `objective="max"` installs the worst
+    from one `exit_table` call, under its stacked-site budget.
+    `objective="max"` installs the worst
     ray instead and exists only so tests can prove the checker catches a
     mispatched environment.
     """
@@ -426,9 +397,6 @@ def patch(window: Window, envs: list[RayEnvironment], ins_sup_by_forest: dict[in
         hz[j[exact]] = np.maximum(1, np.ceil(horizon_factor * hval))
         covered.append((j, at, exact))
         horizons.append(hz)
-    stacked = sum(hz.size for hz in horizons if hz.max(initial=-1) >= 0)
-    if stacked > state_budget:
-        raise MemoryError(f"patch DP stacks {stacked} tube sites, budget {state_budget}")
     tables = exit_table([envs[rank] for rank in order], horizons)
 
     for rank, (j, at, exact), (p_tab, e_tab) in zip(order, covered, tables):

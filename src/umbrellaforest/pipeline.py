@@ -105,23 +105,16 @@ def select_rays(forests: tuple[Forest, ...], leaf_sites: list[list[Site]], beta:
     return out
 
 
-@dataclass
-class BuiltEnvironment:
-    rays: list[RayHandle]
-    inside: tuple[np.ndarray, np.ndarray]   # certain ray cover per forest
-    env: PatchedEnv
-    horizon_factor: float
-
-
 def build_patched(params: ModelParams, rays: list[RayHandle],
                   ins_sup: tuple[StatusField, StatusField],
                   inside: tuple[np.ndarray, np.ndarray],
-                  horizon_factor: float | None = None) -> BuiltEnvironment:
+                  horizon_factor: float | None = None) -> PatchedEnv:
     """Patch the window with the tubes of `rays` on the sites certainly
     in some forest's ray cover (`inside[i-1]`: forest i's `ray_layer == IN`),
     at horizons from the insulation sups `ins_sup`.  The horizon factor,
     unless given, is calibrated on at most 24 sites of each of the first 6
-    tubes, swept 2048 steps."""
+    tubes, swept 2048 steps; the returned `PatchedEnv` records it and the
+    rays."""
     if not rays:
         raise ValueError("no rays deep enough to build an environment")
     envs = ray_environments(rays)
@@ -137,9 +130,8 @@ def build_patched(params: ModelParams, rays: list[RayHandle],
         horizon_factor = choose_horizon_factor(
             envs[:6], pairs, ellipticity_constant(params.dim),
             floor=max(depth_factor, 1.0), n_max=2048)
-    env = patch(params.window, envs, {1: ins_sup[0], 2: ins_sup[1]},
-                horizon_factor, certain_cover=inside[0] | inside[1])
-    return BuiltEnvironment(rays=rays, inside=inside, env=env, horizon_factor=horizon_factor)
+    return patch(params.window, envs, {1: ins_sup[0], 2: ins_sup[1]},
+                 horizon_factor, certain_cover=inside[0] | inside[1])
 
 
 # ---------------------------------------------------------------------------
@@ -199,31 +191,20 @@ def depth_decay_experiment(params: ModelParams, replicas: int, k_grid: list[int]
                            threads: int = 1) -> list[dict]:
     """Pooled frequency of keep-violations beyond depth k over replicas."""
     jobs = [(params, k, tuple(k_grid)) for k in range(replicas)]
-    tables = parallel_map(_decay_replica, jobs, threads)
-    out = []
-    for idx, k in enumerate(k_grid):
-        viol = sum(t[idx]["violations"] for t in tables)
-        elig = sum(t[idx]["eligible"] for t in tables)
-        out.append({"k": k, "violations": viol, "eligible": elig,
-                    "freq": viol / elig if elig else float("nan")})
-    return out
+    counts = sum(parallel_map(_decay_replica, jobs, threads),
+                 np.zeros((len(k_grid), 2), dtype=np.int64))
+    return [{"k": k, "violations": viol, "eligible": elig,
+             "freq": viol / elig if elig else float("nan")}
+            for k, (viol, elig) in zip(k_grid, counts.tolist())]
 
 
-def _decay_replica(args):
+def _decay_replica(args) -> np.ndarray:
+    """One replica's (violations, eligible) per k, summed over both forests."""
     params, k, k_grid = args
     forests, depth, ins_sup = _grow_pair(derived_params(params, "decay", k))
-    rows = None
-    for chain, h in zip(_chains(forests, depth, ins_sup, params.beta)[1], depth):
-        t = depth_decay_table(chain, interior_mask(h), list(k_grid))
-        if rows is None:
-            rows = t
-        else:
-            for a, b in zip(rows, t):
-                a["violations"] += b["violations"]
-                a["eligible"] += b["eligible"]
-    for a in rows:
-        a["freq"] = a["violations"] / a["eligible"] if a["eligible"] else float("nan")
-    return rows
+    return sum(np.array([(r["violations"], r["eligible"])
+                         for r in depth_decay_table(chain, interior_mask(h), list(k_grid))])
+               for chain, h in zip(_chains(forests, depth, ins_sup, params.beta)[1], depth))
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +218,14 @@ class TrapRun:
     starts: dict[str, Site]
 
 
-def trap_experiment(built: BuiltEnvironment, horizon: int, replicas: int,
-                    u_min: int, walk_seed: int) -> TrapRun:
-    """Walks in a built environment from each orientation's best start,
-    plus the uniform control (see `trap_walks`), kept in memory."""
+def trap_experiment(env: PatchedEnv, inside: tuple[np.ndarray, np.ndarray], horizon: int,
+                    replicas: int, u_min: int, walk_seed: int) -> TrapRun:
+    """Walks in a patched environment from each orientation's best start,
+    inside the certain ray covers `inside` it was patched on, plus the
+    uniform control (see `trap_walks`), kept in memory."""
     run = TrapRun(estimates={}, batches={}, starts={})
-    for name, start, batch in trap_walks(built.env.row_type, built.inside, built.rays,
-                                         built.env.box, horizon, replicas, u_min, walk_seed):
+    for name, start, batch in trap_walks(env.row_type, inside, env.rays, env.box, horizon,
+                                         replicas, u_min, walk_seed):
         run.estimates[name] = trap_probability(batch)
         run.batches[name] = batch
         run.starts[name] = start

@@ -214,7 +214,6 @@ class Insulation:
     ball_layer: np.ndarray   # tri-state union of depth-radius balls over kept sites
     ray_layer: np.ndarray    # tri-state union of widening ray tubes from leaves
     leaf_sites: list[Site]
-    certain_depth: np.ndarray
 
 
 def insulate(chain: ChainResult, h_own: StatusField, forest: Forest,
@@ -256,8 +255,7 @@ def insulate(chain: ChainResult, h_own: StatusField, forest: Forest,
 
     return Insulation(ball_layer=combine(ball_certain, ball_potential),
                       ray_layer=combine(ray_certain, ray_potential),
-                      leaf_sites=_depth_zero_sites(depth_c, forest.box),
-                      certain_depth=depth_c)
+                      leaf_sites=_depth_zero_sites(depth_c, forest.box))
 
 
 @dataclass

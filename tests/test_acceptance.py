@@ -133,13 +133,12 @@ def test_criterion_5_exact_invariant_suite():
                            min_depth=4)[:6]
         if not rays:
             continue
-        built = build_patched(p, rays, pair.ins_sup,
-                              tuple(ins.ray_layer == IN for ins in pair.insulation))
-        env = built.env
+        env = build_patched(p, rays, pair.ins_sup,
+                            tuple(ins.ray_layer == IN for ins in pair.insulation))
         box = env.box
 
-        geoms = [tube_geometry(r) for r in built.rays]
-        for ray, geom in zip(built.rays, geoms):
+        geoms = [tube_geometry(r) for r in env.rays]
+        for ray, geom in zip(env.rays, geoms):
             settled = ~geom.score_censored
             member = geom.v >= 0
             # depth score below insulation distance
@@ -223,9 +222,9 @@ def test_criterion_7_trapping_two_sided():
     pair = build_pruned_pair(p)
     rays = select_rays(pair.forests, [ins.leaf_sites for ins in pair.insulation], p.beta,
                        min_depth=8, max_per_forest=6)
-    built = build_patched(p, rays, pair.ins_sup,
-                          tuple(ins.ray_layer == IN for ins in pair.insulation))
-    run = trap_experiment(built, horizon=10_000, replicas=500, u_min=1, walk_seed=p.seed)
+    inside = tuple(ins.ray_layer == IN for ins in pair.insulation)
+    run = trap_experiment(build_patched(p, rays, pair.ins_sup, inside), inside,
+                          horizon=10_000, replicas=500, u_min=1, walk_seed=p.seed)
     e1 = run.estimates["orient_1"]
     e2 = run.estimates["orient_2"]
     ec = run.estimates["control"]

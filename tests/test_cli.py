@@ -179,14 +179,14 @@ def in_memory():
     params = default_params(3, Window.centered(22, 3, 7), 12)
     pair = build_pruned_pair(params)
     rays = select_rays(pair.forests, [ins.leaf_sites for ins in pair.insulation], params.beta)
-    built = build_patched(params, rays, pair.ins_sup,
-                          tuple(ins.ray_layer == IN for ins in pair.insulation))
-    return params, pair, built
+    inside = tuple(ins.ray_layer == IN for ins in pair.insulation)
+    return params, pair, inside, build_patched(params, rays, pair.ins_sup, inside)
 
 
 def test_walk_reads_the_dumps_of_earlier_stages(staged, in_memory, tmp_path, monkeypatch):
-    params, _, built = in_memory
-    want = trap_experiment(built, horizon=300, replicas=40, u_min=1, walk_seed=params.seed)
+    params, _, inside, env = in_memory
+    want = trap_experiment(env, inside, horizon=300, replicas=40, u_min=1,
+                           walk_seed=params.seed)
     for name, batch in want.batches.items():
         walks_csv(batch, str(tmp_path / name))
         assert (staged / f"walks_{name}.csv").read_bytes() == (tmp_path / name).read_bytes()
@@ -207,11 +207,11 @@ def test_walk_reads_the_dumps_of_earlier_stages(staged, in_memory, tmp_path, mon
 
 def test_prune_and_env_read_the_dumps_of_earlier_stages(staged, in_memory, tmp_path,
                                                          monkeypatch):
-    params, pair, built = in_memory
+    params, pair, _, env = in_memory
     layers = {f"{name}_{i}": layer for i in (1, 2) for name, layer in (
         ("chain", pair.chains[i - 1].layer), ("ray_cover", pair.insulation[i - 1].ray_layer))}
     write_membership(str(tmp_path / "membership.json"), params.window, layers)
-    write_environment(built.env, str(tmp_path / "env.umbe"))
+    write_environment(env, str(tmp_path / "env.umbe"))
 
     # neither stage generates a field, grows a forest or builds the pair,
     # and env derives nothing of the pruning

@@ -84,7 +84,7 @@ def test_ray_environment_types_and_neighbors_site_by_site():
     env = ray_environment(ray)
     geom = env.geom
     rows = row_table(3).rows
-    W = env.operator
+    W = _block_operator([env])
     assert W.shape == (geom.size, geom.size + 1)
     exits = 0
     for j in range(geom.size):
@@ -173,7 +173,7 @@ def test_block_exit_table_equals_each_tube_alone(case):
     W = _block_operator(envs)
     W.check_format(full_check=True)
     N = sum(env.geom.size for env in envs)
-    assert W.shape == (N, N + 1) and W.nnz == sum(env.operator.nnz for env in envs)
+    assert W.shape == (N, N + 1) and W.nnz == sum(_block_operator([env]).nnz for env in envs)
     # each step sweeps exactly the tubes still live, largest horizon first
     tops = sorted((int(hz.max()) for hz in horizons if hz.max() >= 0), reverse=True)
     sizes = [env.geom.size for env, hz in sorted(zip(envs, horizons), key=lambda c: -c[1].max())
@@ -183,6 +183,14 @@ def test_block_exit_table_equals_each_tube_alone(case):
             sum(s for s, top in zip(sizes, tops) if top >= t) for t in range(tops[0] + 1)]
     together = exit_table(envs, horizons)
     assert len(together) == len(envs)
+    # a second column asks each site for another horizon: each column of the
+    # two-column table is the one-column table of that column
+    second = [np.where(hz >= 0, hz[::-1], hz[::-1] + 5) for hz in horizons]
+    wide = exit_table(envs, [np.stack(c, axis=1) for c in zip(horizons, second)])
+    for table, cols in zip(wide, zip(together, exit_table(envs, second))):
+        for c, (p1, e1) in enumerate(cols):
+            assert table[0][:, c].tobytes() == p1.tobytes()
+            assert table[1][:, c].tobytes() == e1.tobytes()
     for env, hz, j, (p, e) in zip(envs, horizons, picks, together):
         ((p1, e1),) = exit_table([env], [hz])
         # bit for bit, NaN on skipped sites included
@@ -305,12 +313,11 @@ def built_instance(seed=13, side=30, margin=8):
     rays = uf.select_rays(pair.forests, [ins.leaf_sites for ins in pair.insulation], p.beta,
                           min_depth=4)[:8]
     inside = tuple(ins.ray_layer == IN for ins in pair.insulation)
-    return p, pair, build_patched(p, rays, pair.ins_sup, inside)
+    return p, pair, inside, build_patched(p, rays, pair.ins_sup, inside)
 
 
 def test_patched_env_rows_exact(tmp_path):
-    p, pair, built = built_instance()
-    env = built.env
+    p, pair, _, env = built_instance()
     kappa = ellipticity_constant(3)
     box = env.box
     covered = 0
@@ -375,18 +382,17 @@ def test_environment_dump_roundtrip_and_rejects(tmp_path):
 
 def test_patch_argmin_choice():
     # the chosen ray's exit mass never exceeds another covering ray's
-    p, pair, built = built_instance(seed=19)
-    env = built.env
-    cover = built.inside[0] | built.inside[1]
-    envs = [ray_environment(ray) for ray in built.rays]
+    p, pair, inside, env = built_instance(seed=19)
+    cover = inside[0] | inside[1]
+    envs = [ray_environment(ray) for ray in env.rays]
     worst = patch(p.window, envs, {1: pair.ins_sup[0], 2: pair.ins_sup[1]},
-                  built.horizon_factor, certain_cover=cover, objective="max")
+                  env.horizon_factor, certain_cover=cover, objective="max")
     both = (env.chosen >= 0) & (worst.chosen >= 0) & ~env.flagged & ~worst.flagged
     assert np.all(env.exit_mass[both] <= worst.exit_mass[both] + 1e-12)
     assert np.isfinite(env.exit_mass[both]).all()
     # flagged: covered, with H censored under every covering ray's forest
     settled = np.zeros(env.box.size, dtype=bool)
-    for ray in built.rays:
+    for ray in env.rays:
         _, at = env.box.locate(tube_geometry(ray).sites)
         at = at[cover.reshape(-1)[at]]
         settled[at] |= pair.ins_sup[ray.forest_index - 1].exact.reshape(-1)[at]
@@ -426,8 +432,7 @@ def residuals_by_site(env):
 
 
 def test_supermartingale_residuals_vacuous_and_corruption_control():
-    p, pair, built = built_instance(seed=13)
-    env = built.env
+    p, pair, _, env = built_instance(seed=13)
     rep = supermartingale_residuals(env)
     # finite tubes leave the stopped region empty: exit times are a.s.
     # finite, so a calibrated horizon forces mass >= 1 - kappa^u > kappa
@@ -473,15 +478,14 @@ def test_supermartingale_residuals_vacuous_and_corruption_control():
 def test_patch_locality_under_ray_removal():
     # a site's row, ray, flag and exit mass depend only on the tubes that
     # cover it: dropping every other ray changes nothing outside their tubes
-    p, pair, built = built_instance(seed=23)
-    env = built.env
+    p, pair, inside, env = built_instance(seed=23)
     box = env.box
-    cover = built.inside[0] | built.inside[1]
-    part = patch(p.window, [ray_environment(ray) for ray in built.rays[::2]],
+    cover = inside[0] | inside[1]
+    part = patch(p.window, [ray_environment(ray) for ray in env.rays[::2]],
                  {1: pair.ins_sup[0], 2: pair.ins_sup[1]},
-                 built.horizon_factor, certain_cover=cover)
+                 env.horizon_factor, certain_cover=cover)
     same = np.ones(box.shape, dtype=bool)
-    for ray in built.rays[1::2]:
+    for ray in env.rays[1::2]:
         for s in tube_geometry(ray).sites:
             if box.contains(tuple(s)):
                 same[box.local(tuple(s))] = False
@@ -513,7 +517,7 @@ def certain_sup(window, value=1):
 
 def test_patch_budget_holds_many_steps_on_few_sites():
     # 7 358 tube sites swept 2 281 steps: 1.7e7 site-steps exceed 2^24, but
-    # the sweep holds only the tube's sites
+    # the sweep holds only the tube's sites, for patch and a one-site query
     env = ray_environment(staircase_ray(300, 0.3))
     size = env.geom.size
     steps = (1 << 24) // size + 1
@@ -527,19 +531,19 @@ def test_patch_budget_holds_many_steps_on_few_sites():
     assert np.count_nonzero(got.chosen >= 0) == at.size > 0
     assert np.array_equal(got.exit_mass.reshape(-1)[at], e_tab[j])
     assert np.array_equal(got.exit_prob.reshape(-1)[at], p_tab[j])
+    one = exit_functionals(env, tuple(map(int, env.geom.sites[j[0]])), steps)
+    assert (one.exit_prob, one.exit_mass) == (p_tab[j[0]], e_tab[j[0]])
 
 
-def test_patch_budget_is_on_the_stacked_sites():
-    # two live copies of a tube stack 2S sites; a tube with no site in the
-    # window is never swept and does not count
-    window = Window((0, 0, 0), (12, 12, 12), 0)
-    envs = [ray_environment(staircase_ray(30, 0.3, shift=s)) for s in (0, 0, 500)]
+def test_exit_table_budget_is_on_the_stacked_sites():
+    # two live copies of a tube stack 2S sites; a tube with no live entry is
+    # never swept and does not count
+    envs = [ray_environment(staircase_ray(30, 0.3))] * 3
     size = envs[0].geom.size
-    assert envs[2].geom.size == size
-    sup = certain_sup(window)
-    patch(window, envs, sup, 1.0, state_budget=2 * size)
+    hz = [np.ones(size, dtype=np.int64)] * 2 + [np.full(size, -1)]
+    exit_table(envs, hz, state_budget=2 * size)
     with pytest.raises(MemoryError, match=f"stacks {2 * size} tube sites"):
-        patch(window, envs, sup, 1.0, state_budget=2 * size - 1)
+        exit_table(envs, hz, state_budget=2 * size - 1)
 
 
 def test_certain_ray_displaces_censored_placeholder():

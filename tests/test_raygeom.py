@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbrellaforest.environment import (exit_functionals, ray_environment,
-                                        ray_environments, ray_row)
+from umbrellaforest.environment import (_block_operator, exit_functionals,
+                                        ray_environment, ray_environments, ray_row)
 from umbrellaforest.fieldgen import default_params
 from umbrellaforest.forest import Forest
 from umbrellaforest.lattice import Direction, Window, all_directions, l1_norm
@@ -122,7 +122,7 @@ def test_tube_batch_equals_each_ray_alone(rays):
             for name in ("keys", "sites", "v", "n_attain", "u", "score_censored", "neighbors"):
                 assert same_array(getattr(g, name), getattr(alone.geom, name)), name
         assert same_array(env.row_type, alone.row_type)
-        W, W1 = env.operator, alone.operator
+        W, W1 = _block_operator([env]), _block_operator([alone])
         assert W.shape == W1.shape
         for name in ("data", "indices", "indptr"):
             assert same_array(getattr(W, name), getattr(W1, name)), name
