@@ -28,7 +28,10 @@ sums each row's stored entries in order, starting from 0, rounding each
 product on its own (checked on x86-64, where the compiled kernel does not
 fuse multiply-add); the stacked rows keep their entries in stored order,
 and no operator is ever canonicalised, which would merge a row's exits into
-one entry and change that order.
+one entry and change that order.  The DP is the package's only scipy user:
+`_block_operator` and `exit_table` import `scipy.sparse` when called, so
+importing the package, and every CLI stage but `env` and `oracle`, never
+loads scipy.
 
 Patching picks, per covered site, the covering ray whose truncated expected
 exit-time mass is smallest (lexicographic tie-break), which is exactly what
@@ -42,13 +45,16 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .lattice import Box, Direction, Site, Window, all_directions
 from .raygeom import (RayHandle, TubeGeometry, drift_directions, drift_indices,
                       ellipticity_constant, tube_geometries, tube_geometry)
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 ENV_MAGIC = b"UMBE"
 ENV_VERSION = 1
@@ -174,6 +180,8 @@ def _block_operator(envs: list[RayEnvironment]) -> csr_array:
     before it, and every move off a tube points at the shared absorbing
     column N, so each row keeps the entry order it has in its own tube.
     """
+    from scipy.sparse import csr_array
+
     d = envs[0].dim
     offsets = np.cumsum([0] + [env.geom.size for env in envs])
     N = int(offsets[-1])
@@ -221,6 +229,8 @@ def exit_table(envs: list[RayEnvironment], horizons: list[np.ndarray],
     bounds that count of sites, not the number of steps.  Entry N of the
     swept p and e is the absorbed state: p = 1, e = 0.
     """
+    from scipy.sparse import csr_array
+
     horizons = [np.asarray(h, dtype=np.int64) for h in horizons]
     out = [(np.full(h.shape, np.nan), np.full(h.shape, np.nan)) for h in horizons]
     top = [int(h.max(initial=-1)) for h in horizons]
