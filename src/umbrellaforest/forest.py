@@ -15,13 +15,17 @@ the pipeline samples (`Window.forest_box`); the margin on the leading side,
 when the field holds it, is never read.
 
 A vertex of effective integer reach e = min(floor(L), R) stamps its own
-length over the block of sites at offsets {0} x [1, e]^(d-1) on each side.
-That block is the union of 2^(d-1) cubes of side 2^floor(log2 e), so one
-table of cube maxima, pushed down from side 2^floor(log2 R) to 1, gives the
-supremum in about log2 R full-slab passes per axis.  Reaches that at least
-one vertex in 16 has are dropped into the table as shifted whole-slab
-maxima, rarer ones vertex by vertex.  The kernel is exact and is
-cross-checked against brute enumeration in the test suite.
+length over the sites at offsets {0} x [1, e]^(d-1) on each side.  That
+cover is the union of 2^(d-1) cubes of side 2^floor(log2 e), so one table
+of cube maxima, pushed down from side 2^floor(log2 R) to 1, gives the
+supremum in about log2 R passes.  Reaches that at least one vertex in 16
+has are dropped into the table as shifted maxima, rarer ones vertex by
+vertex.  A cover on side i stays in its vertex's plane x_i = y_i, so each
+axis is swept in blocks of whole planes perpendicular to it, each exact on
+its own: the kernel's working set is one block of about 2^16 sites, and
+`build_forest` folds each block into its running argmin.  The kernel is
+cross-checked against brute enumeration, at every block size, in the test
+suite.
 
 A caller that needs the parent axis at a few sites only, such as the
 mixing sampler, uses the point query `axes_at`: it samples just the
@@ -48,11 +52,17 @@ FOREST_VERSION = 1
 
 UNCERTAIN_BIT = 0x80
 
-# A reach that at least one slab vertex in this many has is written by
-# full-slab shifts, a rarer one vertex by vertex: the crossover of a few
-# full-slab passes against one scatter per corner and vertex.  On the d=2
+# A reach that at least one block vertex in this many has is written by
+# whole-block shifts, a rarer one vertex by vertex: the crossover of a few
+# whole-block passes against one scatter per corner and vertex.  On the d=2
 # and d=3 tail shapes 16 and 32 tie, 4 and 8 are up to 1.8x slower.
 _DENSE_SHARE = 16
+
+# Slab sites per block of the supremum sweep (at least one plane per
+# block).  On the tail2d, tail3d and pair3d forest shapes 2^16 is the
+# fastest; 2^14 is up to 1.5x slower, whole slabs 1.1-1.2x slower and
+# 4x the memory (docs/decisions.md).
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _shift_max(dst: np.ndarray, src: np.ndarray, offsets) -> None:
@@ -109,6 +119,11 @@ def directed_supremum(slab: np.ndarray, axis_i: int, reach_cap: int,
     every covering length (reach >= 1 means L >= 1), and sites left at 0
     read -inf.  Max is exact and order-free, so the result is the brute
     enumeration's bit for bit.
+
+    No cover leaves its plane, so `slab` may be any run of whole planes
+    perpendicular to axis_i, as `_axis_suprema` passes them; the
+    dense/sparse split, decided per call, is exact either way.  The
+    working set is about four float64 copies of `slab`.
     """
     d = slab.ndim
     perp = [j for j in range(d) if j != axis_i - 1]
@@ -151,12 +166,17 @@ def directed_supremum(slab: np.ndarray, axis_i: int, reach_cap: int,
 
 def _axis_suprema(values: np.ndarray, zeta: int, reach_cap: int,
                   trail: tuple[int, ...], lead: tuple[int, ...]):
-    """Yield lambda_1 .. lambda_d over the box of `values` less its pads.
+    """Yield (axis index, block index, lambda over the block) over the box of
+    `values` less its pads, in blocks of planes perpendicular to each axis.
 
     `trail[j]` and `lead[j]` sites are cut off axis j on the trailing and
     the leading side of orientation zeta.  Each supremum reads the target
     plus a trailing halo of min(cap, trail[j]) sites on the axes j
-    perpendicular to its own.
+    perpendicular to its own.  Axis i is swept in blocks of whole planes
+    x_i = const, about `_BLOCK_ELEMENTS` slab sites each (at least one
+    plane), so the kernel's working set is one block; no cover leaves its
+    plane, so each block is exact on its own.  The block index is a tuple
+    of slices into the target box.
     """
     d = values.ndim
     flip = (slice(None, None, -1),) * d
@@ -165,14 +185,24 @@ def _axis_suprema(values: np.ndarray, zeta: int, reach_cap: int,
         halo = tuple(0 if j == ax else min(reach_cap, trail[j]) for j in range(d))
         slab = work[tuple(slice(t - c, n - l)
                           for t, l, c, n in zip(trail, lead, halo, values.shape))]
-        lam = directed_supremum(np.ascontiguousarray(slab), ax + 1, reach_cap, halo)
-        yield lam if zeta == 1 else lam[flip]
+        n = slab.shape[ax]
+        step = max(1, _BLOCK_ELEMENTS * n // slab.size)
+        for a in range(0, n, step):
+            b = min(a + step, n)
+            block = slab[(slice(None),) * ax + (slice(a, b),)]
+            lam = directed_supremum(np.ascontiguousarray(block), ax + 1, reach_cap, halo)
+            planes = slice(a, b) if zeta == 1 else slice(n - b, n - a)
+            yield ax, (slice(None),) * ax + (planes,), lam if zeta == 1 else lam[flip]
 
 
 def lambda_field(values: np.ndarray, zeta: int, reach_cap: int) -> np.ndarray:
-    """All-axis truncated suprema, shape (d, *values.shape)."""
+    """All-axis truncated suprema, shape (d, *values.shape), written block by
+    block as `_axis_suprema` yields them."""
     zero = (0,) * values.ndim
-    return np.stack(list(_axis_suprema(values, zeta, reach_cap, zero, zero)))
+    out = np.empty((values.ndim,) + values.shape)
+    for ax, at, lam in _axis_suprema(values, zeta, reach_cap, zero, zero):
+        out[(ax,) + at] = lam
+    return out
 
 
 @dataclass(frozen=True)
@@ -299,6 +329,10 @@ def build_forest(field, zeta: int, radius: int | None = None) -> Forest:
     box to hold the window plus R sites on the trailing side of zeta, so
     that every window site sees its complete radius-R vertex neighborhood.
     Both the full field box and `window.forest_box(zeta)` qualify.
+
+    Each block of suprema is folded into the running minimum, axis and tie
+    flag in place, so above its field the call holds the window's float64
+    minimum, axis and flag, and one block's working set.
     """
     p = field.params
     radius = _truncation_radius(p.window, zeta, radius)
@@ -314,11 +348,13 @@ def build_forest(field, zeta: int, radius: int | None = None) -> Forest:
     low = np.full(p.window.shape, np.inf)
     axis = np.zeros(p.window.shape, dtype=np.int8)
     uncertain = np.zeros(p.window.shape, dtype=bool)
-    for i, lam in enumerate(_axis_suprema(field.values, zeta, radius, trail, lead), 1):
-        below = lam < low
-        uncertain = (uncertain | (lam == low)) & ~below
-        axis[below] = i
-        np.minimum(low, lam, out=low)
+    for ax, at, lam in _axis_suprema(field.values, zeta, radius, trail, lead):
+        low_b, axis_b, unc_b = low[at], axis[at], uncertain[at]
+        below = lam < low_b
+        unc_b |= lam == low_b
+        unc_b &= ~below
+        axis_b[below] = ax + 1
+        np.minimum(low_b, lam, out=low_b)
     miss = miss_probability_bound(p.tail_weight, p.tail_start, p.dim, radius)
     axis.setflags(write=False)
     uncertain.setflags(write=False)

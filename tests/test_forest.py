@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -229,9 +230,14 @@ def test_lambda_field_matches_capped_brute_force(inst, zeta):
     # the supremum at every site and axis is the brute-force one over the
     # vertices within l-infinity distance cap on the trailing side
     values, cap = inst
+    assert_capped_brute_force(lambda_field(values, zeta, cap), values, zeta, cap)
+
+
+def assert_capped_brute_force(lam, values, zeta, cap):
+    """`lam` is, at every site and axis, the brute-force supremum over the
+    vertices of `values` within l-infinity distance cap on the trailing side."""
     d = values.ndim
     box = Box((0,) * d, tuple(n - 1 for n in values.shape))
-    lam = lambda_field(values, zeta, cap)
     for x in box.sites():
         back = tuple(c - zeta * cap for c in x)
         near = Box(tuple(max(0, min(a, b)) for a, b in zip(x, back)),
@@ -239,6 +245,28 @@ def test_lambda_field_matches_capped_brute_force(inst, zeta):
         vals = {y: float(values[y]) for y in near.sites()}
         for i in range(1, d + 1):
             assert lam[(i - 1,) + x] == lambda_brute(vals, x, i, zeta)
+
+
+def block_budget(kind, shape):
+    """Slab sites per block: one plane per block, two planes of axis 0 (a
+    ragged last block when that axis is odd), or the pinned budget."""
+    size = int(np.prod(shape))
+    return {"plane": 1, "ragged": 2 * (size // shape[0]),
+            "pinned": forest_module._BLOCK_ELEMENTS}[kind]
+
+
+@settings(derandomize=True, max_examples=90, deadline=None)
+@given(raw_length_arrays(), st.sampled_from([1, -1]),
+       st.sampled_from(["plane", "ragged", "pinned"]))
+@example((np.arange(1.0, 16.0).reshape(5, 3) % 7, 5), -1, "ragged")
+@example((np.full((3, 4, 5), 2.5), 3), 1, "ragged")
+def test_lambda_field_blocks_match_capped_brute_force(inst, zeta, kind):
+    # each block of planes is solved on its own: any block budget gives the
+    # brute-force suprema, whatever each block's dense/sparse split
+    values, cap = inst
+    with mock.patch.object(forest_module, "_BLOCK_ELEMENTS", block_budget(kind, values.shape)):
+        lam = lambda_field(values, zeta, cap)
+    assert_capped_brute_force(lam, values, zeta, cap)
 
 
 @st.composite
@@ -329,6 +357,43 @@ def test_trailing_field_gives_the_full_field_forest(inst):
         hi[k] -= 1
     with pytest.raises(ValueError):
         build_forest(crop(full, Box(tuple(lo), tuple(hi))), zeta=zeta, radius=radius)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(truncated_instances())
+@example((Window((-3, 0), (4, 6), 8), 8, -1, 9, True))       # d=2, odd planes, R = m
+@example((Window((0, -1, 0), (2, 3, 4), 3), 2, 1, 4, False))  # d=3 ties, R < m
+def test_forest_blocks_give_the_one_block_forest(inst):
+    # axis and tie flag, folded block by block into the running argmin, are
+    # those of one block per axis at every budget
+    window, radius, zeta, seed, model = inst
+    p = default_params(window.dim, window, seed)
+    field = generate_field(p) if model else few_values_field(p)
+    with mock.patch.object(forest_module, "_BLOCK_ELEMENTS", field.values.size):
+        want = build_forest(field, zeta=zeta, radius=radius)
+    for kind in ("plane", "ragged", "pinned"):
+        budget = block_budget(kind, field.values.shape)
+        with mock.patch.object(forest_module, "_BLOCK_ELEMENTS", budget):
+            got = build_forest(field, zeta=zeta, radius=radius)
+        assert np.array_equal(got.axis, want.axis)
+        assert np.array_equal(got.uncertain, want.uncertain)
+
+
+def test_build_forest_memory_is_bounded_by_its_window():
+    # the suprema are folded into the running argmin block by block, so no
+    # slab-sized buffer exists: above its field, build_forest holds the
+    # window's float64 minimum, its axis and tie flag, and a few blocks
+    window = Window.centered(1024, 2, 128)
+    assert 16 * forest_module._BLOCK_ELEMENTS <= window.box.size  # many blocks
+    field = generate_field(default_params(2, window, seed=20), window.forest_box(1))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build_forest(field, zeta=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * window.box.size
 
 
 def test_axes_at_flags_uncovered_ties():
