@@ -10,7 +10,9 @@ Tree sweeps (h here; the chain layer, leaves and insulation depths in
 the last axis, grouped into levels by the sum of the other coordinates.  A
 sweep takes one step per level (side_1 + ... + side_(d-1) - d + 2 steps)
 and follows the links inside a row by segmented running maxima and minima
-along whole rows.
+along whole rows.  Every l1-ball stamp and ball maximum (H here, keep and
+insulation in `pruning`, block covers in `pipeline`) is a sweep of one
+in-window unit step, `ball_stamp` or `ball_gather`: max(radius) steps a call.
 """
 
 from __future__ import annotations
@@ -179,34 +181,44 @@ def compute_h(forest: Forest) -> StatusField:
     return StatusField(window=forest.window, zeta=forest.zeta, value=h, exact=exact)
 
 
-def _ball_max(arr: np.ndarray, r: int) -> np.ndarray:
-    """Max of `arr` over the in-window part of the closed l1-ball of radius r
-    around each site (OR for bool arrays).
+def _unit_step(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """dst = the max of src (OR for bools) over the in-window closed unit
+    l1-ball around each site; dst is returned.
 
     Every offset of l1-norm <= r is a sum of r offsets of norm <= 1, and in
     a box a monotone lattice path joins any two sites without leaving it,
-    so r in-window passes of the unit ball give the in-window ball.
+    so r in-window unit steps give the in-window ball of radius r.  Max
+    commutes with the step, so the sweeps below run max(radius) steps in all.
     """
-    out = arr.copy()
-    steps = []
-    for j in range(arr.ndim):
-        lo = tuple(slice(0, -1) if k == j else slice(None) for k in range(arr.ndim))
-        hi = tuple(slice(1, None) if k == j else slice(None) for k in range(arr.ndim))
-        steps += [(lo, hi), (hi, lo)]
-    for _ in range(r):
-        prev = out.copy()
-        for dst, src in steps:
-            np.maximum(out[dst], prev[src], out=out[dst])
+    np.copyto(dst, src)
+    for j in range(src.ndim):
+        lo = (slice(None),) * j + (slice(0, -1),)
+        hi = (slice(None),) * j + (slice(1, None),)
+        np.maximum(dst[lo], src[hi], out=dst[lo])
+        np.maximum(dst[hi], src[lo], out=dst[hi])
+    return dst
+
+
+def ball_stamp(values: np.ndarray, radius: np.ndarray | int) -> np.ndarray:
+    """Per site x, the max of 0 (False) and of values[y] over the sites y
+    whose in-window closed l1-ball of radius[y] holds x.  A source of
+    radius r enters r unit steps before the end."""
+    acc, buf = np.zeros_like(values), np.empty_like(values)
+    for r in range(int(np.max(radius, initial=0)), -1, -1):
+        np.maximum(acc, values * (radius == r), out=acc)
+        if r:
+            acc, buf = _unit_step(acc, buf), acc
+    return acc
+
+
+def ball_gather(values: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Per site x, the max of values over x's in-window closed l1-ball of
+    radius[x]: the r-th unit step is read at the sites of radius r."""
+    out, acc, buf = values.copy(), values.copy(), np.empty_like(values)
+    for r in range(1, int(np.max(radius, initial=0)) + 1):
+        acc, buf = _unit_step(acc, buf), acc
+        np.copyto(out, acc, where=radius == r)
     return out
-
-
-def _ball_union(rad: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """Union of the in-window closed l1-balls of radius rad(y) around the
-    source sites y, one `_ball_max` stamp per distinct radius."""
-    covered = np.zeros(source.shape, dtype=bool)
-    for r in np.unique(rad[source]):
-        covered |= _ball_max(source & (rad == r), int(r))
-    return covered
 
 
 def ball_radius(v: np.ndarray, beta: float) -> np.ndarray:
@@ -225,17 +237,15 @@ def compute_insulation_sup(h: StatusField, beta: float) -> StatusField:
     ball iff it is <= floor(h^beta).  Censoring: x inherits AT_LEAST from
     any censoring stamp that reaches it, and sites within reach of a window
     face are censored outright, since an unseen outside tree could stamp in.
+    That face band is the real max_h^beta, one layer wider than `insulate`'s
+    floor wherever max_h^beta is not an integer.
     """
     if not 0 < beta < 1:
         raise ValueError("beta must be in (0, 1)")
     hv = h.value
     radius = ball_radius(hv, beta)
-    out = np.zeros(hv.shape, dtype=np.int32)
-    unc_reach = np.zeros(hv.shape, dtype=bool)
-    for r in np.unique(radius):
-        mask = radius == r
-        np.maximum(out, _ball_max(np.where(mask, hv, -1), int(r)), out=out)
-        unc_reach |= _ball_max(mask & ~h.exact, int(r))
+    out = ball_stamp(hv, radius)
+    unc_reach = ball_stamp(~h.exact, radius)
 
     max_h = int(hv.max()) if hv.size else 0
     band = max_h ** beta if max_h > 0 else 0.0

@@ -22,7 +22,7 @@ from .environment import (PatchedEnv, choose_horizon_factor, patch,
 from .fieldgen import ModelParams, default_params, generate_field
 from .forest import Forest, axes_at, build_forest, example1_forest
 from .lattice import Box, Site, Window
-from .metrics import (StatusField, TailEstimate, _ball_max, accumulate_tail,
+from .metrics import (StatusField, TailEstimate, accumulate_tail, ball_stamp,
                       compute_h, compute_insulation_sup, empty_tail,
                       interior_mask, merge_tail)
 from .pruning import (IN, ChainResult, DisjointReport, Insulation,
@@ -322,7 +322,7 @@ def block_covered_sums(covered: np.ndarray, shifts: list[int]) -> np.ndarray:
     for i, s in enumerate(shifts):
         r = block_radius(s, covered.ndim)
         pad = r + 4
-        blk = _ball_max(covered, r)
+        blk = ball_stamp(covered, r)
         rest = tuple(slice(pad, n - pad, 2) for n in covered.shape[1:])
         f = blk[(slice(pad, covered.shape[0] - pad - s, 2),) + rest]
         g = blk[(slice(pad + s, covered.shape[0] - pad, 2),) + rest]

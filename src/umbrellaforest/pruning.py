@@ -14,7 +14,9 @@ Layer dependency order: depth field h -> insulation sup H -> keep layer
 layer (whole ancestral line kept) -> leaves -> insulation unions.
 
 The chain layer is a parents-first sweep and leaves and the ray depths are
-children-first sweeps, all on the row scan of `metrics.RowFrame`.
+children-first sweeps, all on the row scan of `metrics.RowFrame`.  The keep
+ball maxima and the insulation unions are `metrics.ball_gather` and
+`metrics.ball_stamp` sweeps.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import numpy as np
 
 from .forest import Forest
 from .lattice import Box, Site, Window
-from .metrics import (RowFrame, StatusField, _ball_max, _ball_union, _progeny_depth,
-                      ball_radius)
+from .metrics import (RowFrame, StatusField, _progeny_depth, ball_gather, ball_radius,
+                      ball_stamp)
 
 OUT = np.int8(0)       # certain violation somewhere
 UNKNOWN = np.int8(1)   # own depth censored; no verdict
@@ -51,19 +53,12 @@ def tilde_membership(h_own: StatusField, ins_opp: StatusField, beta: float) -> n
     censored and no verdict is possible.
     """
     hv = h_own.value
-    shape = hv.shape
     radius = ball_radius(hv, beta)
-    ball_max = np.zeros(shape, dtype=np.int32)
-    ball_unc = np.zeros(shape, dtype=bool)
-    for r in np.unique(radius):
-        # the ball is symmetric, so the filtered value at x is the max over
-        # x's own ball
-        sel = radius == r
-        ball_max[sel] = _ball_max(ins_opp.value, int(r))[sel]
-        ball_unc[sel] = _ball_max(~ins_opp.exact, int(r))[sel]
+    ball_max = ball_gather(ins_opp.value, radius)
+    ball_unc = ball_gather(~ins_opp.exact, radius)
     fits = h_own.box.boundary_distance() >= radius
 
-    layer = np.full(shape, UNKNOWN, dtype=np.int8)
+    layer = np.full(hv.shape, UNKNOWN, dtype=np.int8)
     clean = ball_max < hv
     layer[h_own.exact & clean] = FRONTIER
     layer[h_own.exact & clean & fits & ~ball_unc] = IN
@@ -224,7 +219,8 @@ def insulate(chain: ChainResult, h_own: StatusField, forest: Forest,
     ray_layer : the n-th ancestor of a kept leaf contributes radius n^beta.
     Certain stamps come from certain sites with exact inputs; potential
     stamps extend them over UNKNOWN sites, and a thin face band stays
-    UNKNOWN because rays outside the window could reach in.
+    UNKNOWN because rays outside the window could reach in.  Its width is
+    floor(max h^beta), one layer short of H's real max_h^beta when not whole.
     """
     shape = forest.box.shape
     layer = chain.layer
@@ -236,11 +232,11 @@ def insulate(chain: ChainResult, h_own: StatusField, forest: Forest,
     depth_c, _ = _progeny_depth(forest, kept)
     depth_p, _ = _progeny_depth(forest, layer >= UNKNOWN)
 
-    ray_certain = _ball_union(ball_radius(depth_c, beta), depth_c >= 0)
-    ray_potential = _ball_union(ball_radius(depth_p, beta), depth_p >= 0)
+    ray_certain = ball_stamp(depth_c >= 0, ball_radius(depth_c, beta))
+    ray_potential = ball_stamp(depth_p >= 0, ball_radius(depth_p, beta))
     ball_r = ball_radius(h_own.value, beta)
-    ball_certain = _ball_union(ball_r, kept)
-    ball_potential = _ball_union(ball_r, layer >= UNKNOWN)
+    ball_certain = ball_stamp(kept, ball_r)
+    ball_potential = ball_stamp(layer >= UNKNOWN, ball_r)
 
     max_depth = int(depth_p.max()) if depth_p.size else -1
     band = int(np.floor(max(max_depth, int(h_own.value.max()), 0) ** beta)) \

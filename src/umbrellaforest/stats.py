@@ -142,26 +142,18 @@ def mixing_to_csv(rows: list[MixingRow], path: str):
                     f"{r.s_pow_gamma_cov!r}\n")
 
 
-def insulation_tail_table(samples_value: np.ndarray, samples_exact: np.ndarray,
-                          dim: int, beta: float, grid: list[int]) -> list[dict]:
-    """Scaled tail of the insulation field: n^((1-beta)d-1) * P[H >= n].
+def insulation_tail_table(tail, beta: float) -> list[dict]:
+    """Scaled tail of the insulation field: n^((1-beta)d-1) * P[H >= n], per
+    censoring bracket, from the bracketed counts of a `metrics.TailEstimate`.
 
     The scaled column should stay bounded over the tested range; asserted
     over the range only, never as an asymptotic claim.
     """
-    v = samples_value.ravel()
-    e = samples_exact.ravel()
-    total = v.size
-    expo = (1 - beta) * dim - 1
-    out = []
-    for n in grid:
-        geq = v >= n
-        lo = int(np.count_nonzero(geq))
-        hi = int(np.count_nonzero(geq | ~e))
-        out.append({"n": n, "p_lo": lo / total, "p_hi": hi / total,
-                    "scaled_lo": n ** expo * lo / total,
-                    "scaled_hi": n ** expo * hi / total})
-    return out
+    expo = (1 - beta) * tail.dim - 1
+    return [{"n": n, "p_lo": lo / tail.total, "p_hi": hi / tail.total,
+             "scaled_lo": n ** expo * lo / tail.total,
+             "scaled_hi": n ** expo * hi / tail.total}
+            for n, lo, hi in zip(tail.grid, tail.count_lo, tail.count_hi)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from umbrellaforest.environment import ray_environment, row_table
 from umbrellaforest.fieldgen import default_params, generate_field
 from umbrellaforest.forest import build_forest
 from umbrellaforest.lattice import Box, Window
-from umbrellaforest.metrics import compute_h, interior_mask
+from umbrellaforest.metrics import compute_h, interior_mask, tail_estimate
 from umbrellaforest.pipeline import build_pruned_pair
 from umbrellaforest.raygeom import RayHandle, tube_geometry
 from umbrellaforest.stats import insulation_tail_table, ols_loglog
@@ -115,8 +115,8 @@ def test_insulation_sup_tail_bounded_over_range():
     pair = build_pruned_pair(p)
     H = pair.ins_sup[0]
     mask = interior_mask(H)
-    table = insulation_tail_table(H.value[mask], H.exact[mask], dim=3,
-                                  beta=p.beta, grid=[4, 8, 16, 32])
+    tail = tail_estimate(3, [4, 8, 16, 32], [(H.value[mask], H.exact[mask])])
+    table = insulation_tail_table(tail, beta=p.beta)
     scaled = [r["scaled_hi"] for r in table]
     assert all(np.isfinite(s) for s in scaled)
     # bounded over the tested range: no blow-up beyond a small multiple

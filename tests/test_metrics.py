@@ -10,8 +10,9 @@ from umbrellaforest.fieldgen import default_params, generate_field
 from umbrellaforest.forest import Forest, build_forest, example1_forest
 from umbrellaforest.lattice import Window
 from umbrellaforest.metrics import (StatusField, _progeny_depth, accumulate_tail,
-                                    ball_radius, compute_h, compute_insulation_sup,
-                                    empty_tail, interior_mask, ray, tail_estimate)
+                                    ball_gather, ball_radius, ball_stamp, compute_h,
+                                    compute_insulation_sup, empty_tail, interior_mask,
+                                    ray, tail_estimate)
 from umbrellaforest.oracles import h_brute, insulation_sup_brute
 from umbrellaforest.pipeline import TailJob, tail_experiment
 
@@ -273,3 +274,42 @@ def test_ball_radius_matches_power():
             got = ball_radius(v, beta)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
+
+
+@st.composite
+def ball_instances(draw):
+    """A box in d = 2 or 3, per-site radii from 0 up to past the box's
+    diameter, values >= 0 and a source set of chosen density."""
+    d = draw(st.sampled_from([2, 3]))
+    shape = tuple(draw(st.integers(1, 8 if d == 2 else 5)) for _ in range(d))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    radius = rng.integers(0, draw(st.integers(0, sum(shape) + 1)) + 1, size=shape)
+    values = rng.integers(0, 50, size=shape).astype(np.int32)
+    return radius, values, rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+
+
+_IDX = np.arange(24).reshape(3, 4, 2)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(ball_instances())
+@example((np.zeros((4, 5), dtype=np.int64), np.arange(20, dtype=np.int32).reshape(4, 5),
+          np.ones((4, 5), dtype=bool)))                                   # all radii 0
+@example((np.where(_IDX == 5, 30, 1), _IDX.astype(np.int32), _IDX % 2 == 1))  # one past the box
+@example((np.full((5, 3), 2, dtype=np.int64), np.ones((5, 3), dtype=np.int32),
+          np.zeros((5, 3), dtype=bool)))                                  # no source
+def test_ball_sweeps_match_enumeration(inst):
+    # stamp and gather against the in-box l1-balls {y in box : |x - y|_1 <= r}
+    radius, values, source = inst
+    sites = np.argwhere(np.ones(radius.shape, dtype=bool))
+    dist = np.abs(sites[:, None] - sites[None]).sum(axis=2)
+    holds = dist <= radius.ravel()  # [x, y]: y's ball holds x; transposed, x's holds y
+    v, src = (values * source).ravel(), source.ravel()
+    assert np.array_equal(ball_stamp(values * source, radius).ravel(),
+                          np.where(holds, v, 0).max(axis=1))
+    assert np.array_equal(ball_stamp(source, radius).ravel(), (holds & src).any(axis=1))
+    assert np.array_equal(ball_gather(values, radius).ravel(),
+                          np.where(holds.T, values.ravel(), -1).max(axis=1))
+    assert np.array_equal(ball_gather(source, radius).ravel(), (holds.T & src).any(axis=1))
+    r = int(radius.max())  # one radius for every site, as block_covered_sums passes it
+    assert np.array_equal(ball_stamp(source, r).ravel(), ((dist <= r) & src).any(axis=1))

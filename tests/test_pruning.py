@@ -403,10 +403,28 @@ def test_layers_match_site_by_site_definitions(inst):
         exact[x] = not on_face and all(exact[y] for y in children[x])
         assert h.at(x) == (h_brute(parent, x), exact[x])
 
+    def radius(v):
+        return int(np.floor(np.power(np.float64(max(v, 0)), beta)))
+
+    pts = np.array(sites)
+    face = np.minimum(pts - np.array(box.lo), np.array(box.hi) - pts).min(axis=1)
+
+    def cover(centres):
+        # sites in the l1-ball of radius r around some centre x, r = centres[x]
+        hit = np.zeros(len(sites), dtype=bool)
+        for x, r in centres.items():
+            hit |= np.abs(pts - np.array(x)).sum(axis=1) <= r
+        return hit
+
     H = compute_insulation_sup(h, beta)
     h_values = {x: h.at(x)[0] for x in sites}
     for x in sites:
         assert H.at(x)[0] == insulation_sup_brute(h_values, x, beta)
+    # H is exact iff no stamp of a censored depth reaches x and x lies at
+    # least max_h^beta, a real number, from every face
+    stamps = cover({x: radius(v) for x, v in h_values.items() if not h.at(x)[1]})
+    max_h = max(h_values.values())
+    assert [H.at(x)[1] for x in sites] == (~stamps & (face >= max_h ** beta)).tolist()
 
     for x in sites:
         loc = box.local(x)
@@ -441,23 +459,30 @@ def test_layers_match_site_by_site_definitions(inst):
     # the certain insulation unions: a site is IN iff it lies in the
     # l1-ball of radius floor(n^beta) around the n-th ancestor of a kept
     # leaf (ray layer), or of radius floor(h^beta) around a kept site (ball
-    # layer); an ancestor of several leaves takes its largest n
-    def radius(v):
-        return int(np.floor(np.power(np.float64(max(v, 0)), beta)))
+    # layer); an ancestor of several leaves takes its largest n.  Otherwise
+    # it is UNKNOWN iff the same balls around the sites of chain tier >=
+    # UNKNOWN reach it, or it lies closer to a face than the band
+    # floor(max(deepest such ancestor, max h)^beta); else OUT
+    def ancestor_depths(tips):
+        nth = {}
+        for x in tips:
+            n = 0
+            while box.contains(x):
+                nth[x] = max(nth.get(x, 0), n)
+                x, n = parent[x], n + 1
+        return nth
 
-    nth = {}
-    for x in tips:
-        n = 0
-        while box.contains(x):
-            nth[x] = max(nth.get(x, 0), n)
-            x, n = parent[x], n + 1
-    pts = np.array(sites)
-    for layer, centres in ((ins.ray_layer, {x: radius(n) for x, n in nth.items()}),
-                           (ins.ball_layer, {x: radius(h.at(x)[0]) for x in kept})):
-        hit = np.zeros(len(sites), dtype=bool)
-        for x, r in centres.items():
-            hit |= np.abs(pts - np.array(x)).sum(axis=1) <= r
-        assert [layer[box.local(x)] == IN for x in sites] == hit.tolist()
+    maybe = {x for x in sites if chain[box.local(x)] >= UNKNOWN}
+    maybe_tips = [x for x in maybe if not any(y in maybe for y in children[x])]
+    nth, nth_p = ancestor_depths(tips), ancestor_depths(maybe_tips)
+    band = radius(max([*nth_p.values(), *h_values.values()]))
+    for layer, certain, potential in ((ins.ray_layer, nth, nth_p),
+                                      (ins.ball_layer, {x: h_values[x] for x in kept},
+                                       {x: h_values[x] for x in maybe})):
+        hit = cover({x: radius(n) for x, n in certain.items()})
+        reach = cover({x: radius(n) for x, n in potential.items()}) | (face < band)
+        want = np.where(hit, IN, np.where(reach, UNKNOWN, OUT))
+        assert [layer[box.local(x)] for x in sites] == want.tolist()
 
     # check_disjoint reports the direct intersection of two IN sets; the
     # ball and ray layers of one forest overlap wherever a ray runs

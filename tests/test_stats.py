@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from umbrellaforest import rng
-from umbrellaforest.metrics import TailEstimate
+from umbrellaforest.metrics import TailEstimate, tail_estimate
 from umbrellaforest.pipeline import block_covered_sums, block_radius
 from umbrellaforest.stats import (assemble_report, canonical_json,
                                   covariance_rows, exponent_fit,
@@ -134,7 +134,7 @@ def test_mixing_csv_columns(tmp_path):
 def test_insulation_tail_table_scaling():
     vals = np.array([0, 1, 2, 4, 8, 16, 32])
     exact = np.ones(7, dtype=bool)
-    table = insulation_tail_table(vals, exact, dim=3, beta=0.1, grid=[2, 4, 8])
+    table = insulation_tail_table(tail_estimate(3, [2, 4, 8], [(vals, exact)]), beta=0.1)
     for row in table:
         n, p = row["n"], row["p_lo"]
         assert row["scaled_lo"] == pytest.approx(n ** ((1 - 0.1) * 3 - 1) * p)
