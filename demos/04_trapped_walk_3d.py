@@ -23,7 +23,7 @@ env = build_patched(params, rays, pair.ins_sup, inside)
 print(f"patched environment: horizon factor {env.horizon_factor:.2f}, "
       f"{len(env.rays)} tubes")
 
-run = trap_experiment(env, inside, horizon=4000, replicas=400, u_min=1, walk_seed=params.seed)
+run = trap_experiment(env, inside, horizon=4000, replicas=400, walk_seed=params.seed)
 for name in ("orient_1", "orient_2", "control"):
     est = run.estimates[name]
     lo, hi = est.ci

@@ -1,16 +1,18 @@
 """Command-line pipeline: validate | gen | forest | metrics | prune | env |
 walk | tails | mixing | oracle | report.
 
-Configuration is a flat key=value file plus command-line overrides; every
-stage is a deterministic function of (config, seed) and records what it
-wrote in the run manifest with content hashes, so reruns are byte-identical
-and downstream stages can verify their inputs.  Each object of a staged run
-has one producer, and later stages read its dump: `forest` reads the field
-dumps, `metrics` the forest dumps, and `prune` the forest dumps and the h
-and H of `metrics.npz`; it keeps, chains and insulates, and writes the
-chain and ray-cover layers to `membership.json`.  `env` reads the forests,
-the H of `metrics.npz` and `membership.json`, and derives nothing of the
-pruning; `walk` reads the forests, `membership.json` and `env.umbe`.
+Configuration is a flat key=value file plus command-line overrides, both
+declared once by the fields of `RunConfig`; every stage is a deterministic
+function of (config, seed) and records what it wrote in the run manifest
+with content hashes, so reruns are byte-identical and downstream stages can
+verify their inputs.  Each object of a staged run has one producer (`tails`
+writes `tails_umbrella.csv`, `metrics` writes `tails.csv`), and later stages
+read its dump: `forest` reads the field dumps, `metrics` the forest dumps,
+and `prune` the forest dumps and the h and H of `metrics.npz`; it keeps,
+chains and insulates, and writes the chain and ray-cover layers to
+`membership.json`.  `env` reads the forests, the H of `metrics.npz` and
+`membership.json`, and derives nothing of the pruning; `walk` reads the
+forests, `membership.json` and `env.umbe`.
 
 Exit codes: 0 ok, 1 invariant/integrity failure or any other error, 2 usage
 or config error, 3 resource budget exceeded.
@@ -19,11 +21,11 @@ or config error, 3 resource budget exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,37 +48,50 @@ class InvariantFailure(Exception):
     pass
 
 
-_DEFAULTS = {
-    "seed": 1, "dim": 3, "window": 32, "margin": 10, "beta": None,
-    "replicas": 32, "horizon": 2000, "threads": None, "out": "runs/out",
-    "grid": None, "u_min": 1, "max_box": 7,
-}
+def _help(default, text: str):
+    return dataclasses.field(default=default, metadata={"help": text})
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
-    seed: int
-    dim: int
-    window_side: int
-    margin: int
-    beta: float | None
-    replicas: int
-    horizon: int
-    threads: int
-    out: str
-    grid: list[int] | None
-    u_min: int
-    max_box: int
+    """The CLI's options, declared once: each field is a flag (`--max-box`
+    for `max_box`) and a config-file key, parsed by its type, with the
+    field's default when neither sets it.  No threads means
+    `pipeline.default_threads()`."""
+
+    seed: int = 1
+    dim: int = 3
+    window: int = _help(32, "window side length")
+    margin: int = 10
+    beta: float | None = None
+    replicas: int = 32
+    horizon: int = 2000
+    threads: int | None = None
+    out: str = _help("runs/out", "output directory")
+    grid: list[int] | None = _help(None, "comma-separated n grid / shift list")
+    max_box: int = 7
 
     def params(self) -> ModelParams:
-        window = Window.centered(self.window_side, self.dim, self.margin)
+        window = Window.centered(self.window, self.dim, self.margin)
         return default_params(self.dim, window, self.seed, beta=self.beta)
 
     def hash(self) -> str:
-        core = {"seed": self.seed, "dim": self.dim, "window": self.window_side,
-                "margin": self.margin, "beta": self.beta}
+        core = {k: getattr(self, k) for k in ("seed", "dim", "window", "margin", "beta")}
         blob = json.dumps(core, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(t) for t in text.split(",")]
+
+
+# keyed by annotation text: this module postpones the evaluation of annotations
+_PARSE = {"int": int, "float": float, "str": str, "list[int]": _int_list}
+
+
+def _parser(f: dataclasses.Field):
+    """The function that reads option `f` from text: that of its type."""
+    return _PARSE[f.type.removesuffix(" | None")]
 
 
 def _parse_config_file(path: str) -> dict:
@@ -93,41 +108,25 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
-def _coerce(key: str, value):
-    if value is None:
-        return None
-    try:
-        if key in ("seed", "dim", "window", "margin", "replicas", "horizon",
-                   "threads", "u_min", "max_box"):
-            return int(value)
-        if key == "beta":
-            return float(value)
-        if key == "grid":
-            return [int(t) for t in str(value).split(",")]
-    except ValueError as e:
-        raise UsageError(f"config key {key!r}: {e}") from e
-    return value
-
-
 def build_config(args) -> RunConfig:
-    raw = dict(_DEFAULTS)
-    if args.config:
-        for k, v in _parse_config_file(args.config).items():
-            if k not in raw:
-                raise UsageError(f"unknown config key {k!r}")
-            raw[k] = v
+    """Defaults, overridden by the config file, overridden by the flags."""
+    raw = _parse_config_file(args.config) if args.config else {}
+    options = {f.name: f for f in dataclasses.fields(RunConfig)}
     for k in raw:
-        flag = getattr(args, k, None)
-        if flag is not None:
-            raw[k] = flag
-    coerced = {k: _coerce(k, v) for k, v in raw.items()}
-    threads = coerced["threads"] or pipeline.default_threads()
-    return RunConfig(seed=coerced["seed"], dim=coerced["dim"],
-                     window_side=coerced["window"], margin=coerced["margin"],
-                     beta=coerced["beta"], replicas=coerced["replicas"],
-                     horizon=coerced["horizon"], threads=threads,
-                     out=str(coerced["out"]), grid=coerced["grid"],
-                     u_min=coerced["u_min"], max_box=coerced["max_box"])
+        if k not in options:
+            raise UsageError(f"unknown config key {k!r}")
+    values = {}
+    for name, f in options.items():
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
+        elif name in raw:
+            try:
+                values[name] = _parser(f)(raw[name])
+            except ValueError as e:
+                raise UsageError(f"config key {name!r}: {e}") from e
+    cfg = RunConfig(**values)
+    cfg.threads = cfg.threads or pipeline.default_threads()
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +388,7 @@ def stage_walk(cfg: RunConfig) -> int:
     arts, summary, estimates = [], {}, {}
     # each batch is written out and dropped before the next one runs
     for name, start, batch in pipeline.trap_walks(row_type, inside, rays, box, cfg.horizon,
-                                                  cfg.replicas, cfg.u_min, params.seed):
+                                                  cfg.replicas, params.seed):
         path = os.path.join(cfg.out, f"walks_{name}.csv")
         walks_csv(batch, path)
         arts.append(path)
@@ -413,13 +412,13 @@ def stage_walk(cfg: RunConfig) -> int:
 
 def stage_tails(cfg: RunConfig) -> int:
     grid = cfg.grid or ([8, 16, 32, 64] if cfg.dim == 2 else [4, 8, 16, 32])
-    job = pipeline.TailJob(dim=cfg.dim, side=cfg.window_side, margin=cfg.margin,
+    job = pipeline.TailJob(dim=cfg.dim, side=cfg.window, margin=cfg.margin,
                            seed=cfg.seed, grid=tuple(grid))
     est = pipeline.tail_experiment(job, cfg.replicas, threads=cfg.threads)
-    path = os.path.join(cfg.out, "tails.csv")
+    path = os.path.join(cfg.out, "tails_umbrella.csv")
     os.makedirs(cfg.out, exist_ok=True)
     est.to_csv(path)
-    base_job = pipeline.TailJob(dim=cfg.dim, side=cfg.window_side, margin=0,
+    base_job = pipeline.TailJob(dim=cfg.dim, side=cfg.window, margin=0,
                                 seed=cfg.seed, grid=tuple(grid), kind="baseline")
     base = pipeline.tail_experiment(base_job, cfg.replicas, threads=cfg.threads)
     bpath = os.path.join(cfg.out, "tails_baseline.csv")
@@ -466,10 +465,11 @@ def stage_report(cfg: RunConfig) -> int:
     man = _load_manifest(cfg)
     params = cfg.params()
     tails = {}
-    tpath = os.path.join(cfg.out, "tails.csv")
-    if os.path.exists(tpath):
-        with open(tpath) as f:
-            tails["tails_csv"] = f.read().splitlines()
+    for name in ("tails", "tails_umbrella", "tails_baseline"):   # `metrics`, then `tails`
+        tpath = os.path.join(cfg.out, f"{name}.csv")
+        if os.path.exists(tpath):
+            with open(tpath) as f:
+                tails[f"{name}_csv"] = f.read().splitlines()
     trapping = {}
     wpath = os.path.join(cfg.out, "walks_summary.json")
     if os.path.exists(wpath):
@@ -481,7 +481,7 @@ def stage_report(cfg: RunConfig) -> int:
         with open(mpath) as f:
             mixing = f.read().splitlines()
     doc = stats.assemble_report(
-        params={"dim": params.dim, "window": cfg.window_side,
+        params={"dim": params.dim, "window": cfg.window,
                 "margin": cfg.margin, "beta": params.beta,
                 "tail_start": params.tail_start, "tail_weight": params.tail_weight,
                 "orthant_ratio": params.orthant_ratio},
@@ -513,18 +513,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "trapping environments built from them.")
     ap.add_argument("stage", choices=sorted(_STAGES))
     ap.add_argument("--config", help="flat key=value config file")
-    ap.add_argument("--seed", type=int)
-    ap.add_argument("--dim", type=int)
-    ap.add_argument("--window", type=int, help="window side length")
-    ap.add_argument("--margin", type=int)
-    ap.add_argument("--beta", type=float)
-    ap.add_argument("--replicas", type=int)
-    ap.add_argument("--horizon", type=int)
-    ap.add_argument("--threads", type=int)
-    ap.add_argument("--out", help="output directory")
-    ap.add_argument("--grid", help="comma-separated n grid / shift list")
-    ap.add_argument("--u-min", dest="u_min", type=int)
-    ap.add_argument("--max-box", dest="max_box", type=int)
+    for f in dataclasses.fields(RunConfig):
+        ap.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=_parser(f),
+                        help=f.metadata.get("help"))
     return ap
 
 

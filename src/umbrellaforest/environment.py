@@ -383,7 +383,7 @@ def patch(window: Window, envs: list[RayEnvironment], ins_sup_by_forest: dict[in
     rays = [env.geom.ray for env in envs]
     box = window.box
     shape = box.shape
-    order = sorted(range(len(rays)), key=lambda k: tuple(map(int, rays[k].leaf)))
+    order = sorted(range(len(rays)), key=lambda k: rays[k].leaf)
     # flat over the window box, one entry per site in row-major order
     n = box.size
     row_type = np.zeros(n, dtype=np.int8)
@@ -544,7 +544,7 @@ def environment_manifest(env: PatchedEnv, beta: float) -> dict:
     hist: dict[str, int] = {}
     for i in np.argsort(first):
         k = int(ranks[i])
-        key = "symmetric" if k < 0 else str(tuple(map(int, env.rays[k].leaf)))
+        key = "symmetric" if k < 0 else str(env.rays[k].leaf)
         hist[key] = hist.get(key, 0) + int(counts[i])
     return {"kappa": [env.kappa.numerator, env.kappa.denominator],
             "horizon_factor": env.horizon_factor, "beta": beta,

@@ -256,8 +256,8 @@ def compute_insulation_sup(h: StatusField, beta: float) -> StatusField:
     return StatusField(window=h.window, zeta=h.zeta, value=out, exact=exact)
 
 
-def ray(forest: Forest, x: Site, max_steps: int | None = None) -> list[Site]:
-    """Ancestor chain from x, inclusive, until window exit or max_steps."""
+def ray(forest: Forest, x: Site) -> list[Site]:
+    """Ancestor chain from x, inclusive, until window exit."""
     box = forest.box
     out = [x]
     cur = x
@@ -267,20 +267,17 @@ def ray(forest: Forest, x: Site, max_steps: int | None = None) -> list[Site]:
             break
         out.append(nxt)
         cur = nxt
-        if max_steps is not None and len(out) > max_steps:
-            break
     return out
 
 
-def interior_box(window: Window, buffer: int | None = None) -> Box:
-    """Sampling region: the window shrunk to keep face effects at bay."""
-    if buffer is None:
-        buffer = min(window.shape) // 4
-    return window.box.shrink(buffer)
+def interior_box(window: Window) -> Box:
+    """Sampling region: the window shrunk by a quarter of its shortest side
+    on every face, to keep face effects at bay."""
+    return window.box.shrink(min(window.shape) // 4)
 
 
-def interior_mask(field: StatusField, buffer: int | None = None) -> np.ndarray:
-    inner = interior_box(field.window, buffer)
+def interior_mask(field: StatusField) -> np.ndarray:
+    inner = interior_box(field.window)
     lo = field.box.local(inner.lo)
     sl = tuple(slice(l, l + s) for l, s in zip(lo, inner.shape))
     mask = np.zeros(field.box.shape, dtype=bool)

@@ -29,7 +29,7 @@ from .pruning import (IN, ChainResult, DisjointReport, Insulation,
                       check_disjoint, depth_decay_table, insulate,
                       prune_to_infinite, tilde_membership)
 from .raygeom import (RayHandle, build_rays, ellipticity_constant,
-                      solve_insulation_constants, trap_start, tube_geometries)
+                      solve_insulation_constants)
 from .stats import MixingRow, covariance_rows
 from .walker import TrapEstimate, WalkBatch, WalkConfig, run_walks, trap_probability
 
@@ -99,7 +99,7 @@ def select_rays(forests: tuple[Forest, ...], leaf_sites: list[list[Site]], beta:
     starves when the deepest spines cluster in one forest."""
     out: list[RayHandle] = []
     for i, (forest, sites) in enumerate(zip(forests, leaf_sites), start=1):
-        side = [r for r in build_rays(forest, sites, beta, i) if r.depth >= min_depth]
+        side = [r for r in build_rays(forest, sites, beta) if r.depth >= min_depth]
         out.extend(sorted(side, key=lambda r: (-r.depth, r.leaf))[:max_per_forest])
     out.sort(key=lambda r: (-r.depth, r.leaf))
     return out
@@ -146,7 +146,6 @@ class TailJob:
     seed: int
     grid: tuple[int, ...]
     kind: str = "umbrella"   # or "baseline"
-    buffer: int | None = None
 
 
 def _tail_replica(args: tuple[TailJob, int]) -> TailEstimate:
@@ -160,7 +159,7 @@ def _tail_replica(args: tuple[TailJob, int]) -> TailEstimate:
         params = default_params(job.dim, window, seed)
         forest = build_forest(generate_field(params, window.forest_box(1)), zeta=1)
     h = compute_h(forest)
-    mask = interior_mask(h, job.buffer)
+    mask = interior_mask(h)
     est = empty_tail(job.dim, list(job.grid))
     accumulate_tail(est, h.value[mask], h.exact[mask])
     return est
@@ -219,13 +218,13 @@ class TrapRun:
 
 
 def trap_experiment(env: PatchedEnv, inside: tuple[np.ndarray, np.ndarray], horizon: int,
-                    replicas: int, u_min: int, walk_seed: int) -> TrapRun:
-    """Walks in a patched environment from each orientation's best start,
-    inside the certain ray covers `inside` it was patched on, plus the
+                    replicas: int, walk_seed: int) -> TrapRun:
+    """Walks in a patched environment from each orientation's deepest kept
+    leaf, inside the certain ray covers `inside` it was patched on, plus the
     uniform control (see `trap_walks`), kept in memory."""
     run = TrapRun(estimates={}, batches={}, starts={})
     for name, start, batch in trap_walks(env.row_type, inside, env.rays, env.box, horizon,
-                                         replicas, u_min, walk_seed):
+                                         replicas, walk_seed):
         run.estimates[name] = trap_probability(batch)
         run.batches[name] = batch
         run.starts[name] = start
@@ -234,9 +233,13 @@ def trap_experiment(env: PatchedEnv, inside: tuple[np.ndarray, np.ndarray], hori
 
 def trap_walks(row_type: np.ndarray, inside: tuple[np.ndarray, np.ndarray],
                rays: list[RayHandle], box: Box, horizon: int, replicas: int,
-               u_min: int, walk_seed: int) -> Iterator[tuple[str, Site, WalkBatch]]:
-    """Walks in a patched environment from each orientation's best start,
-    plus the uniform control from orientation 1's start.
+               walk_seed: int) -> Iterator[tuple[str, Site, WalkBatch]]:
+    """Walks in a patched environment from each orientation's start, plus
+    the uniform control from orientation 1's start.
+
+    Orientation i starts at the leaf of its deepest ray, ties broken by
+    leaf: the longest runway up a widening tube.  A kept leaf stamps its own
+    ray cover at radius 0, so the start lies in inside[i-1].
 
     row_type: the environment's per-site row types over `box`; inside[i-1]:
     the sites certainly covered by orientation i's ray tubes, the event a
@@ -244,7 +247,7 @@ def trap_walks(row_type: np.ndarray, inside: tuple[np.ndarray, np.ndarray],
     orient_1, control and orient_2 in turn, so a caller that writes each
     batch out need not hold all three.
     """
-    starts = [_best_trap_start(rays, i, u_min) for i in (1, 2)]
+    starts = [_deepest_leaf(rays, i) for i in (1, 2)]
     rows = row_table(box.dim).rows
     for i, start in zip((1, 2), starts):
         sign = 1 if i == 1 else -1
@@ -259,26 +262,12 @@ def trap_walks(row_type: np.ndarray, inside: tuple[np.ndarray, np.ndarray],
                                               cfg, orientation_sign=sign)
 
 
-def _best_trap_start(rays: list[RayHandle], forest_index: int, u_min: int) -> Site:
-    """Start with the longest runway: earliest u_min-insulated spine index
-    on whichever of the 6 deepest rays (ties by leaf) leaves the most spine
-    above it."""
-    cands = sorted((r for r in rays if r.forest_index == forest_index),
-                   key=lambda r: (-r.depth, r.leaf))
+def _deepest_leaf(rays: list[RayHandle], forest_index: int) -> Site:
+    """The leaf of forest `forest_index`'s deepest ray, ties by leaf."""
+    cands = [r for r in rays if r.forest_index == forest_index]
     if not cands:
         raise ValueError(f"no rays for orientation {forest_index}")
-    best, best_runway = None, -1
-    for geom in tube_geometries(cands[:6]):
-        try:
-            site, n = trap_start(geom, u_min)
-        except ValueError:
-            continue
-        if geom.ray.depth - n > best_runway:
-            best, best_runway = site, geom.ray.depth - n
-    if best is None:
-        raise ValueError(f"no spine site with insulation depth >= {u_min}; "
-                         f"a deeper window is required")
-    return best
+    return min(cands, key=lambda r: (-r.depth, r.leaf)).leaf
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +368,7 @@ def oracle_suite(max_box: int = 7, seed: int = 5, dims: tuple[int, ...] = (2, 3)
     from .lattice import orthant_sphere_count, sphere_count
     from .fieldgen import length_from_uniform
     from .environment import exit_functionals, ray_environment
-    from .raygeom import RayHandle, tube_geometry
+    from .raygeom import tube_geometry
 
     results = []
 
@@ -445,7 +434,7 @@ def oracle_suite(max_box: int = 7, seed: int = 5, dims: tuple[int, ...] = (2, 3)
     depth = 40
     spine = np.zeros((depth + 1, d), dtype=np.int64)
     spine[:, 0] = np.arange(depth + 1)
-    ray = RayHandle(leaf=(0, 0, 0), forest_index=1, zeta=1, beta=0.45, spine=spine)
+    ray = RayHandle(zeta=1, beta=0.45, spine=spine)
     geom = tube_geometry(ray)
     member = {tuple(map(int, s)): True for s in geom.sites}
     bad = 0

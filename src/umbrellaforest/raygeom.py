@@ -17,7 +17,8 @@ by (ray, row-major coordinates); the key index is the tube's only site
 index, and neighbours and `locate` are `searchsorted` lookups in it.  The
 spine is directed, so only the 2 r_max + 1 indices nearest a site's own
 progress along it can attain v, and u takes one frontier round per unit of
-depth.  `tube_geometry` is the batch of one.
+depth.  `tube_geometry` is the batch of one.  Walks start at the leaf of a
+deepest ray (`pipeline.trap_walks`), so choosing a start needs no tube.
 """
 
 from __future__ import annotations
@@ -35,13 +36,22 @@ from .lattice import Box, Direction, Site, all_directions, l1_ball_offsets, l1_n
 
 @dataclass(frozen=True)
 class RayHandle:
-    """A kept leaf with its ancestor spine, walked until window exit."""
+    """A kept leaf with its ancestor spine, walked until window exit.  The
+    leaf is spine[0] and the forest index follows from zeta; neither is
+    stored twice."""
 
-    leaf: Site
-    forest_index: int       # 1 = positive orientation, 2 = negative
     zeta: int
     beta: float
     spine: np.ndarray       # (K+1, d) absolute coordinates, spine[0] = leaf
+
+    @property
+    def leaf(self) -> Site:
+        return tuple(map(int, self.spine[0]))
+
+    @property
+    def forest_index(self) -> int:
+        """1 for the positive orientation, 2 for the negative."""
+        return 1 if self.zeta > 0 else 2
 
     @property
     def depth(self) -> int:
@@ -55,8 +65,7 @@ class RayHandle:
         return float(n) ** self.beta if n > 0 else 0.0
 
 
-def build_rays(forest: Forest, leaves: list[Site], beta: float,
-               forest_index: int) -> list[RayHandle]:
+def build_rays(forest: Forest, leaves: list[Site], beta: float) -> list[RayHandle]:
     """One ray handle per leaf, in order, with every spine walked at once.
 
     Each step moves all walks still inside the window to their parents and
@@ -88,8 +97,7 @@ def build_rays(forest: Forest, leaves: list[Site], beta: float,
     owner = np.concatenate(walked_owner)
     counts = np.bincount(owner, minlength=len(leaves))
     spines = np.split(pos[np.argsort(owner, kind="stable")], np.cumsum(counts)[:-1])
-    return [RayHandle(leaf=leaf, forest_index=forest_index, zeta=forest.zeta, beta=beta,
-                      spine=spine) for leaf, spine in zip(leaves, spines)]
+    return [RayHandle(zeta=forest.zeta, beta=beta, spine=spine) for spine in spines]
 
 
 class RayDepthError(RuntimeError):
@@ -338,23 +346,6 @@ def tube_geometries(rays: list[RayHandle]) -> list[TubeGeometry]:
 def tube_geometry(ray: RayHandle) -> TubeGeometry:
     """The tube of one ray: `tube_geometries` of a batch of one."""
     return tube_geometries([ray])[0]
-
-
-def trap_start(geom: TubeGeometry, u_min: int) -> tuple[Site, int]:
-    """First spine site insulated to depth u_min, with its spine index.
-
-    Starting at the earliest sufficiently-insulated index leaves the walk
-    the longest in-window runway up the widening tube.
-    """
-    ray = geom.ray
-    box = geom.box
-    at = np.searchsorted(geom.keys, np.ravel_multi_index(tuple((ray.spine - box.lo).T), box.shape))
-    deep = np.flatnonzero(geom.u[at] >= u_min)
-    if deep.size == 0:
-        raise ValueError(f"no spine site with insulation depth >= {u_min}; "
-                         f"a deeper ray is required")
-    n = int(deep[0])
-    return tuple(map(int, ray.spine[n])), n
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ def test_criterion_7_trapping_two_sided():
                        min_depth=8, max_per_forest=6)
     inside = tuple(ins.ray_layer == IN for ins in pair.insulation)
     run = trap_experiment(build_patched(p, rays, pair.ins_sup, inside), inside,
-                          horizon=10_000, replicas=500, u_min=1, walk_seed=p.seed)
+                          horizon=10_000, replicas=500, walk_seed=p.seed)
     e1 = run.estimates["orient_1"]
     e2 = run.estimates["orient_2"]
     ec = run.estimates["control"]

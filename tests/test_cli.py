@@ -1,15 +1,18 @@
 import hashlib
 import json
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from umbrellaforest import pipeline, pruning
-from umbrellaforest.cli import main
+from umbrellaforest.cli import RunConfig, _build_parser, build_config, main
 from umbrellaforest.environment import write_environment
 from umbrellaforest.fieldgen import default_params
 from umbrellaforest.lattice import Window
+from umbrellaforest.metrics import ray as ancestor_chain
 from umbrellaforest.pipeline import (build_patched, build_pruned_pair, select_rays,
                                      trap_experiment)
 from umbrellaforest.pruning import IN, write_membership
@@ -122,13 +125,38 @@ def test_checksum_mismatch_detected(tmp_path, capsys):
 
 def test_tails_stage_small(tmp_path, capsys):
     out = tmp_path / "t"
-    code = run(["tails", "--dim", "2", "--window", "48", "--margin", "12",
-                "--seed", "4", "--replicas", "3", "--out", str(out),
-                "--grid", "2,4,8,16", "--threads", "1"])
+    args = ["--dim", "2", "--window", "48", "--margin", "12", "--seed", "4", "--out", str(out)]
+    code = run(["tails", *args, "--replicas", "3", "--grid", "2,4,8,16", "--threads", "1"])
     assert code == 0
-    assert (out / "tails.csv").exists()
+    assert (out / "tails_umbrella.csv").exists()
     assert (out / "tails_baseline.csv").exists()
     assert "slope" in capsys.readouterr().out
+    assert run(["report", *args]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["tails"] == {f"tails_{kind}_csv": (out / f"tails_{kind}.csv").read_text()
+                               .splitlines() for kind in ("umbrella", "baseline")}
+
+
+def test_tails_stage_leaves_the_metrics_tails_alone(tmp_path):
+    # `metrics` and `tails` write different files, so a staged run that
+    # also runs `tails` still passes the checksums of later stages
+    out = tmp_path / "run"
+    base = ["--dim", "3", "--window", "16", "--margin", "6", "--seed", "7", "--out", str(out)]
+    for stage in ("gen", "forest", "metrics"):
+        assert run([stage, *base]) == 0, stage
+    blob = (out / "tails.csv").read_bytes()
+    assert run(["tails", *base, "--replicas", "2", "--threads", "1", "--grid", "1,2,4,8"]) == 0
+    assert (out / "tails.csv").read_bytes() == blob
+    assert run(["prune", *base]) == 0
+
+
+def test_readme_flags_sentence_lists_the_parser_flags():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sentence = readme.split("Flags:", 1)[1].split(".  ", 1)[0]
+    listed = set(re.findall(r"`(--[a-z-]+)", sentence))
+    declared = {flag for action in _build_parser()._actions
+                for flag in action.option_strings if flag.startswith("--")} - {"--help"}
+    assert listed == declared
 
 
 def test_mixing_stage_small(tmp_path):
@@ -185,8 +213,7 @@ def in_memory():
 
 def test_walk_reads_the_dumps_of_earlier_stages(staged, in_memory, tmp_path, monkeypatch):
     params, _, inside, env = in_memory
-    want = trap_experiment(env, inside, horizon=300, replicas=40, u_min=1,
-                           walk_seed=params.seed)
+    want = trap_experiment(env, inside, horizon=300, replicas=40, walk_seed=params.seed)
     for name, batch in want.batches.items():
         walks_csv(batch, str(tmp_path / name))
         assert (staged / f"walks_{name}.csv").read_bytes() == (tmp_path / name).read_bytes()
@@ -203,6 +230,27 @@ def test_walk_reads_the_dumps_of_earlier_stages(staged, in_memory, tmp_path, mon
     for name in want.batches:
         assert (out / f"walks_{name}.csv").read_bytes() == \
             (staged / f"walks_{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("seed, side, margin", [
+    (12, 22, 7),                                          # the `base_args` instance
+    (50_000, 26, 8), (50_001, 26, 8), (50_003, 26, 8),    # criterion 5's shape
+])
+def test_walks_start_at_the_deepest_kept_leaf(seed, side, margin):
+    params = default_params(3, Window.centered(side, 3, margin), seed)
+    pair = build_pruned_pair(params)
+    leaves = [ins.leaf_sites for ins in pair.insulation]
+    rays = select_rays(pair.forests, leaves, params.beta)
+    inside = tuple(ins.ray_layer == IN for ins in pair.insulation)
+    box = params.window.box
+    starts = {name: start for name, start, _ in pipeline.trap_walks(
+        np.zeros(box.shape, dtype=np.int8), inside, rays, box, 1, 1, seed)}
+    assert starts["control"] == starts["orient_1"]
+    for i, forest in enumerate(pair.forests, start=1):
+        depth = {leaf: len(ancestor_chain(forest, leaf)) - 1 for leaf in leaves[i - 1]}
+        want = min(depth, key=lambda leaf: (-depth[leaf], leaf))
+        assert starts[f"orient_{i}"] == want
+        assert inside[i - 1][box.local(want)]
 
 
 def test_prune_and_env_read_the_dumps_of_earlier_stages(staged, in_memory, tmp_path,
@@ -295,6 +343,19 @@ def test_walk_detects_tampered_membership(staged, tmp_path, capsys):
     (out / "membership.json").write_text(doc.replace("[3,", "[2,", 1))
     assert run(["walk", *base_args(out, WALK)]) == 1
     assert "checksum" in capsys.readouterr().err
+
+
+def test_every_option_is_read_from_config_and_overridden_by_its_flag(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("beta = 0.05\ngrid = 3,6\nmax_box = 5\nout = elsewhere\n"
+                       "threads = 1\nwindow = 20\n")
+    args = _build_parser().parse_args(["validate", "--config", str(cfgfile),
+                                       "--grid", "4,8", "--max-box", "6"])
+    cfg = build_config(args)
+    assert (cfg.beta, cfg.grid, cfg.max_box, cfg.out, cfg.threads, cfg.window) == \
+        (0.05, [4, 8], 6, "elsewhere", 1, 20)
+    assert (cfg.seed, cfg.dim, cfg.margin, cfg.replicas, cfg.horizon) == \
+        (RunConfig.seed, RunConfig.dim, RunConfig.margin, RunConfig.replicas, RunConfig.horizon)
 
 
 def test_config_coercion_is_usage_error(tmp_path, capsys):

@@ -61,7 +61,7 @@ def test_depth_brackets_valid_under_window_growth():
 def test_exit_tail_stretched_exponential_shape():
     spine = np.zeros((61, 3), dtype=np.int64)
     spine[:, 0] = np.arange(61)
-    ray = RayHandle(leaf=(0, 0, 0), forest_index=1, zeta=1, beta=0.45, spine=spine)
+    ray = RayHandle(zeta=1, beta=0.45, spine=spine)
     geom = tube_geometry(ray)
     env = ray_environment(ray, geom)
     box = Box((-10, -16, -16), (74, 16, 16))
@@ -86,7 +86,7 @@ def test_drift_concentration_trend():
     # below 0.4 n decays in n
     spine = np.zeros((81, 3), dtype=np.int64)
     spine[:, 0] = np.arange(81)
-    ray = RayHandle(leaf=(0, 0, 0), forest_index=1, zeta=1, beta=0.45, spine=spine)
+    ray = RayHandle(zeta=1, beta=0.45, spine=spine)
     geom = tube_geometry(ray)
     env = ray_environment(ray, geom)
     box = Box((-10, -16, -16), (94, 16, 16))

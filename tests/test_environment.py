@@ -27,8 +27,7 @@ from umbrellaforest.raygeom import (RayHandle, ellipticity_constant,
 def straight_ray(depth=40, beta=0.45, d=3):
     spine = np.zeros((depth + 1, d), dtype=np.int64)
     spine[:, 0] = np.arange(depth + 1)
-    return RayHandle(leaf=tuple([0] * d), forest_index=1, zeta=1, beta=beta,
-                     spine=spine)
+    return RayHandle(zeta=1, beta=beta, spine=spine)
 
 
 def test_tube_row_distinct_directions():
@@ -80,7 +79,7 @@ def test_ray_environment_types_and_neighbors_site_by_site():
     # a staircase spine, so that every site's forward and inward steps vary
     steps = np.array([(1, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, -1)] * 8)
     spine = np.vstack([np.zeros((1, 3), dtype=np.int64), np.cumsum(steps, axis=0)])
-    ray = RayHandle(leaf=(0, 0, 0), forest_index=1, zeta=1, beta=0.45, spine=spine)
+    ray = RayHandle(zeta=1, beta=0.45, spine=spine)
     env = ray_environment(ray)
     geom = env.geom
     rows = row_table(3).rows
@@ -142,8 +141,7 @@ def tube_lists(draw):
         spine = np.tile(np.asarray(leaf, dtype=np.int64), (depth + 1, 1))
         for n, a in enumerate(axes, start=1):
             spine[n:, a] += zeta
-        env = ray_environment(RayHandle(leaf=leaf, forest_index=1 if zeta > 0 else 2,
-                                        zeta=zeta, beta=draw(st.floats(0.1, 0.6)),
+        env = ray_environment(RayHandle(zeta=zeta, beta=draw(st.floats(0.1, 0.6)),
                                         spine=spine))
         S = env.geom.size
         gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -505,8 +503,7 @@ def staircase_ray(depth, beta, d=3, shift=0):
         spine[n] = spine[n - 1]
         spine[n, n % d] += 1
     spine[:, 0] += shift
-    return RayHandle(leaf=tuple(map(int, spine[0])), forest_index=1, zeta=1, beta=beta,
-                     spine=spine)
+    return RayHandle(zeta=1, beta=beta, spine=spine)
 
 
 def certain_sup(window, value=1):
@@ -552,7 +549,7 @@ def test_certain_ray_displaces_censored_placeholder():
     # it on the sites the two tubes share
     window = Window((0, 0, 0), (12, 12, 12), 0)
     first = ray_environment(staircase_ray(30, 0.3))
-    second = ray_environment(replace(staircase_ray(30, 0.3, shift=1), forest_index=2))
+    second = ray_environment(replace(staircase_ray(30, 0.3, shift=1), zeta=-1))
     shape = window.box.shape
     sup = {1: SimpleNamespace(value=np.ones(shape, dtype=np.int64),
                               exact=np.zeros(shape, dtype=bool)),

@@ -184,7 +184,7 @@ def replica_samples(job, k):
     window = Window.centered(job.side, job.dim, job.margin)
     params = default_params(job.dim, window, rng.stream("tails", job.seed, k))
     h = compute_h(build_forest(generate_field(params, window.forest_box(1)), zeta=1))
-    mask = interior_mask(h, job.buffer)
+    mask = interior_mask(h)
     return h.value[mask], h.exact[mask]
 
 

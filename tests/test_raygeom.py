@@ -16,14 +16,13 @@ from umbrellaforest.pipeline import build_pruned_pair, select_rays
 from umbrellaforest.raygeom import (RayDepthError, RayHandle, build_rays,
                                     drift_directions, ellipticity_constant,
                                     score_and_index, solve_insulation_constants,
-                                    trap_start, tube_geometries, tube_geometry)
+                                    tube_geometries, tube_geometry)
 
 
 def straight_ray(depth=64, beta=0.2, d=3, axis=0):
     spine = np.zeros((depth + 1, d), dtype=np.int64)
     spine[:, axis] = np.arange(depth + 1)
-    return RayHandle(leaf=tuple([0] * d), forest_index=1, zeta=1, beta=beta,
-                     spine=spine)
+    return RayHandle(zeta=1, beta=beta, spine=spine)
 
 
 def staircase_ray(depth=64, beta=0.2, d=3):
@@ -31,8 +30,7 @@ def staircase_ray(depth=64, beta=0.2, d=3):
     for n in range(1, depth + 1):
         spine[n] = spine[n - 1]
         spine[n, n % d] += 1
-    return RayHandle(leaf=tuple([0] * d), forest_index=1, zeta=1, beta=beta,
-                     spine=spine)
+    return RayHandle(zeta=1, beta=beta, spine=spine)
 
 
 @st.composite
@@ -46,8 +44,7 @@ def directed_rays(draw):
     spine = np.tile(np.asarray(leaf, dtype=np.int64), (depth + 1, 1))
     for n, a in enumerate(axes, start=1):
         spine[n:, a] += zeta
-    return RayHandle(leaf=leaf, forest_index=1 if zeta > 0 else 2, zeta=zeta, beta=beta,
-                     spine=spine)
+    return RayHandle(zeta=zeta, beta=beta, spine=spine)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -102,8 +99,7 @@ def ray_batches(draw):
         spine = np.tile(np.asarray(leaf, dtype=np.int64), (depth + 1, 1))
         for n, a in enumerate(axes, start=1):
             spine[n:, a] += zeta
-        rays.append(RayHandle(leaf=leaf, forest_index=1 if zeta > 0 else 2, zeta=zeta,
-                              beta=draw(st.floats(0.1, 0.6)), spine=spine))
+        rays.append(RayHandle(zeta=zeta, beta=draw(st.floats(0.1, 0.6)), spine=spine))
     return rays
 
 
@@ -129,8 +125,7 @@ def test_tube_batch_equals_each_ray_alone(rays):
 
 
 def test_tube_batch_refuses_undirected_spines_and_key_overflow():
-    back = RayHandle(leaf=(0, 0), forest_index=1, zeta=1, beta=0.3,
-                     spine=np.array([[0, 0], [1, 0], [0, 0]], dtype=np.int64))
+    back = RayHandle(zeta=1, beta=0.3, spine=np.array([[0, 0], [1, 0], [0, 0]], dtype=np.int64))
     with pytest.raises(ValueError, match="monotone"):
         tube_geometries([straight_ray(depth=3, d=2), back])
     # a d = 6 staircase whose box holds about 1506^6 > 2^63 sites
@@ -139,7 +134,7 @@ def test_tube_batch_refuses_undirected_spines_and_key_overflow():
     for n in range(1, depth + 1):
         spine[n] = spine[n - 1]
         spine[n, n % d] += 1
-    wide = RayHandle(leaf=(0,) * d, forest_index=1, zeta=1, beta=0.1, spine=spine)
+    wide = RayHandle(zeta=1, beta=0.1, spine=spine)
     with pytest.raises(OverflowError, match="overflow int64"):
         tube_geometries([wide])
 
@@ -158,10 +153,10 @@ def test_batched_spine_walk_equals_ancestor_chain(d, zeta, shape, seed):
     # every window site, in random order, and one site outside the window
     leaves = list(window.box.sites())
     leaves = [leaves[k] for k in gen.permutation(len(leaves))] + [window.box.expand(1).lo]
-    rays = build_rays(forest, leaves, 0.3, 2)
+    rays = build_rays(forest, leaves, 0.3)
     assert len(rays) == len(leaves)
     for leaf, ray in zip(leaves, rays):
-        assert ray.leaf == leaf and ray.zeta == zeta and ray.forest_index == 2
+        assert ray.leaf == leaf and ray.zeta == zeta and ray.forest_index == (1 if zeta > 0 else 2)
         assert same_array(ray.spine, np.asarray(ancestor_chain(forest, leaf), dtype=np.int64))
 
 
@@ -334,13 +329,3 @@ def test_distance_to_leaf_bounded_by_insulation_sup():
                 continue
             dist = int(np.abs(geom.sites[j] - np.asarray(ray.leaf)).sum())
             assert dist <= 2 * hval
-
-
-def test_trap_start_prefers_early_insulated_index():
-    ray = staircase_ray(depth=60, beta=0.4)
-    geom = tube_geometry(ray)
-    site, n = trap_start(geom, u_min=2)
-    js = [geom.locate(tuple(map(int, ray.spine[m]))) for m in range(n)]
-    assert all(j >= 0 and geom.u[j] < 2 for j in js)
-    j = geom.locate(site)
-    assert j >= 0 and geom.u[j] >= 2

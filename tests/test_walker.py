@@ -103,7 +103,7 @@ def test_deterministic_row_forces_direction():
 def test_exit_never_faster_than_insulation_distance():
     spine = np.zeros((41, 3), dtype=np.int64)
     spine[:, 0] = np.arange(41)
-    ray = RayHandle(leaf=(0, 0, 0), forest_index=1, zeta=1, beta=0.45, spine=spine)
+    ray = RayHandle(zeta=1, beta=0.45, spine=spine)
     geom = tube_geometry(ray)
     env = ray_environment(ray, geom)
     j = int(np.argmax(geom.u))
@@ -125,7 +125,7 @@ def test_exit_never_faster_than_insulation_distance():
 def test_paired_coupling_deeper_site_survives_longer():
     spine = np.zeros((61, 3), dtype=np.int64)
     spine[:, 0] = np.arange(61)
-    ray = RayHandle(leaf=(0, 0, 0), forest_index=1, zeta=1, beta=0.45, spine=spine)
+    ray = RayHandle(zeta=1, beta=0.45, spine=spine)
     geom = tube_geometry(ray)
     env = ray_environment(ray, geom)
     box = Box((-10, -16, -16), (74, 16, 16))
