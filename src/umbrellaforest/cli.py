@@ -305,7 +305,8 @@ def stage_prune(cfg: RunConfig) -> int:
     if cfg.dim < 3:
         raise UsageError("pruning requires dim >= 3")
     forests = tuple(_load_forests(cfg))
-    pair = pipeline.prune_pair(cfg.params(), forests, *_load_metrics(cfg, forests, "hH"))
+    pair = pipeline.prune_pair(cfg.params(), forests, *_load_metrics(cfg, forests, "hH"),
+                               threads=cfg.threads)
     layers = {}
     for i, (keep, chain, ins) in enumerate(zip(pair.keep, pair.chains, pair.insulation), start=1):
         layers.update({f"keep_{i}": keep, f"chain_{i}": chain.layer,
@@ -423,9 +424,10 @@ def stage_tails(cfg: RunConfig) -> int:
     base = pipeline.tail_experiment(base_job, cfg.replicas, threads=cfg.threads)
     bpath = os.path.join(cfg.out, "tails_baseline.csv")
     base.to_csv(bpath)
-    _record_stage(cfg, "tails", [path, bpath])
+    # the stage is complete only once both fits succeed
     fit = stats.exponent_fit(est)
     bfit = stats.exponent_fit(base)
+    _record_stage(cfg, "tails", [path, bpath])
     print(f"umbrella slope (upper bracket): {fit['hi'][0]:.3f} +- {fit['hi'][1]:.3f}")
     print(f"baseline slope (upper bracket): {bfit['hi'][0]:.3f} +- {bfit['hi'][1]:.3f}")
     return 0

@@ -102,7 +102,8 @@ def _progeny_depth(forest: Forest, member: np.ndarray | None = None):
     depth is 1 + the maximum over in-window member children, 0 at a member
     with no member child and -1 off the member set (every site is a member
     when `member` is None).  exact is False on the face that children enter
-    from and wherever an in-window child is censored.
+    from and wherever an in-window child is censored.  It is computed over
+    the whole forest only: with a member set, exact is None.
 
     One `RowFrame` sweep, levels ascending.  In a row, the in-row child of
     site k is k - 1 when axis(k - 1) = d, so along a segment of linked
@@ -111,14 +112,14 @@ def _progeny_depth(forest: Forest, member: np.ndarray | None = None):
     through the other axes, all one level down.  That is one running
     maximum per level, which an offset of span * (the segment's first
     position) restarts at a missing link or a non-member.  exact is the same
-    scan over "censored" flags with segments broken only by missing links:
-    exactness ignores membership.  Depths off the member set are never
-    read, and are set to -1 at the end.
+    scan over "censored" flags.  Depths off the member set are never read,
+    and are set to -1 at the end.  Terms read at one level only are formed
+    level by level, not held for the whole window.
     """
     # the results first, below the working arrays on the heap, so that the
     # working arrays can go back to the system when they are freed
     depth_out = np.empty(forest.box.shape, dtype=np.int32)
-    exact_out = np.empty(forest.box.shape, dtype=bool)
+    exact_out = np.empty(forest.box.shape, dtype=bool) if member is None else None
     frame = RowFrame(forest)
     ax = frame.axis
     side = ax.shape[1]
@@ -127,44 +128,51 @@ def _progeny_depth(forest: Forest, member: np.ndarray | None = None):
     k = np.arange(side, dtype=dtype)
     unlinked = np.ones(ax.shape, dtype=bool)  # no in-row child at k - 1
     unlinked[:, 1:] = ax[:, :-1] != forest.dim
+    # per prefix axis j, whether the row of x - e_j holds a (member) child
     kid = [(r >= 0)[:, None] & (ax[r] == j + 1) for j, r in enumerate(frame.kid)]
-    face = np.zeros(ax.shape, dtype=bool)  # some child may lie outside
-    face[:, 0] = True
-    for r in frame.kid:
-        face[r < 0] = True
 
     def offsets(breaks):
-        return np.maximum.accumulate(breaks * (k * dtype(span)), axis=1)
+        off = breaks * (k * dtype(span))
+        return np.maximum.accumulate(off, axis=1, out=off)
 
-    link_off = offsets(unlinked)
     if member is None:
-        kid_m, shift = kid, link_off - k
+        face = np.zeros(ax.shape, dtype=bool)  # some child may lie outside
+        face[:, 0] = True
+        for r in frame.kid:
+            face[r < 0] = True
+        link_off = off = offsets(unlinked)
+        censored = np.zeros(ax.shape, dtype=bool)
     else:
         mem = frame.put(member)
-        kid_m = [kj & mem[r] for kj, r in zip(kid, frame.kid)]
+        for kj, r in zip(kid, frame.kid):
+            kj &= mem[r]
         unlinked[:, 1:] |= ~mem[:, :-1]
-        shift = offsets(unlinked) - k
-    # min(depth of the kid, cap) is its depth where it is a member kid, else -1
-    cap = [kj * np.int32(2 ** 30) - np.int32(1) for kj in kid_m]
-    lift = shift + 1
+        off = offsets(unlinked)
+    del unlinked
 
     depth = np.zeros(ax.shape, dtype=np.int32)
-    censored = np.zeros(ax.shape, dtype=bool)
     for a, b in frame.levels:
-        best, bad = None, face[a:b]
-        for kj, cj, r in zip(kid, cap, frame.kid):
-            r = r[a:b]
-            got = np.minimum(depth[r], cj[a:b])
+        best = None
+        for kj, r in zip(kid, frame.kid):
+            # 1 + the depth of the kid where it is a member kid, else 0
+            got = depth[r[a:b]]
+            got += 1
+            np.minimum(got, kj[a:b] * np.int32(2 ** 30), out=got)
             best = got if best is None else np.maximum(best, got, out=best)
-            bad = bad | (kj[a:b] & censored[r])
-        run = np.add(best, lift[a:b], dtype=dtype)
-        np.subtract(np.maximum.accumulate(run, axis=1, out=run), shift[a:b], out=depth[a:b])
-        run = np.add(bad, link_off[a:b], dtype=dtype)
-        np.greater(np.maximum.accumulate(run, axis=1, out=run), link_off[a:b],
-                   out=censored[a:b])
-    if member is not None:
-        depth[~mem] = -1
-    return frame.take(depth, depth_out), frame.take(~censored, exact_out)
+        shift = off[a:b] - k
+        run = np.add(best, shift, dtype=dtype)
+        np.subtract(np.maximum.accumulate(run, axis=1, out=run), shift, out=depth[a:b])
+        if member is None:
+            bad = face[a:b]
+            for kj, r in zip(kid, frame.kid):
+                bad = bad | (kj[a:b] & censored[r[a:b]])
+            run = np.add(bad, link_off[a:b], dtype=dtype)
+            np.greater(np.maximum.accumulate(run, axis=1, out=run), link_off[a:b],
+                       out=censored[a:b])
+    if member is None:
+        return frame.take(depth, depth_out), frame.take(~censored, exact_out)
+    depth[~mem] = -1
+    return frame.take(depth, depth_out), None
 
 
 def compute_h(forest: Forest) -> StatusField:
@@ -222,11 +230,13 @@ def ball_gather(values: np.ndarray, radius: np.ndarray) -> np.ndarray:
 
 
 def ball_radius(v: np.ndarray, beta: float) -> np.ndarray:
-    """floor(max(v, 0)^beta) per entry, int64: the ball radius of a depth,
-    read from one table over 0 .. max(v)."""
+    """floor(max(v, 0)^beta) per entry: the ball radius of a depth, read
+    from one table over 0 .. max(v), in the narrowest unsigned dtype that
+    holds the largest radius (uint8 at every preset)."""
     top = max(int(v.max(initial=0)), 0)
-    table = np.floor(np.power(np.arange(top + 1, dtype=np.float64), beta)).astype(np.int64)
-    return table[np.maximum(v, 0)]
+    table = np.floor(np.power(np.arange(top + 1, dtype=np.float64), beta))
+    table = table.astype(np.min_scalar_type(int(table[-1])))
+    return table.take(v, mode="clip")  # "clip" reads every v < 0 at 0
 
 
 def compute_insulation_sup(h: StatusField, beta: float) -> StatusField:

@@ -3,8 +3,13 @@
 Each driver is a pure function of explicit parameters and a root seed; all
 per-replica randomness is derived through named streams, so any stage can
 be rerun in isolation and replicas or windows can be farmed out to worker
-processes without coordination.  The environment's mixing is measured by
-spatial averages over whole pruned-pair windows (`environment_mixing`).
+processes without coordination.  The two orientations of a pruned pair
+depend on each other only through the opposite H, so each is grown, then
+pruned, on its own thread: at most two, and at most `default_threads()`
+(`UMBRELLAFOREST_THREADS` caps it), the same cap as on the worker processes.
+A pair built inside a worker process runs on that process's one thread.
+The environment's mixing is measured by spatial averages over whole
+pruned-pair windows (`environment_mixing`).
 """
 
 from __future__ import annotations
@@ -57,38 +62,74 @@ class PrunedPair:
         return self.forests[index - 1]
 
 
-def _grow_pair(params: ModelParams) -> tuple[tuple, tuple, tuple]:
+def _each_orientation(fn, jobs, threads: int) -> tuple:
+    """fn(*jobs[0]) and fn(*jobs[1]), one per orientation, transposed: a
+    tuple of (orientation 1, orientation 2) per output of fn.  With
+    threads >= 2 the second runs on a helper thread while the first runs on
+    the caller's; the layers are numpy sweeps that release the interpreter
+    lock, and the results are the same arrays either way."""
+    if threads < 2:
+        return tuple(zip(fn(*jobs[0]), fn(*jobs[1])))
+    from concurrent.futures import ThreadPoolExecutor  # lazily: a few ms per process
+    with ThreadPoolExecutor(1) as pool:
+        second = pool.submit(fn, *jobs[1])
+        return tuple(zip(fn(*jobs[0]), second.result()))
+
+
+def _grow(params: ModelParams, i: int, zeta: int):
+    """Forest i from its own field, with its h and H."""
+    forest = build_forest(generate_field(derived_params(params, "field", i),
+                                         params.window.forest_box(zeta)), zeta=zeta)
+    h = compute_h(forest)
+    return forest, h, compute_insulation_sup(h, params.beta)
+
+
+def _grow_pair(params: ModelParams, threads: int) -> tuple[tuple, tuple, tuple]:
     """Two opposite forests from their own fields, with their h and H."""
     if params.beta is None:
         raise ValueError("pruning requires beta")
-    forests = tuple(build_forest(generate_field(derived_params(params, "field", i),
-                                                params.window.forest_box(zeta)), zeta=zeta)
-                    for i, zeta in ((1, 1), (2, -1)))
-    depth = tuple(compute_h(a) for a in forests)
-    return forests, depth, tuple(compute_insulation_sup(h, params.beta) for h in depth)
+    return _each_orientation(_grow, [(params, 1, 1), (params, 2, -1)], threads)
 
 
-def _chains(forests, depth, ins_sup, beta: float):
-    """Keep layers (each forest's h against the other's H) and chain layers."""
-    keep = (tilde_membership(depth[0], ins_sup[1], beta),
-            tilde_membership(depth[1], ins_sup[0], beta))
-    return keep, tuple(prune_to_infinite(a, k) for a, k in zip(forests, keep))
+def _chain(forest: Forest, h: StatusField, ins_opp: StatusField, beta: float):
+    """Keep layer (h against the opposite forest's H) and chain layer."""
+    keep = tilde_membership(h, ins_opp, beta)
+    return keep, prune_to_infinite(forest, keep)
+
+
+def _prune(forest: Forest, h: StatusField, ins_opp: StatusField, beta: float):
+    """Keep, chain and insulation layers of one forest."""
+    keep, chain = _chain(forest, h, ins_opp, beta)
+    return keep, chain, insulate(chain, h, forest, beta)
+
+
+def _opposed(fn, forests, depth, ins_sup, beta: float, threads: int) -> tuple:
+    """fn on each forest with its own h and the opposite forest's H."""
+    return _each_orientation(fn, [(forests[0], depth[0], ins_sup[1], beta),
+                                  (forests[1], depth[1], ins_sup[0], beta)], threads)
 
 
 def prune_pair(params: ModelParams, forests: tuple[Forest, Forest],
                depth: tuple[StatusField, StatusField],
-               ins_sup: tuple[StatusField, StatusField]) -> PrunedPair:
+               ins_sup: tuple[StatusField, StatusField],
+               threads: int | None = None) -> PrunedPair:
     """Keep, chain and insulate a grown pair, and check the insulation balls
-    of the two forests are disjoint."""
-    keep, chains = _chains(forests, depth, ins_sup, params.beta)
-    ins = tuple(insulate(c, h, a, params.beta) for c, h, a in zip(chains, depth, forests))
+    of the two forests are disjoint.  The orientations run on min(2,
+    threads) threads, `default_threads()` unless given."""
+    threads = default_threads() if threads is None else threads
+    keep, chains, ins = _opposed(_prune, forests, depth, ins_sup, params.beta, threads)
     return PrunedPair(params, forests, depth, ins_sup, keep, chains, ins,
                       check_disjoint(ins[0].ball_layer, ins[1].ball_layer, forests[0].box))
 
 
-def build_pruned_pair(params: ModelParams) -> PrunedPair:
-    """Two independent opposite-orientation forests, pruned and insulated."""
-    return prune_pair(params, *_grow_pair(params))
+def build_pruned_pair(params: ModelParams, threads: int | None = None) -> PrunedPair:
+    """Two independent opposite-orientation forests, pruned and insulated.
+
+    Each orientation is grown, then pruned against the other's H, on its
+    own thread when `threads` (default `default_threads()`) is 2 or more;
+    the pair is the same for every thread count."""
+    threads = default_threads() if threads is None else threads
+    return prune_pair(params, *_grow_pair(params, threads), threads=threads)
 
 
 def select_rays(forests: tuple[Forest, ...], leaf_sites: list[list[Site]], beta: float,
@@ -200,10 +241,11 @@ def depth_decay_experiment(params: ModelParams, replicas: int, k_grid: list[int]
 def _decay_replica(args) -> np.ndarray:
     """One replica's (violations, eligible) per k, summed over both forests."""
     params, k, k_grid = args
-    forests, depth, ins_sup = _grow_pair(derived_params(params, "decay", k))
+    forests, depth, ins_sup = _grow_pair(derived_params(params, "decay", k), threads=1)
+    _, chains = _opposed(_chain, forests, depth, ins_sup, params.beta, threads=1)
     return sum(np.array([(r["violations"], r["eligible"])
                          for r in depth_decay_table(chain, interior_mask(h), list(k_grid))])
-               for chain, h in zip(_chains(forests, depth, ins_sup, params.beta)[1], depth))
+               for chain, h in zip(chains, depth))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +364,7 @@ def block_covered_sums(covered: np.ndarray, shifts: list[int]) -> np.ndarray:
 
 def _env_window_sums(args: tuple[ModelParams, list[int]]) -> np.ndarray:
     params, shifts = args
-    pair = build_pruned_pair(params)
+    pair = build_pruned_pair(params, threads=1)
     covered = (pair.insulation[0].ray_layer == IN) | (pair.insulation[1].ray_layer == IN)
     return block_covered_sums(covered, shifts)
 

@@ -112,28 +112,42 @@ def prune_to_infinite(forest: Forest, keep: np.ndarray) -> ChainResult:
     frame = RowFrame(forest)
     ax = frame.axis
     side = ax.shape[1]
-    k = np.arange(side, dtype=np.int32)
+    pad = ax.size
+    # flat level-major indices up to the padded entry `pad`; each working
+    # array is deleted after its last read, to keep the sweep's peak low
+    idx = np.int32 if pad < 2 ** 31 else np.int64
+    k = np.arange(side, dtype=idx)
     own = frame.put(keep)
     # the end of x's run of in-row links: the first site at or after x
     # whose parent leaves the row
     ends = ax != forest.dim
     ends[:, -1] = True
-    end = _first_at_or_after(ends)
-    at_end = (end + np.arange(0, ax.size, side)[:, None]).ravel()
-    # flat level-major index of the parent where it lies in another row,
-    # else the padded entry after the last site: the parent is outside
-    pad = ax.size
-    up = np.full(ax.shape, pad)
-    for j, r in enumerate(frame.parent):
-        up += ((ax == j + 1) & (r >= 0)[:, None]) * (r[:, None] * side + k - pad)
-    above = up.ravel()[at_end]
+    end = _first_at_or_after(ends).astype(idx, copy=False)
+    del ends
     steps = (end - k + 1).ravel()
     # the keep verdicts on the run from x to its end: some UNKNOWN, and the
     # distance to the farthest OUT
     unknown = (_first_at_or_after(own == UNKNOWN) <= end).ravel()
-    far = np.maximum.accumulate((own == OUT) * (k + 1) - 1, axis=1).ravel()[at_end]
-    far = far.reshape(ax.shape) - k
-    own_viol = np.where(far >= 0, far, _NO_VIOLATION).ravel()
+    end += np.arange(0, pad, side, dtype=idx)[:, None]
+    at_end = end.ravel()
+    del end
+    far = (own == OUT) * (k + 1)
+    del own
+    far -= 1
+    np.maximum.accumulate(far, axis=1, out=far)
+    far = far.ravel()[at_end].reshape(ax.shape)
+    far -= k
+    far[far < 0] = _NO_VIOLATION
+    own_viol = far.ravel()
+    del far
+    # flat level-major index of the parent where it lies in another row,
+    # else the padded entry: the parent is outside
+    up = np.full(ax.shape, pad, dtype=idx)
+    for j, r in enumerate(frame.parent):
+        up += ((ax == j + 1) & (r >= 0)[:, None]) * (r.astype(idx)[:, None] * idx(side)
+                                                     + (k - idx(pad)))
+    above = up.ravel()[at_end]
+    del up, at_end
 
     last_viol = np.full(pad + 1, _NO_VIOLATION, dtype=np.int32)
     censored = np.zeros(pad + 1, dtype=bool)
@@ -145,7 +159,8 @@ def prune_to_infinite(forest: Forest, keep: np.ndarray) -> ChainResult:
         np.maximum(last_viol[p] + steps[sl], own_viol[sl], out=last_viol[sl])
         np.logical_or(censored[p], unknown[sl], out=censored[sl])
         np.add(depth_avail[p], steps[sl], out=depth_avail[sl])
-    last_viol = np.maximum(last_viol[:pad], -1)
+    del above, steps, unknown, own_viol
+    last_viol = np.maximum(last_viol[:pad], -1, out=last_viol[:pad])
     censored, depth_avail = censored[:pad], depth_avail[:pad]
     # the line ends in the frontier, so its tier is OUT after a certain
     # violation, else UNKNOWN after a censored verdict, else FRONTIER
@@ -222,36 +237,35 @@ def insulate(chain: ChainResult, h_own: StatusField, forest: Forest,
     UNKNOWN because rays outside the window could reach in.  Its width is
     floor(max h^beta), one layer short of H's real max_h^beta when not whole.
     """
-    shape = forest.box.shape
     layer = chain.layer
-    kept = layer >= FRONTIER
-
     # greatest kept-chain depth below each site (0 at leaves, -1 off the
     # layer): a site at depth n is the n-th ancestor of some kept leaf, so
-    # its ray ball has radius n^beta
-    depth_c, _ = _progeny_depth(forest, kept)
-    depth_p, _ = _progeny_depth(forest, layer >= UNKNOWN)
+    # its ray ball has radius n^beta.  Each depth layer is freed once stamped.
+    depth, _ = _progeny_depth(forest, layer >= FRONTIER)
+    leaf_sites = _depth_zero_sites(depth, forest.box)
+    ray_certain = ball_stamp(depth >= 0, ball_radius(depth, beta))
+    del depth
+    depth, _ = _progeny_depth(forest, layer >= UNKNOWN)
+    ray_potential = ball_stamp(depth >= 0, ball_radius(depth, beta))
+    max_depth = int(depth.max()) if depth.size else -1
+    del depth
 
-    ray_certain = ball_stamp(depth_c >= 0, ball_radius(depth_c, beta))
-    ray_potential = ball_stamp(depth_p >= 0, ball_radius(depth_p, beta))
-    ball_r = ball_radius(h_own.value, beta)
-    ball_certain = ball_stamp(kept, ball_r)
-    ball_potential = ball_stamp(layer >= UNKNOWN, ball_r)
-
-    max_depth = int(depth_p.max()) if depth_p.size else -1
     band = int(np.floor(max(max_depth, int(h_own.value.max()), 0) ** beta)) \
         if max_depth >= 0 or h_own.value.max() > 0 else 0
     near_face = forest.box.boundary_distance() < band
 
     def combine(certain, potential):
-        out = np.full(shape, OUT, dtype=np.int8)
+        out = np.full(layer.shape, OUT, dtype=np.int8)
         out[potential | near_face] = UNKNOWN
         out[certain] = IN
         return out
 
-    return Insulation(ball_layer=combine(ball_certain, ball_potential),
-                      ray_layer=combine(ray_certain, ray_potential),
-                      leaf_sites=_depth_zero_sites(depth_c, forest.box))
+    ray_layer = combine(ray_certain, ray_potential)
+    del ray_certain, ray_potential
+    ball_r = ball_radius(h_own.value, beta)
+    ball_layer = combine(ball_stamp(layer >= FRONTIER, ball_r),
+                         ball_stamp(layer >= UNKNOWN, ball_r))
+    return Insulation(ball_layer=ball_layer, ray_layer=ray_layer, leaf_sites=leaf_sites)
 
 
 @dataclass

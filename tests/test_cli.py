@@ -150,6 +150,17 @@ def test_tails_stage_leaves_the_metrics_tails_alone(tmp_path):
     assert run(["prune", *base]) == 0
 
 
+def test_tails_stage_is_not_recorded_when_a_fit_fails(tmp_path, capsys):
+    # at window 16 the d = 3 default grid 4, 8, 16, 32 leaves too few usable
+    # points for the fit: the stage exits 1 and the manifest does not list it
+    out = tmp_path / "run"
+    args = ["--dim", "3", "--window", "16", "--margin", "6", "--seed", "7", "--out", str(out)]
+    assert run(["tails", *args, "--replicas", "2", "--threads", "1"]) == 1
+    assert "usable grid points" in capsys.readouterr().err
+    man = out / "manifest.json"
+    assert not man.exists() or "tails" not in json.loads(man.read_text())["stages"]
+
+
 def test_readme_flags_sentence_lists_the_parser_flags():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     sentence = readme.split("Flags:", 1)[1].split(".  ", 1)[0]

@@ -16,7 +16,7 @@ from umbrellaforest.forest import (axes_at, build_forest, choose_direction,
                                    write_forest)
 from umbrellaforest.lattice import Box, Window
 from umbrellaforest.oracles import enumerate_box_field, lambda_brute
-from umbrellaforest.pipeline import forest_direction_sampler
+from umbrellaforest.pipeline import build_pruned_pair, forest_direction_sampler
 
 
 def hand_field(d=2, extent=12, spike=None, base=1.5):
@@ -394,6 +394,21 @@ def test_build_forest_memory_is_bounded_by_its_window():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 8 * window.box.size
+
+
+def test_threaded_pair_memory_holds_the_serial_budget():
+    # the two orientations of a pair are grown and pruned at once, so each
+    # layer's working set is trimmed to keep the threaded pair3d-shaped build
+    # within the 26 MiB that one orientation after the other used to take
+    params = default_params(3, Window.centered(64, 3, 10), seed=90_009)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build_pruned_pair(params, threads=2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * 2 ** 20
 
 
 def test_axes_at_flags_uncovered_ties():

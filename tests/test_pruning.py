@@ -1,16 +1,20 @@
+import dataclasses
 import itertools
 import json
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from umbrellaforest import pipeline
 from umbrellaforest.fieldgen import default_params, generate_field
 from umbrellaforest.forest import Forest, build_forest
 from umbrellaforest.lattice import Window
 from umbrellaforest.metrics import StatusField, compute_h, compute_insulation_sup
 from umbrellaforest.oracles import h_brute, insulation_sup_brute
-from umbrellaforest.pipeline import build_pruned_pair
+from umbrellaforest.pipeline import (build_pruned_pair, depth_decay_experiment,
+                                     environment_mixing)
 from umbrellaforest.pruning import (FRONTIER, IN, OUT, UNKNOWN, check_disjoint,
                                     depth_decay_table, insulate, leaves,
                                     prune_to_infinite, read_membership,
@@ -492,3 +496,51 @@ def test_layers_match_site_by_site_definitions(inst):
         x for x, (a, b) in zip(sites, pairs) if a == IN and b == IN)
     assert rep.unknown_overlaps == sum(OUT not in ab and ab != (IN, IN) for ab in pairs)
     assert rep.disjoint == (not rep.certain_overlaps)
+
+
+def pair_arrays(obj, name="pair") -> dict:
+    """Every array and every other leaf of a `PrunedPair`, by path."""
+    if dataclasses.is_dataclass(obj):
+        items = [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, tuple):
+        items = list(enumerate(obj))
+    else:
+        return {name: obj}
+    out = {}
+    for key, value in items:
+        out.update(pair_arrays(value, f"{name}.{key}"))
+    return out
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(st.integers(6, 24), st.integers(2, 9), st.integers(0, 2 ** 16))
+@example(64, 10, 90_009)   # the pair3d benchmark instance
+def test_pair_does_not_depend_on_the_thread_count(side, margin, seed):
+    params = default_params(3, Window.centered(side, 3, margin), seed)
+    one, two = (pair_arrays(build_pruned_pair(params, threads=t)) for t in (1, 2))
+    assert one.keys() == two.keys()
+    for name, a in one.items():
+        b = two[name]
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
+def test_an_error_on_the_orientation_thread_reaches_the_caller():
+    def layer(i):
+        if i == 2:
+            raise ValueError("orientation 2 failed")
+        return i, -i
+
+    assert pipeline._each_orientation(layer, [(1,), (3,)], threads=2) == ((1, 3), (-1, -3))
+    with pytest.raises(ValueError, match="orientation 2 failed"):
+        pipeline._each_orientation(layer, [(1,), (2,)], threads=2)
+
+
+def test_pair_experiments_do_not_depend_on_the_thread_count():
+    params = default_params(3, Window.centered(28, 3, 6), 31)
+    decay = [repr(depth_decay_experiment(params, 2, [2, 4, 8], threads=t)) for t in (1, 2)]
+    assert decay[0] == decay[1]
+    mixing = [environment_mixing(params, [2, 4], 3, threads=t) for t in (1, 2)]
+    assert mixing[0] == mixing[1]
