@@ -7,7 +7,8 @@ processes without coordination.  The two orientations of a pruned pair
 depend on each other only through the opposite H, so each is grown, then
 pruned, on its own thread: at most two, and at most `default_threads()`
 (`UMBRELLAFOREST_THREADS` caps it), the same cap as on the worker processes.
-A pair built inside a worker process runs on that process's one thread.
+A pair whose forest box holds fewer than `THREADED_PAIR_SITES` sites, or
+that is built inside a worker process, runs on one thread.
 The environment's mixing is measured by spatial averages over whole
 pruned-pair windows (`environment_mixing`).
 """
@@ -60,6 +61,23 @@ class PrunedPair:
 
     def forest_of(self, index: int) -> Forest:
         return self.forests[index - 1]
+
+
+# The smallest forest box whose pair is built on two threads.  Below it the
+# thread's start and the interpreter-lock handoffs of the short level sweeps
+# cost more than the overlap saves: on 2 cores, pruning a pair took 1.16x
+# the serial time at window side 32 (42^3-site boxes), 1.08x at side 40
+# (50^3) and 0.95x at side 48 (58^3).  A slower, contended phase also makes
+# the time of each build depend on whether the second core is free.
+THREADED_PAIR_SITES = 2 ** 17
+
+
+def _pair_threads(params: ModelParams, threads: int | None) -> int:
+    """The orientation threads of a pair: `threads` (default
+    `default_threads()`), or 1 below `THREADED_PAIR_SITES`."""
+    if params.window.forest_box(1).size < THREADED_PAIR_SITES:
+        return 1
+    return default_threads() if threads is None else threads
 
 
 def _each_orientation(fn, jobs, threads: int) -> tuple:
@@ -115,8 +133,9 @@ def prune_pair(params: ModelParams, forests: tuple[Forest, Forest],
                threads: int | None = None) -> PrunedPair:
     """Keep, chain and insulate a grown pair, and check the insulation balls
     of the two forests are disjoint.  The orientations run on min(2,
-    threads) threads, `default_threads()` unless given."""
-    threads = default_threads() if threads is None else threads
+    threads) threads, `default_threads()` unless given, and on one below
+    `THREADED_PAIR_SITES`."""
+    threads = _pair_threads(params, threads)
     keep, chains, ins = _opposed(_prune, forests, depth, ins_sup, params.beta, threads)
     return PrunedPair(params, forests, depth, ins_sup, keep, chains, ins,
                       check_disjoint(ins[0].ball_layer, ins[1].ball_layer, forests[0].box))
@@ -126,9 +145,10 @@ def build_pruned_pair(params: ModelParams, threads: int | None = None) -> Pruned
     """Two independent opposite-orientation forests, pruned and insulated.
 
     Each orientation is grown, then pruned against the other's H, on its
-    own thread when `threads` (default `default_threads()`) is 2 or more;
-    the pair is the same for every thread count."""
-    threads = default_threads() if threads is None else threads
+    own thread when `threads` (default `default_threads()`) is 2 or more
+    and the forest box holds `THREADED_PAIR_SITES` sites or more; the pair
+    is the same for every thread count."""
+    threads = _pair_threads(params, threads)
     return prune_pair(params, *_grow_pair(params, threads), threads=threads)
 
 

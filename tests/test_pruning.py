@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -517,7 +518,9 @@ def pair_arrays(obj, name="pair") -> dict:
 @example(64, 10, 90_009)   # the pair3d benchmark instance
 def test_pair_does_not_depend_on_the_thread_count(side, margin, seed):
     params = default_params(3, Window.centered(side, 3, margin), seed)
-    one, two = (pair_arrays(build_pruned_pair(params, threads=t)) for t in (1, 2))
+    # thread every draw, however small its window
+    with mock.patch.object(pipeline, "THREADED_PAIR_SITES", 0):
+        one, two = (pair_arrays(build_pruned_pair(params, threads=t)) for t in (1, 2))
     assert one.keys() == two.keys()
     for name, a in one.items():
         b = two[name]
@@ -525,6 +528,15 @@ def test_pair_does_not_depend_on_the_thread_count(side, margin, seed):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         else:
             assert a == b, name
+
+
+def test_only_large_pairs_are_threaded():
+    # the cli3d window (side 32, a 42^3 forest box) is pruned on one thread,
+    # the pair3d window (side 64, 74^3) on two
+    small, large = (default_params(3, Window.centered(s, 3, 10), 7) for s in (32, 64))
+    assert pipeline._pair_threads(small, 2) == 1
+    assert pipeline._pair_threads(large, 2) == 2
+    assert pipeline._pair_threads(large, 1) == 1
 
 
 def test_an_error_on_the_orientation_thread_reaches_the_caller():
