@@ -30,7 +30,8 @@ for i in (1, 2):
     kept = chain.kept()
     print(f"   kept chains cover {np.mean(kept):.2%} of the window; "
           f"{len(ins.leaf_sites)} leaves")
-    print(f"   insulated-ray cover: {np.mean(ins.ray_layer == IN):.2%} certain, "
+    # IN stamps come from kept, frontier-leaning chains (no chain is IN)
+    print(f"   insulated-ray cover: {np.mean(ins.ray_layer == IN):.2%} in the kept cover, "
           f"{np.mean(ins.ray_layer == UNKNOWN):.2%} unknown")
 
 print(f"\ncertain insulation overlap sites: {len(pair.disjoint.certain_overlaps)}"

@@ -11,8 +11,9 @@ read its dump: `forest` reads the field dumps, `metrics` the forest dumps,
 and `prune` the forest dumps and the h and H of `metrics.npz`; it keeps,
 chains and insulates, and writes the chain and ray-cover layers to
 `membership.json`.  `env` reads the forests, the H of `metrics.npz` and
-`membership.json`, and derives nothing of the pruning; `walk` reads the
-forests, `membership.json` and `env.umbe`.
+`membership.json`, derives nothing of the pruning and records the walk
+starts; `walk` reads the covers, `env.umbe` and the starts.  A dump that
+does not parse is an integrity failure naming it (`_read`).
 
 Exit codes: 0 ok, 1 invariant/integrity failure or any other error, 2 usage
 or config error, 3 resource budget exceeded.
@@ -26,6 +27,7 @@ import hashlib
 import json
 import os
 import sys
+import zipfile
 
 import numpy as np
 
@@ -145,11 +147,28 @@ def _manifest_path(cfg: RunConfig) -> str:
     return os.path.join(cfg.out, "manifest.json")
 
 
+def _read(cfg: RunConfig, name: str, parse, *args):
+    """`parse(path, *args)` of the dump `name` in the run directory; a dump
+    that does not parse is an integrity failure that names it."""
+    try:
+        return parse(os.path.join(cfg.out, name), *args)
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as e:
+        raise InvariantFailure(f"{name}: {e}") from e
+
+
+def _lines(path: str) -> list[str]:
+    with open(path) as f:
+        return f.read().splitlines()
+
+
+def _json(path: str):
+    with open(path) as f:
+        return json.load(f)
+
+
 def _load_manifest(cfg: RunConfig) -> dict:
-    path = _manifest_path(cfg)
-    if os.path.exists(path):
-        with open(path) as f:
-            return json.load(f)
+    if os.path.exists(_manifest_path(cfg)):
+        return _read(cfg, "manifest.json", _json)
     return {"config_hash": cfg.hash(), "stages": {}}
 
 
@@ -228,11 +247,9 @@ def stage_gen(cfg: RunConfig) -> int:
 def _load_fields(cfg: RunConfig):
     _require_stage(cfg, "gen")
     params = cfg.params()
-    out = []
-    for i in (1, 2) if cfg.dim >= 3 else (1,):
-        p = pipeline.derived_params(params, "field", i)
-        out.append(fieldgen.read_field(os.path.join(cfg.out, f"field_{i}.umbf"), p))
-    return out
+    return [_read(cfg, f"field_{i}.umbf", fieldgen.read_field,
+                  pipeline.derived_params(params, "field", i))
+            for i in ((1, 2) if cfg.dim >= 3 else (1,))]
 
 
 def stage_forest(cfg: RunConfig) -> int:
@@ -253,8 +270,7 @@ def stage_forest(cfg: RunConfig) -> int:
 def _load_forests(cfg: RunConfig):
     _require_stage(cfg, "forest")
     idx = (1, 2) if cfg.dim >= 3 else (1,)
-    return [forest_mod.read_forest(os.path.join(cfg.out, f"forest_{i}.umba"))
-            for i in idx]
+    return [_read(cfg, f"forest_{i}.umba", forest_mod.read_forest) for i in idx]
 
 
 def stage_metrics(cfg: RunConfig) -> int:
@@ -288,12 +304,12 @@ def stage_metrics(cfg: RunConfig) -> int:
 def _load_metrics(cfg: RunConfig, forests, keys: str) -> list[tuple[StatusField, ...]]:
     """Field `k` ('h' or 'H') of each forest, per k in `keys`, as `metrics` wrote it."""
     _require_stage(cfg, "metrics")
-    with np.load(os.path.join(cfg.out, "metrics.npz")) as z:
-        try:
+
+    def parse(path):
+        with np.load(path) as z:
             return [tuple(StatusField(f.window, f.zeta, z[f"{k}{i}_value"], z[f"{k}{i}_exact"])
                           for i, f in enumerate(forests, start=1)) for k in keys]
-        except KeyError as e:
-            raise InvariantFailure(f"metrics.npz: {e}") from e
+    return _read(cfg, "metrics.npz", parse)
 
 
 _MEMBERSHIP = ("chain", "ray_cover")   # the layers a later stage reads
@@ -330,35 +346,37 @@ def stage_prune(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_rays(cfg: RunConfig, forests):
-    """The rays of the leaves of the chain layers that `prune` wrote, and
-    the two certain ray covers it wrote."""
+def _load_membership(cfg: RunConfig):
+    """The two chain layers that `prune` wrote, and its two certain ray
+    covers."""
     _require_stage(cfg, "prune")
-    params = cfg.params()
-    try:
-        window, layers = pruning.read_membership(os.path.join(cfg.out, "membership.json"))
-        if window != params.window:
-            raise ValueError(f"covers {window}, not the window {params.window}")
-        chains, covers = ([layers[f"{name}_{i}"] for i in (1, 2)] for name in _MEMBERSHIP)
-    except (KeyError, ValueError) as e:
-        raise InvariantFailure(f"membership.json: {e}") from e
-    rays = pipeline.select_rays(forests, [pruning.leaves(c, f) for c, f in zip(chains, forests)],
-                                params.beta)
-    return rays, tuple(c == pruning.IN for c in covers)
+    window = cfg.params().window
+
+    def parse(path):
+        got, layers = pruning.read_membership(path)
+        if got != window:
+            raise ValueError(f"covers {got}, not the window {window}")
+        return [[layers[f"{name}_{i}"] for i in (1, 2)] for name in _MEMBERSHIP]
+    chains, covers = _read(cfg, "membership.json", parse)
+    return chains, tuple(c == pruning.IN for c in covers)
 
 
 def stage_env(cfg: RunConfig) -> int:
-    """Patch the window with the rays and ray covers that `prune` wrote,
-    at the insulation sups H that `metrics` wrote."""
+    """Patch the window with the rays and ray covers that `prune` wrote, at
+    the insulation sups H that `metrics` wrote; record the walk starts."""
     if cfg.dim < 3:
         raise UsageError("the patched environment requires dim >= 3")
+    params = cfg.params()
     forests = _load_forests(cfg)
     ins_sup, = _load_metrics(cfg, forests, "H")
-    rays, inside = _load_rays(cfg, forests)
-    env = pipeline.build_patched(cfg.params(), rays, ins_sup, inside)
+    chains, inside = _load_membership(cfg)
+    rays = pipeline.select_rays(forests, [pruning.leaves(c, f) for c, f in zip(chains, forests)],
+                                params.beta)
+    env = pipeline.build_patched(params, rays, ins_sup, inside)
     env_path = os.path.join(cfg.out, "env.umbe")
     write_environment(env, env_path)
-    man = environment_manifest(env, cfg.params().beta)
+    man = environment_manifest(env, params.beta)
+    man["walk_starts"] = [None if s is None else list(s) for s in pipeline.walk_starts(env.rays)]
     res = supermartingale_residuals(env)
     man["residuals"] = dict(res.__dict__, witness=list(res.witness) if res.witness else None,
                             worst=None if res.eligible == 0 else res.worst)
@@ -373,23 +391,25 @@ def stage_env(cfg: RunConfig) -> int:
 
 def stage_walk(cfg: RunConfig) -> int:
     """Walk the environment that `env` wrote, inside the ray covers that
-    `prune` wrote, from the leaves of the forests that `forest` wrote."""
+    `prune` wrote, from the starts that `env` recorded."""
     if cfg.dim < 3:
         raise UsageError("trapping walks require dim >= 3")
-    forests = _load_forests(cfg)
-    rays, inside = _load_rays(cfg, forests)
+    _, inside = _load_membership(cfg)
     _require_stage(cfg, "env")
     params = cfg.params()
-    try:
-        box, row_type = read_environment(os.path.join(cfg.out, "env.umbe"))
-    except ValueError as e:
-        raise InvariantFailure(f"env.umbe: {e}") from e
-    if box != params.window.box:
-        raise InvariantFailure(f"env.umbe covers {box}, not the window {params.window.box}")
+    box = params.window.box
+
+    def parse_starts(path):
+        return [None if s is None else tuple(map(int, s)) for s in _json(path)["walk_starts"]]
+
+    got, row_type = _read(cfg, "env.umbe", read_environment)
+    if got != box:
+        raise InvariantFailure(f"env.umbe covers {got}, not the window {box}")
+    starts = _read(cfg, "env_manifest.json", parse_starts)
     arts, summary, estimates = [], {}, {}
     # each batch is written out and dropped before the next one runs
-    for name, start, batch in pipeline.trap_walks(row_type, inside, rays, box, cfg.horizon,
-                                                  cfg.replicas, params.seed):
+    for name, batch in pipeline.trap_walks(row_type, inside, starts, box, cfg.horizon,
+                                           cfg.replicas, params.seed):
         path = os.path.join(cfg.out, f"walks_{name}.csv")
         walks_csv(batch, path)
         arts.append(path)
@@ -398,7 +418,7 @@ def stage_walk(cfg: RunConfig) -> int:
                          "ci_pessimistic": list(est.ci_pessimistic),
                          "truncated": est.truncated,
                          "drift_quantiles": est.drift_quantiles,
-                         "start": list(start)}
+                         "start": list(batch.config.start)}
         del batch
     jpath = os.path.join(cfg.out, "walks_summary.json")
     with open(jpath, "w") as f:
@@ -466,22 +486,11 @@ def stage_oracle(cfg: RunConfig) -> int:
 def stage_report(cfg: RunConfig) -> int:
     man = _load_manifest(cfg)
     params = cfg.params()
-    tails = {}
-    for name in ("tails", "tails_umbrella", "tails_baseline"):   # `metrics`, then `tails`
-        tpath = os.path.join(cfg.out, f"{name}.csv")
-        if os.path.exists(tpath):
-            with open(tpath) as f:
-                tails[f"{name}_csv"] = f.read().splitlines()
-    trapping = {}
-    wpath = os.path.join(cfg.out, "walks_summary.json")
-    if os.path.exists(wpath):
-        with open(wpath) as f:
-            trapping = json.load(f)
-    mixing = []
-    mpath = os.path.join(cfg.out, "mixing.csv")
-    if os.path.exists(mpath):
-        with open(mpath) as f:
-            mixing = f.read().splitlines()
+    written = set(os.listdir(cfg.out))
+    tails = {f"{name}_csv": _read(cfg, f"{name}.csv", _lines)   # `metrics`, then `tails`
+             for name in ("tails", "tails_umbrella", "tails_baseline") if f"{name}.csv" in written}
+    trapping = _read(cfg, "walks_summary.json", _json) if "walks_summary.json" in written else {}
+    mixing = _read(cfg, "mixing.csv", _lines) if "mixing.csv" in written else []
     doc = stats.assemble_report(
         params={"dim": params.dim, "window": cfg.window,
                 "margin": cfg.margin, "beta": params.beta,

@@ -41,7 +41,6 @@ above the ellipticity floor.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -49,15 +48,18 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lattice import Box, Direction, Site, Window, all_directions
+from .lattice import (Box, Direction, DumpLayout, Site, Window, all_directions,
+                      read_box_dump, write_box_dump)
+from .metrics import StatusField
 from .raygeom import (RayHandle, TubeGeometry, drift_directions, drift_indices,
                       ellipticity_constant, tube_geometries, tube_geometry)
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
-ENV_MAGIC = b"UMBE"
-ENV_VERSION = 1
+# UMBE: per window site its row's 2d (numerator, denominator) u64 pairs; at
+# most d = 5, the dimensions whose (2d)^2 + 1 row types fit int8
+ENV_DUMP = DumpLayout(b"UMBE", 1, "environment", lambda d: f"({4 * d},)<u8", max_dim=5)
 
 FORWARD_PROB = Fraction(3, 4)
 INWARD_PROB = Fraction(1, 5)
@@ -96,11 +98,13 @@ class RowTable:
 
     Type 0 is the uniform row; the tube row of (forward, inward) has type
     1 + 2d * forward.index + inward.index.  `weights` holds each row's float
-    value, rounded once from the exact entries.
+    value, rounded once from the exact entries, and `fractions` its exact
+    (numerator, denominator) pairs as the UMBE dump stores them.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
     weights: np.ndarray     # (types, 2d) float64, read-only
+    fractions: np.ndarray   # (types, 4d) little-endian u64, read-only
 
 
 @lru_cache(maxsize=None)
@@ -110,8 +114,11 @@ def row_table(d: int) -> RowTable:
     if len(rows) > np.iinfo(np.int8).max + 1:
         raise ValueError(f"{len(rows)} row types at d = {d} overflow int8")
     weights = np.array([[float(p) for p in r] for r in rows])
-    weights.setflags(write=False)
-    return RowTable(rows=tuple(map(tuple, rows)), weights=weights)
+    fractions = np.array([[q for p in r for q in (p.numerator, p.denominator)] for r in rows],
+                         dtype="<u8")
+    for a in (weights, fractions):
+        a.setflags(write=False)
+    return RowTable(rows=tuple(map(tuple, rows)), weights=weights, fractions=fractions)
 
 
 @dataclass
@@ -361,21 +368,21 @@ class PatchedEnv:
         return list(row_table(self.dim).rows[self.row_type[self.box.local(x)]])
 
 
-def patch(window: Window, envs: list[RayEnvironment], ins_sup_by_forest: dict[int, "object"],
+def patch(window: Window, envs: list[RayEnvironment], ins_sup: tuple[StatusField, ...],
           horizon_factor: float, certain_cover: np.ndarray | None = None,
           objective: str = "min") -> PatchedEnv:
     """Assemble the global environment from per-ray tube environments.
 
     For every window site covered by at least one tube, compute the exit
-    mass at horizon ceil(factor * insulation_sup) under each covering ray
-    and install the row of the minimizing ray (ties: lexicographically
-    smallest leaf).  Sites whose insulation sup is censored get the first
-    covering ray's row and a flag.  `certain_cover` optionally restricts
-    installation to certainly-covered sites.  Every tube's exit masses come
-    from one `exit_table` call, under its stacked-site budget.
-    `objective="max"` installs the worst
-    ray instead and exists only so tests can prove the checker catches a
-    mispatched environment.
+    mass at horizon ceil(factor * H) under each covering ray, H being the
+    insulation sup `ins_sup[i-1]` of the ray's forest i, and install the
+    row of the minimizing ray (ties: lexicographically smallest leaf).
+    Sites whose insulation sup is censored get the first covering ray's
+    row and a flag.  `certain_cover` optionally restricts installation to
+    certainly-covered sites.  Every tube's exit masses come from one
+    `exit_table` call, under its stacked-site budget.  `objective="max"`
+    installs the worst ray instead and exists only so tests can prove the
+    checker catches a mispatched environment.
     """
     if objective not in ("min", "max"):
         raise ValueError("objective must be 'min' or 'max'")
@@ -396,7 +403,7 @@ def patch(window: Window, envs: list[RayEnvironment], ins_sup_by_forest: dict[in
     covered, horizons = [], []
     for rank in order:
         geom = envs[rank].geom
-        ins = ins_sup_by_forest[rays[rank].forest_index]
+        ins = ins_sup[rays[rank].forest_index - 1]
         j, at = box.locate(geom.sites)
         if certain_cover is not None:
             keep = certain_cover.reshape(-1)[at]
@@ -475,65 +482,31 @@ def supermartingale_residuals(env: PatchedEnv) -> ResidualReport:
 # dump
 # ---------------------------------------------------------------------------
 
-def _row_fractions(d: int) -> np.ndarray:
-    """(types, 2d, 2) little-endian u64: each table row's (numerator,
-    denominator) pairs, as the dump stores them."""
-    return np.array([[(p.numerator, p.denominator) for p in row]
-                     for row in row_table(d).rows], dtype="<u8")
-
-
 def write_environment(env: PatchedEnv, path: str):
-    """Header, then every window site's row in row-major order as
-    (numerator, denominator) u64 pairs, gathered from the row table."""
-    box = env.box
-    d = env.dim
-    with open(path, "wb") as f:
-        f.write(ENV_MAGIC)
-        f.write(struct.pack("<II", ENV_VERSION, d))
-        for l, h in zip(box.lo, box.hi):
-            f.write(struct.pack("<qq", l, h))
-        _row_fractions(d)[env.row_type].tofile(f)
+    """Every window site's row as (numerator, denominator) u64 pairs,
+    gathered from the row table."""
+    write_box_dump(path, ENV_DUMP, env.box, row_table(env.dim).fractions[env.row_type])
 
 
 def read_environment(path: str) -> tuple[Box, np.ndarray]:
     """Inverse of `write_environment`: the window box and each site's row type.
 
     Every stored row must equal one row of `row_table(d)` exactly.  Raises
-    ValueError on a bad magic, version or dimension, a truncated or
-    overlong body, or a row that is not in the table.
+    ValueError on what `read_box_dump` rejects or a row that is not in the
+    table.
     """
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != ENV_MAGIC:
-        raise ValueError("bad environment dump magic")
-    if len(data) < 12:
-        raise ValueError("environment dump header is truncated")
-    version, d = struct.unpack_from("<II", data, 4)
-    if version != ENV_VERSION:
-        raise ValueError(f"unsupported environment dump version {version}")
-    if not 1 <= d <= 5:  # the dimensions whose (2d)^2 + 1 row types fit int8
-        raise ValueError(f"environment dump dimension {d} is not in 1..5")
-    head = 12 + 16 * d
-    if len(data) < head:
-        raise ValueError("environment dump header is truncated")
-    bounds = struct.unpack_from(f"<{2 * d}q", data, 12)
-    box = Box(bounds[0::2], bounds[1::2])
-    words = 4 * d
-    if len(data) - head != 8 * words * box.size:
-        raise ValueError(f"environment dump body holds {len(data) - head} bytes, "
-                         f"expected {8 * words * box.size}")
-    body = np.frombuffer(data, dtype="<u8", offset=head).reshape(box.size, words)
-    table = _row_fractions(d).reshape(-1, words)
+    _, box, _, body = read_box_dump(path, ENV_DUMP)
+    body, table = body.reshape(box.size, -1), row_table(box.dim).fractions
     # each row as one byte string, looked up among the sorted table rows,
     # then checked word by word
-    row = f"V{8 * words}"
+    row = f"V{table.itemsize * table.shape[1]}"
     order = np.argsort(table.view(row).ravel())
     at = np.searchsorted(table.view(row).ravel()[order], body.view(row).ravel())
     types = order[np.minimum(at, order.size - 1)]
     off = np.flatnonzero((body != table[types]).any(axis=1))
     if off.size:
         raise ValueError(f"environment dump row {body[off[0]].tolist()} at site index "
-                         f"{off[0]} is not in the row table at d = {d}")
+                         f"{off[0]} is not in the row table at d = {box.dim}")
     return box, types.astype(np.int8).reshape(box.shape)
 
 

@@ -19,16 +19,16 @@ the output plus one block's temporaries.
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng
-from .lattice import Box, Site, Window, orthant_sphere_count
+from .lattice import (Box, DumpLayout, Site, Window, orthant_sphere_count, read_box_dump,
+                      write_box_dump)
 
-FIELD_MAGIC = b"UMBF"
-FIELD_VERSION = 1
+# UMBF: one f64 length per site of window + margin, the u64 seed after the bounds
+FIELD_DUMP = DumpLayout(b"UMBF", 1, "field", lambda d: "<f8", tail="<Q")
 
 DEFAULT_SITE_BUDGET = 1 << 27
 
@@ -218,35 +218,14 @@ def with_margin(p: ModelParams, margin: int) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 def write_field(field: LField, path: str):
-    box = field.box
-    with open(path, "wb") as f:
-        f.write(FIELD_MAGIC)
-        f.write(struct.pack("<II", FIELD_VERSION, field.params.dim))
-        for l, h in zip(box.lo, box.hi):
-            f.write(struct.pack("<qq", l, h))
-        f.write(struct.pack("<Q", field.params.seed))
-        f.write(field.values.astype("<f8").tobytes(order="C"))
+    write_box_dump(path, FIELD_DUMP, field.box, field.values, tail=(field.params.seed,))
 
 
 def read_field(path: str, p: ModelParams) -> LField:
     """Load a dump and bind it to params (box and seed must agree)."""
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != FIELD_MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        version, dim = struct.unpack("<II", f.read(8))
-        if version != FIELD_VERSION:
-            raise ValueError(f"unsupported field dump version {version}")
-        lo, hi = [], []
-        for _ in range(dim):
-            l, h = struct.unpack("<qq", f.read(16))
-            lo.append(l)
-            hi.append(h)
-        (seed,) = struct.unpack("<Q", f.read(8))
-        box = Box(tuple(lo), tuple(hi))
-        data = np.frombuffer(f.read(box.size * 8), dtype="<f8").reshape(box.shape)
-    if dim != p.dim or box != p.window.field_box or seed != (p.seed & (1 << 64) - 1):
-        raise ValueError("dump does not match the supplied parameters")
+    _, box, (seed,), data = read_box_dump(path, FIELD_DUMP)
+    if box != p.window.field_box or seed != (p.seed & (1 << 64) - 1):
+        raise ValueError("field dump does not match the supplied parameters")
     values = data.astype(np.float64)
     values.setflags(write=False)
     return LField(params=p, values=values)

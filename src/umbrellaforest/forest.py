@@ -38,19 +38,18 @@ stored field.
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
 from .fieldgen import require_valid, sample_lengths
-from .lattice import Box, Site, Window
+from .lattice import Box, DumpLayout, Site, Window, read_box_dump, write_box_dump
 
-FOREST_MAGIC = b"UMBA"
-FOREST_VERSION = 1
-
+# UMBA: per window site a u8 code, the axis 1..d plus UNCERTAIN_BIT on a tie;
+# the i8 orientation, the bounds, then the truncation radius, miss bound, margin
 UNCERTAIN_BIT = 0x80
+FOREST_DUMP = DumpLayout(b"UMBA", 1, "forest", lambda d: "u1", head="<b", tail="<IdI")
 
 # A reach that at least one block vertex in this many has is written by
 # whole-block shifts, a rarer one vertex by vertex: the crossover of a few
@@ -404,35 +403,23 @@ def example1_forest(seed: int, window: Window, d: int) -> Forest:
 # ---------------------------------------------------------------------------
 
 def write_forest(forest: Forest, path: str):
-    box = forest.box
-    with open(path, "wb") as f:
-        f.write(FOREST_MAGIC)
-        f.write(struct.pack("<IIb", FOREST_VERSION, forest.dim, forest.zeta))
-        for l, h in zip(box.lo, box.hi):
-            f.write(struct.pack("<qq", l, h))
-        f.write(struct.pack("<IdI", forest.radius, forest.miss_bound, forest.window.margin))
-        codes = forest.axis.astype(np.uint8) | (forest.uncertain.astype(np.uint8) << 7)
-        f.write(codes.tobytes(order="C"))
+    codes = forest.axis.astype(np.uint8) | (forest.uncertain.astype(np.uint8) << 7)
+    write_box_dump(path, FOREST_DUMP, forest.box, codes, head=(forest.zeta,),
+                   tail=(forest.radius, forest.miss_bound, forest.window.margin))
 
 
 def read_forest(path: str) -> Forest:
-    with open(path, "rb") as f:
-        if f.read(4) != FOREST_MAGIC:
-            raise ValueError("bad forest dump magic")
-        version, dim, zeta = struct.unpack("<IIb", f.read(9))
-        if version != FOREST_VERSION:
-            raise ValueError(f"unsupported forest dump version {version}")
-        lo, hi = [], []
-        for _ in range(dim):
-            l, h = struct.unpack("<qq", f.read(16))
-            lo.append(l)
-            hi.append(h)
-        radius, miss, margin = struct.unpack("<IdI", f.read(16))
-        window = Window(tuple(lo), tuple(hi), margin)
-        box = window.box
-        codes = np.frombuffer(f.read(box.size), dtype=np.uint8).reshape(box.shape)
+    """Inverse of `write_forest`.  Raises ValueError on what `read_box_dump`
+    rejects, an orientation other than +1 or -1 or an axis code off 1..d."""
+    (zeta,), box, (radius, miss, margin), codes = read_box_dump(path, FOREST_DUMP)
+    if zeta not in (1, -1):
+        raise ValueError(f"forest dump orientation {zeta} is not +1 or -1")
     axis = (codes & 0x7F).astype(np.int8)
+    off = np.flatnonzero((axis < 1) | (axis > box.dim))
+    if off.size:
+        raise ValueError(f"forest dump axis code {axis.flat[off[0]]} at site index "
+                         f"{off[0]} is not in 1..{box.dim}")
     uncertain = (codes & UNCERTAIN_BIT) != 0
     axis.setflags(write=False)
-    return Forest(window=window, zeta=int(zeta), axis=axis, uncertain=uncertain,
-                  radius=int(radius), miss_bound=float(miss))
+    return Forest(window=Window(box.lo, box.hi, margin), zeta=zeta, axis=axis,
+                  uncertain=uncertain, radius=radius, miss_bound=miss)

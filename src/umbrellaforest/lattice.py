@@ -2,12 +2,16 @@
 
 Everything here is exact integer combinatorics over Z^d, d >= 2.  Sites are
 plain tuples of Python ints in the public API; the heavy array code in other
-modules works on numpy index grids and only converts at the edges.
+modules works on numpy index grids and only converts at the edges.  The
+binary dumps of per-site arrays over a box (fields, forests, environments)
+share one codec, `write_box_dump`/`read_box_dump`.
 """
 
 from __future__ import annotations
 
 import itertools
+import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -192,6 +196,65 @@ class Box:
             dd = np.minimum(k, n - 1 - k).reshape((1,) * j + (n,) + (1,) * (d - 1 - j))
             dist = dd if dist is None else np.minimum(dist, dd)
         return dist
+
+
+@dataclass(frozen=True)
+class DumpLayout:
+    """A binary dump of one record per site of a box, little-endian: the
+    magic, u32 version, u32 d, the `head` fields, per axis i64 lo and hi,
+    the `tail` fields, then the records in row-major order.  `head` and
+    `tail` are `struct` formats, `record(d)` is a record's numpy dtype and
+    `name` names the format in every error."""
+
+    magic: bytes
+    version: int
+    name: str
+    record: Callable[[int], str]
+    head: str = "<"
+    tail: str = "<"
+    max_dim: int = 127   # UMBA's axis codes have 7 bits
+
+
+def write_box_dump(path: str, layout: DumpLayout, box: Box, records: np.ndarray,
+                   head: tuple = (), tail: tuple = ()):
+    bounds = [c for pair in zip(box.lo, box.hi) for c in pair]
+    with open(path, "wb") as f:
+        f.write(layout.magic + struct.pack("<II", layout.version, box.dim)
+                + struct.pack(layout.head, *head) + struct.pack(f"<{len(bounds)}q", *bounds)
+                + struct.pack(layout.tail, *tail))
+        np.ascontiguousarray(records, np.dtype(layout.record(box.dim)).base).tofile(f)
+
+
+def read_box_dump(path: str, layout: DumpLayout) -> tuple[tuple, Box, tuple, np.ndarray]:
+    """Inverse of `write_box_dump`: (head, box, tail, records), the records
+    read-only, of shape box.shape + a record's shape.  Raises ValueError on
+    a bad magic, version or dimension, a truncated header, bounds that are
+    not a box, or a short or overlong body."""
+    with open(path, "rb") as f:
+        data = f.read()
+    if len(data) < 12:
+        raise ValueError(f"{layout.name} dump header is truncated")
+    magic, version, d = struct.unpack_from("<4sII", data)
+    if magic != layout.magic:
+        raise ValueError(f"bad {layout.name} dump magic {magic!r}")
+    if version != layout.version:
+        raise ValueError(f"unsupported {layout.name} dump version {version}")
+    if not 1 <= d <= layout.max_dim:
+        raise ValueError(f"{layout.name} dump dimension {d} is not in 1..{layout.max_dim}")
+    at_tail = 12 + struct.calcsize(layout.head) + 16 * d
+    at_body = at_tail + struct.calcsize(layout.tail)
+    if len(data) < at_body:
+        raise ValueError(f"{layout.name} dump header is truncated")
+    bounds = struct.unpack_from(f"<{2 * d}q", data, at_tail - 16 * d)
+    if any(l > h for l, h in zip(bounds[0::2], bounds[1::2])):
+        raise ValueError(f"{layout.name} dump bounds {list(bounds)} are not a box")
+    box, rec = Box(bounds[0::2], bounds[1::2]), np.dtype(layout.record(d))
+    if len(data) - at_body != box.size * rec.itemsize:
+        raise ValueError(f"{layout.name} dump body holds {len(data) - at_body} bytes, "
+                         f"expected {box.size * rec.itemsize}")
+    records = np.frombuffer(data, dtype=rec, offset=at_body).reshape(box.shape + rec.shape)
+    return (struct.unpack_from(layout.head, data, 12), box,
+            struct.unpack_from(layout.tail, data, at_tail), records)
 
 
 @dataclass(frozen=True)

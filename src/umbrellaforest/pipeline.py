@@ -32,7 +32,7 @@ from .metrics import (StatusField, TailEstimate, accumulate_tail, ball_stamp,
                       compute_h, compute_insulation_sup, empty_tail,
                       interior_mask, merge_tail)
 from .pruning import (IN, ChainResult, DisjointReport, Insulation,
-                      check_disjoint, depth_decay_table, insulate,
+                      check_disjoint, decay_rows, depth_decay_table, insulate,
                       prune_to_infinite, tilde_membership)
 from .raygeom import (RayHandle, build_rays, ellipticity_constant,
                       solve_insulation_constants)
@@ -191,8 +191,8 @@ def build_patched(params: ModelParams, rays: list[RayHandle],
         horizon_factor = choose_horizon_factor(
             envs[:6], pairs, ellipticity_constant(params.dim),
             floor=max(depth_factor, 1.0), n_max=2048)
-    return patch(params.window, envs, {1: ins_sup[0], 2: ins_sup[1]},
-                 horizon_factor, certain_cover=inside[0] | inside[1])
+    return patch(params.window, envs, ins_sup, horizon_factor,
+                 certain_cover=inside[0] | inside[1])
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +253,7 @@ def depth_decay_experiment(params: ModelParams, replicas: int, k_grid: list[int]
     jobs = [(params, k, tuple(k_grid)) for k in range(replicas)]
     counts = sum(parallel_map(_decay_replica, jobs, threads),
                  np.zeros((len(k_grid), 2), dtype=np.int64))
-    return [{"k": k, "violations": viol, "eligible": elig,
-             "freq": viol / elig if elig else float("nan")}
-            for k, (viol, elig) in zip(k_grid, counts.tolist())]
+    return decay_rows(k_grid, counts.tolist())
 
 
 def _decay_replica(args) -> np.ndarray:
@@ -285,51 +283,53 @@ def trap_experiment(env: PatchedEnv, inside: tuple[np.ndarray, np.ndarray], hori
     leaf, inside the certain ray covers `inside` it was patched on, plus the
     uniform control (see `trap_walks`), kept in memory."""
     run = TrapRun(estimates={}, batches={}, starts={})
-    for name, start, batch in trap_walks(env.row_type, inside, env.rays, env.box, horizon,
-                                         replicas, walk_seed):
+    for name, batch in trap_walks(env.row_type, inside, walk_starts(env.rays), env.box,
+                                  horizon, replicas, walk_seed):
         run.estimates[name] = trap_probability(batch)
         run.batches[name] = batch
-        run.starts[name] = start
+        run.starts[name] = batch.config.start
     return run
 
 
 def trap_walks(row_type: np.ndarray, inside: tuple[np.ndarray, np.ndarray],
-               rays: list[RayHandle], box: Box, horizon: int, replicas: int,
-               walk_seed: int) -> Iterator[tuple[str, Site, WalkBatch]]:
-    """Walks in a patched environment from each orientation's start, plus
-    the uniform control from orientation 1's start.
-
-    Orientation i starts at the leaf of its deepest ray, ties broken by
-    leaf: the longest runway up a widening tube.  A kept leaf stamps its own
-    ray cover at radius 0, so the start lies in inside[i-1].
+               starts: list[Site | None], box: Box, horizon: int, replicas: int,
+               walk_seed: int) -> Iterator[tuple[str, WalkBatch]]:
+    """Walks in a patched environment from each orientation's start
+    (`walk_starts`), plus the uniform control from orientation 1's start.
 
     row_type: the environment's per-site row types over `box`; inside[i-1]:
     the sites certainly covered by orientation i's ray tubes, the event a
-    walk of that orientation must stay in.  Yields (name, start, batch) for
+    walk of that orientation must stay in.  Yields (name, batch) for
     orient_1, control and orient_2 in turn, so a caller that writes each
-    batch out need not hold all three.
+    batch out need not hold all three.  Raises ValueError, before any walk,
+    when an orientation has no start or its start is not in inside[i-1].
     """
-    starts = [_deepest_leaf(rays, i) for i in (1, 2)]
+    for i, start in zip((1, 2), starts, strict=True):
+        if start is None:
+            raise ValueError(f"no rays for orientation {i}")
+        if not (box.contains(start) and inside[i - 1][box.local(start)]):
+            raise ValueError(f"orientation {i}'s start {list(start)} is not certainly covered")
     rows = row_table(box.dim).rows
     for i, start in zip((1, 2), starts):
         sign = 1 if i == 1 else -1
         cfg = WalkConfig(start=start, horizon=horizon, replicas=replicas,
                          seed=rng.stream("trap", walk_seed, i))
-        yield f"orient_{i}", start, run_walks(row_type, rows, box, inside[i - 1], cfg,
-                                              orientation_sign=sign)
+        yield f"orient_{i}", run_walks(row_type, rows, box, inside[i - 1], cfg,
+                                       orientation_sign=sign)
         if i == 1:
             cfg = WalkConfig(start=start, horizon=horizon, replicas=replicas,
                              seed=rng.stream("trap-control", walk_seed))
-            yield "control", start, run_walks(np.zeros_like(row_type), rows, box, inside[0],
-                                              cfg, orientation_sign=sign)
+            yield "control", run_walks(np.zeros_like(row_type), rows, box, inside[0], cfg,
+                                       orientation_sign=sign)
 
 
-def _deepest_leaf(rays: list[RayHandle], forest_index: int) -> Site:
-    """The leaf of forest `forest_index`'s deepest ray, ties by leaf."""
-    cands = [r for r in rays if r.forest_index == forest_index]
-    if not cands:
-        raise ValueError(f"no rays for orientation {forest_index}")
-    return min(cands, key=lambda r: (-r.depth, r.leaf)).leaf
+def walk_starts(rays: list[RayHandle]) -> list[Site | None]:
+    """Each orientation's walk start, None where it has no ray: the leaf of
+    its deepest ray, ties broken by leaf, the longest runway up a widening
+    tube.  A kept leaf stamps its own ray cover at radius 0, so a start
+    lies in its orientation's certain ray cover."""
+    deepest = sorted(rays, key=lambda r: (-r.depth, r.leaf))
+    return [next((r.leaf for r in deepest if r.forest_index == i), None) for i in (1, 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Pruning two opposite forests into disjoint insulated ray systems.
 
 Membership in every derived set carries a verdict tier: OUT and IN are
-certain from window data alone, UNKNOWN marks sites whose own inputs are
+the window's certain verdicts, UNKNOWN marks sites whose own inputs are
 censored, and FRONTIER is the documented optimistic middle — clean on
 everything the window shows but leaning on data beyond it, tagged wherever
-it is used.  The hard geometric guarantee (the two insulation unions never
-certainly overlap) survives the optimistic tier because negative verdicts
-compare exact depths against certified lower bounds; it is checked on
-every instance, and everything censored is counted, not guessed.
+it is used.  No chain is IN (leaving the window is a frontier lean), so a
+ray or ball IN site is a stamp from kept, frontier-leaning chains; whether
+certain verdicts survive a larger window is open (ROADMAP, open item 1).
+The hard geometric guarantee (the two insulation unions never certainly
+overlap) survives the optimistic tier because negative verdicts compare
+exact depths against certified lower bounds; it is checked on every
+instance, and everything censored is counted, not guessed.
 
 Layer dependency order: depth field h -> insulation sup H -> keep layer
 (strictly taller than the opposite insulation over the own ball) -> chain
@@ -34,7 +37,7 @@ from .metrics import (RowFrame, StatusField, _progeny_depth, ball_gather, ball_r
 OUT = np.int8(0)       # certain violation somewhere
 UNKNOWN = np.int8(1)   # own depth censored; no verdict
 FRONTIER = np.int8(2)  # clean on window data, leaning on the frontier convention
-IN = np.int8(3)        # fully certain from window data alone
+IN = np.int8(3)        # certain on window data; no chain is ever IN
 
 
 def tilde_membership(h_own: StatusField, ins_opp: StatusField, beta: float) -> np.ndarray:
@@ -74,7 +77,7 @@ class ChainResult:
     depth_available: np.ndarray  # int32: observed line length before window exit
 
     def kept(self) -> np.ndarray:
-        """Kept sites under the frontier convention (FRONTIER or IN)."""
+        """Kept sites under the frontier convention (FRONTIER; no chain is IN)."""
         return self.layer >= FRONTIER
 
 
@@ -198,15 +201,18 @@ def depth_decay_table(chain: ChainResult, interior: np.ndarray,
     window exit sit on frontier-leaning verdicts and cannot show a certain
     violation, so a window whose lines end near k reads freq(k) as 0.
     """
-    k_max = max(k_grid)
-    eligible = interior & (chain.depth_available >= k_max) & ~chain.chain_censored
+    eligible = interior & (chain.depth_available >= max(k_grid)) & ~chain.chain_censored
     n = int(np.count_nonzero(eligible))
-    out = []
-    for k in k_grid:
-        viol = int(np.count_nonzero(eligible & (chain.last_violation >= k)))
-        out.append({"k": k, "violations": viol, "eligible": n,
-                    "freq": viol / n if n else float("nan")})
-    return out
+    return decay_rows(k_grid, [(int(np.count_nonzero(eligible & (chain.last_violation >= k))), n)
+                               for k in k_grid])
+
+
+def decay_rows(k_grid: list[int], counts) -> list[dict]:
+    """One row per k from its (violations, eligible) counts, with their
+    ratio `freq`, NaN where no line is eligible."""
+    return [{"k": k, "violations": viol, "eligible": elig,
+             "freq": viol / elig if elig else float("nan")}
+            for k, (viol, elig) in zip(k_grid, counts)]
 
 
 def leaves(chain_layer: np.ndarray, forest: Forest) -> list[Site]:
@@ -232,8 +238,9 @@ def insulate(chain: ChainResult, h_own: StatusField, forest: Forest,
 
     ball_layer: every kept site x contributes its ball of radius h(x)^beta.
     ray_layer : the n-th ancestor of a kept leaf contributes radius n^beta.
-    Certain stamps come from certain sites with exact inputs; potential
-    stamps extend them over UNKNOWN sites, and a thin face band stays
+    IN stamps come from kept, frontier-leaning chains (no chain is IN), and
+    whether they survive a larger window is open; potential stamps extend
+    them over UNKNOWN sites, and a thin face band stays
     UNKNOWN because rays outside the window could reach in.  Its width is
     floor(max h^beta), one layer short of H's real max_h^beta when not whole.
     """

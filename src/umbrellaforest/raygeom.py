@@ -18,7 +18,7 @@ index, and neighbours and `locate` are `searchsorted` lookups in it.  The
 spine is directed, so only the 2 r_max + 1 indices nearest a site's own
 progress along it can attain v, and u takes one frontier round per unit of
 depth.  `tube_geometry` is the batch of one.  Walks start at the leaf of a
-deepest ray (`pipeline.trap_walks`), so choosing a start needs no tube.
+deepest ray (`pipeline.walk_starts`), so choosing a start needs no tube.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from umbrellaforest import forest as forest_mod
 from umbrellaforest import pipeline, pruning
 from umbrellaforest.cli import RunConfig, _build_parser, build_config, main
 from umbrellaforest.environment import write_environment
@@ -229,14 +230,17 @@ def test_walk_reads_the_dumps_of_earlier_stages(staged, in_memory, tmp_path, mon
         walks_csv(batch, str(tmp_path / name))
         assert (staged / f"walks_{name}.csv").read_bytes() == (tmp_path / name).read_bytes()
 
-    # the stage builds neither the pair nor the patched environment
+    # the stage builds neither the pair nor the patched environment, and
+    # reads no forest: its starts are those that `env` recorded
     out = copy_of(staged, tmp_path)
 
     def no_build(*args, **kwargs):
         raise AssertionError("walk rebuilt what earlier stages wrote")
 
-    monkeypatch.setattr(pipeline, "build_pruned_pair", no_build)
-    monkeypatch.setattr(pipeline, "build_patched", no_build)
+    for module, name in ((pipeline, "build_pruned_pair"), (pipeline, "build_patched"),
+                         (forest_mod, "read_forest"), (pruning, "leaves"),
+                         (pipeline, "build_rays")):
+        monkeypatch.setattr(module, name, no_build)
     assert run(["walk", *base_args(out, WALK)]) == 0
     for name in want.batches:
         assert (out / f"walks_{name}.csv").read_bytes() == \
@@ -254,8 +258,8 @@ def test_walks_start_at_the_deepest_kept_leaf(seed, side, margin):
     rays = select_rays(pair.forests, leaves, params.beta)
     inside = tuple(ins.ray_layer == IN for ins in pair.insulation)
     box = params.window.box
-    starts = {name: start for name, start, _ in pipeline.trap_walks(
-        np.zeros(box.shape, dtype=np.int8), inside, rays, box, 1, 1, seed)}
+    starts = {name: batch.config.start for name, batch in pipeline.trap_walks(
+        np.zeros(box.shape, dtype=np.int8), inside, pipeline.walk_starts(rays), box, 1, 1, seed)}
     assert starts["control"] == starts["orient_1"]
     for i, forest in enumerate(pair.forests, start=1):
         depth = {leaf: len(ancestor_chain(forest, leaf)) - 1 for leaf in leaves[i - 1]}
@@ -384,6 +388,38 @@ def test_bad_environment_dump_is_integrity_error(staged, tmp_path, capsys):
     assert run(["walk", *base_args(out, WALK)]) == 1
     err = capsys.readouterr().err
     assert "integrity error" in err and "env.umbe" in err
+
+
+# each dump, the stage that wrote it and the stage that reads it
+DUMPS = [("field_1.umbf", "gen", "forest"), ("forest_1.umba", "forest", "metrics"),
+         ("metrics.npz", "metrics", "prune"), ("membership.json", "prune", "env"),
+         ("env.umbe", "env", "walk"), ("env_manifest.json", "env", "walk")]
+
+
+@pytest.mark.parametrize("name, producer, reader", DUMPS)
+@pytest.mark.parametrize("cut", ["header", "half"])
+def test_truncated_dump_is_integrity_error(staged, tmp_path, capsys, name, producer, reader,
+                                           cut):
+    out = copy_of(staged, tmp_path)
+    blob = (out / name).read_bytes()
+    (out / name).write_bytes(blob[:20] if cut == "header" else blob[:len(blob) // 2])
+    rehash(out, producer, name)
+    assert run([reader, *base_args(out, WALK if reader == "walk" else ())]) == 1
+    assert capsys.readouterr().err.startswith(f"integrity error: {name}: ")
+
+
+@pytest.mark.parametrize("start, message", [
+    (None, "error: no rays for orientation 2"),
+    ([99, 0, 0], "error: orientation 2's start [99, 0, 0] is not certainly covered"),
+    ("abc", "integrity error: env_manifest.json: "), (7, "integrity error: env_manifest.json: ")])
+def test_walk_checks_the_recorded_starts(staged, tmp_path, capsys, start, message):
+    out = copy_of(staged, tmp_path)
+    man = json.loads((out / "env_manifest.json").read_text())
+    man["walk_starts"][1] = start
+    (out / "env_manifest.json").write_text(json.dumps(man))
+    rehash(out, "env", "env_manifest.json")
+    assert run(["walk", *base_args(out, WALK)]) == 1
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_stage_value_error_exits_1(staged, tmp_path, capsys):

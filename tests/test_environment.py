@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import umbrellaforest as uf
-from umbrellaforest.environment import (PatchedEnv, _block_operator, _live_rows,
+from umbrellaforest.environment import (ENV_DUMP, PatchedEnv, _block_operator, _live_rows,
                                         choose_horizon_factor,
                                         environment_manifest, exit_functionals,
                                         exit_table, patch, ray_environment,
                                         ray_row, read_environment, row_table,
                                         supermartingale_residuals, tube_row,
                                         uniform_row, write_environment)
-from umbrellaforest.fieldgen import default_params
+from umbrellaforest.fieldgen import (FIELD_DUMP, default_params, generate_field, read_field,
+                                     write_field)
+from umbrellaforest.forest import FOREST_DUMP, build_forest, read_forest, write_forest
 from umbrellaforest.lattice import Direction, Window, all_directions, l1_norm
 from umbrellaforest.oracles import exit_stats_brute
 from umbrellaforest.pipeline import build_pruned_pair, build_patched
@@ -349,33 +351,73 @@ def synthetic_env(d, side, seed):
                       horizon_factor=1.0, kappa=ellipticity_constant(d))
 
 
-def test_environment_dump_roundtrip_and_rejects(tmp_path):
-    for d, side in ((2, 9), (3, 6)):
-        env = synthetic_env(d, side, seed=d)
-        path = tmp_path / f"env{d}.umbe"
-        write_environment(env, str(path))
-        box, types = read_environment(str(path))
-        assert box == env.box
-        assert types.dtype == np.int8 and np.array_equal(types, env.row_type)
+def dump_case(fmt, path):
+    """Write a small valid dump of format `fmt` to `path`: its layout, its
+    d, and a check that reading `path` gives back what was written."""
+    if fmt == "UMBE":
+        env = synthetic_env(3, 3, seed=3)
+        write_environment(env, path)
 
-    blob = path.read_bytes()
-    head = 12 + 16 * 3
-    bad = tmp_path / "bad.umbe"
+        def same():
+            box, types = read_environment(path)
+            return box == env.box and types.dtype == np.int8 and \
+                np.array_equal(types, env.row_type)
+        return ENV_DUMP, 3, same
+    p = default_params(2, Window.centered(4, 2, 1), seed=5)
+    field = generate_field(p)
+    if fmt == "UMBF":
+        write_field(field, path)
+        return FIELD_DUMP, 2, lambda: np.array_equal(read_field(path, p).values, field.values)
+    forest = build_forest(field, zeta=-1)
+    write_forest(forest, path)
 
-    def rejects(data, match):
-        bad.write_bytes(data)
-        with pytest.raises(ValueError, match=match):
-            read_environment(str(bad))
+    def same():
+        back = read_forest(path)
+        return (back.zeta, back.window, back.radius, back.miss_bound) == \
+            (forest.zeta, forest.window, forest.radius, forest.miss_bound) and \
+            np.array_equal(back.axis, forest.axis) and \
+            np.array_equal(back.uncertain, forest.uncertain)
+    return FOREST_DUMP, 2, same
 
-    rejects(blob[:-8], "body")                      # truncated body
-    rejects(blob + bytes(8), "body")                # trailing words
-    rejects(b"UMBX" + blob[4:], "magic")
+
+@pytest.mark.parametrize("fmt", ["UMBF", "UMBA", "UMBE"])
+def test_environment_dump_roundtrip_and_rejects(tmp_path, fmt):
+    path = str(tmp_path / "dump")
+    layout, d, same = dump_case(fmt, path)
+    assert layout.magic == fmt.encode() and same()
+    blob = (tmp_path / "dump").read_bytes()
+    record = np.dtype(layout.record(d)).itemsize
+
+    def rejects(data, match=""):
+        with open(path, "wb") as f:
+            f.write(data)
+        with pytest.raises(ValueError, match=f"{layout.name} dump") as err:
+            same()
+        assert match in str(err.value)
+
+    for n in range(len(blob)):                      # every truncation
+        rejects(blob[:n])
+    rejects(blob + blob[-record:], "body")          # one trailing record
+    rejects(fmt[:3].encode() + b"X" + blob[4:], "magic")
     rejects(blob[:4] + (2).to_bytes(4, "little") + blob[8:], "version")
-    rejects(blob[:8] + (9).to_bytes(4, "little") + blob[12:], "dimension")
-    # one numerator of one site's row moved off the table
-    words = np.frombuffer(blob, dtype="<u8", offset=head).copy()
-    words[4 * 3 * 17] += 1
-    rejects(blob[:head] + words.tobytes(), "not in the row table")
+    for dim in (0, d + 1, 9):
+        rejects(blob[:8] + dim.to_bytes(4, "little") + blob[12:])
+    if fmt == "UMBA":
+        body = len(blob) - record * 16
+        rejects(blob[:12] + bytes(1) + blob[13:], "orientation 0")
+        for code in (0, d + 1):
+            rejects(blob[:body] + bytes([code]) + blob[body + 1:], f"axis code {code}")
+    if fmt == "UMBE":
+        # one numerator of one site's row moved off the table
+        head = len(blob) - record * 27
+        words = np.frombuffer(blob, dtype="<u8", offset=head).copy()
+        words[4 * 3 * 17] += 1
+        rejects(blob[:head] + words.tobytes(), "not in the row table")
+        # and a d = 2 environment round trip
+        env = synthetic_env(2, 9, seed=2)
+        write_environment(env, path)
+        box, types = read_environment(path)
+        assert box == env.box and np.array_equal(types, env.row_type)
 
 
 def test_patch_argmin_choice():
@@ -383,8 +425,8 @@ def test_patch_argmin_choice():
     p, pair, inside, env = built_instance(seed=19)
     cover = inside[0] | inside[1]
     envs = [ray_environment(ray) for ray in env.rays]
-    worst = patch(p.window, envs, {1: pair.ins_sup[0], 2: pair.ins_sup[1]},
-                  env.horizon_factor, certain_cover=cover, objective="max")
+    worst = patch(p.window, envs, pair.ins_sup, env.horizon_factor, certain_cover=cover,
+                  objective="max")
     both = (env.chosen >= 0) & (worst.chosen >= 0) & ~env.flagged & ~worst.flagged
     assert np.all(env.exit_mass[both] <= worst.exit_mass[both] + 1e-12)
     assert np.isfinite(env.exit_mass[both]).all()
@@ -479,8 +521,7 @@ def test_patch_locality_under_ray_removal():
     p, pair, inside, env = built_instance(seed=23)
     box = env.box
     cover = inside[0] | inside[1]
-    part = patch(p.window, [ray_environment(ray) for ray in env.rays[::2]],
-                 {1: pair.ins_sup[0], 2: pair.ins_sup[1]},
+    part = patch(p.window, [ray_environment(ray) for ray in env.rays[::2]], pair.ins_sup,
                  env.horizon_factor, certain_cover=cover)
     same = np.ones(box.shape, dtype=bool)
     for ray in env.rays[1::2]:
@@ -508,8 +549,8 @@ def staircase_ray(depth, beta, d=3, shift=0):
 
 def certain_sup(window, value=1):
     shape = window.box.shape
-    return {1: SimpleNamespace(value=np.full(shape, value, dtype=np.int64),
-                               exact=np.ones(shape, dtype=bool))}
+    return SimpleNamespace(value=np.full(shape, value, dtype=np.int64),
+                           exact=np.ones(shape, dtype=bool))
 
 
 def test_patch_budget_holds_many_steps_on_few_sites():
@@ -520,7 +561,7 @@ def test_patch_budget_holds_many_steps_on_few_sites():
     steps = (1 << 24) // size + 1
     assert size * steps > 1 << 24
     window = Window((0, 0, 0), (30, 30, 30), 0)
-    got = patch(window, [env], certain_sup(window), float(steps))
+    got = patch(window, [env], (certain_sup(window),), float(steps))
     j, at = window.box.locate(env.geom.sites)
     hz = np.full(size, -1)
     hz[j] = steps
@@ -551,9 +592,8 @@ def test_certain_ray_displaces_censored_placeholder():
     first = ray_environment(staircase_ray(30, 0.3))
     second = ray_environment(replace(staircase_ray(30, 0.3, shift=1), zeta=-1))
     shape = window.box.shape
-    sup = {1: SimpleNamespace(value=np.ones(shape, dtype=np.int64),
-                              exact=np.zeros(shape, dtype=bool)),
-           2: certain_sup(window)[1]}
+    sup = (SimpleNamespace(value=np.ones(shape, dtype=np.int64),
+                           exact=np.zeros(shape, dtype=bool)), certain_sup(window))
     got = patch(window, [first, second], sup, 1.0)
     _, a = window.box.locate(first.geom.sites)
     _, b = window.box.locate(second.geom.sites)
