@@ -7,13 +7,15 @@ function of (config, seed) and records what it wrote in the run manifest
 with content hashes, so reruns are byte-identical and downstream stages can
 verify their inputs.  Each object of a staged run has one producer (`tails`
 writes `tails_umbrella.csv`, `metrics` writes `tails.csv`), and later stages
-read its dump: `forest` reads the field dumps, `metrics` the forest dumps,
-and `prune` the forest dumps and the h and H of `metrics.npz`; it keeps,
-chains and insulates, and writes the chain and ray-cover layers to
-`membership.json`.  `env` reads the forests, the H of `metrics.npz` and
-`membership.json`, derives nothing of the pruning and records the walk
-starts; `walk` reads the covers, `env.umbe` and the starts.  A dump that
-does not parse is an integrity failure naming it (`_read`).
+read its dump: `forest` reads the field dumps, `metrics` the forest dumps
+and writes each forest's h and H to `metrics_<i>.umbh`, and `prune` the
+forest dumps and the h and H dumps; it keeps, chains and insulates, and
+writes the chain and ray-cover layers to `membership.umbm`.  `env` reads
+the forests, the H dumps and `membership.umbm`, derives nothing of the
+pruning and records the walk starts; `walk` reads the covers, `env.umbe`
+and the starts.  `report` reads only what a recorded stage lists, after
+checking its hash.  Every per-site dump is a `lattice` box dump, and a dump
+that does not parse is an integrity failure naming it (`_read`).
 
 Exit codes: 0 ok, 1 invariant/integrity failure or any other error, 2 usage
 or config error, 3 resource budget exceeded.
@@ -27,7 +29,6 @@ import hashlib
 import json
 import os
 import sys
-import zipfile
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .environment import (environment_manifest, read_environment,
 from .fieldgen import ModelParams, default_params, validate_params
 from .lattice import Window, min_sphere_ratio
 from .metrics import (StatusField, compute_h, compute_insulation_sup, interior_mask,
-                      tail_estimate)
+                      read_metrics, tail_estimate, write_metrics)
 from .raygeom import ellipticity_constant, solve_insulation_constants
 from .walker import trap_probability, walks_csv
 
@@ -152,8 +153,21 @@ def _read(cfg: RunConfig, name: str, parse, *args):
     that does not parse is an integrity failure that names it."""
     try:
         return parse(os.path.join(cfg.out, name), *args)
-    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as e:
+    except (ValueError, KeyError, TypeError) as e:
         raise InvariantFailure(f"{name}: {e}") from e
+
+
+def _write(cfg: RunConfig, name: str, write, *args) -> str:
+    """`write(*args, path)` to the artifact `name` of the run directory;
+    returns the path."""
+    path = os.path.join(cfg.out, name)
+    write(*args, path)
+    return path
+
+
+def _write_json(doc, path: str):
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
 
 
 def _lines(path: str) -> list[str]:
@@ -231,14 +245,9 @@ def stage_validate(cfg: RunConfig) -> int:
 
 def stage_gen(cfg: RunConfig) -> int:
     params = cfg.params()
-    os.makedirs(cfg.out, exist_ok=True)
-    arts = []
-    for i in (1, 2) if cfg.dim >= 3 else (1,):
-        p = pipeline.derived_params(params, "field", i)
-        field = fieldgen.generate_field(p)
-        path = os.path.join(cfg.out, f"field_{i}.umbf")
-        fieldgen.write_field(field, path)
-        arts.append(path)
+    arts = [_write(cfg, f"field_{i}.umbf", fieldgen.write_field,
+                   fieldgen.generate_field(pipeline.derived_params(params, "field", i)))
+            for i in ((1, 2) if cfg.dim >= 3 else (1,))]
     _record_stage(cfg, "gen", arts)
     print(f"wrote {len(arts)} field dump(s) to {cfg.out}")
     return 0
@@ -258,9 +267,7 @@ def stage_forest(cfg: RunConfig) -> int:
     for i, field in enumerate(fields, start=1):
         zeta = 1 if i == 1 else -1
         f = forest_mod.build_forest(field, zeta=zeta)
-        path = os.path.join(cfg.out, f"forest_{i}.umba")
-        forest_mod.write_forest(f, path)
-        arts.append(path)
+        arts.append(_write(cfg, f"forest_{i}.umba", forest_mod.write_forest, f))
         print(f"forest {i}: orientation {zeta}, truncation radius {f.radius}, "
               f"per-axis miss bound {f.miss_bound:.4g}")
     _record_stage(cfg, "forest", arts)
@@ -277,42 +284,24 @@ def stage_metrics(cfg: RunConfig) -> int:
     forests = _load_forests(cfg)
     grid = cfg.grid or [2, 4, 8, 16]
     arts = []
-    payload = {}
     beta = cfg.params().beta
     for i, f in enumerate(forests, start=1):
         h = compute_h(f)
-        payload[f"h{i}_value"] = h.value
-        payload[f"h{i}_exact"] = h.exact
-        if cfg.dim >= 3 and beta is not None:
-            H = compute_insulation_sup(h, beta)
-            payload[f"H{i}_value"] = H.value
-            payload[f"H{i}_exact"] = H.exact
+        fields = [h, compute_insulation_sup(h, beta)] if cfg.dim >= 3 else [h]
+        arts.append(_write(cfg, f"metrics_{i}.umbh", write_metrics, fields))
         if i == 1:
             mask = interior_mask(h)
             est = tail_estimate(cfg.dim, grid, [(h.value[mask], h.exact[mask])])
-            path = os.path.join(cfg.out, "tails.csv")
-            est.to_csv(path)
-            arts.append(path)
-    npz = os.path.join(cfg.out, "metrics.npz")
-    np.savez_compressed(npz, **payload)
-    arts.append(npz)
+            arts.append(_write(cfg, "tails.csv", est.to_csv))
     _record_stage(cfg, "metrics", arts)
     print(f"wrote metrics for {len(forests)} forest(s)")
     return 0
 
 
-def _load_metrics(cfg: RunConfig, forests, keys: str) -> list[tuple[StatusField, ...]]:
-    """Field `k` ('h' or 'H') of each forest, per k in `keys`, as `metrics` wrote it."""
+def _load_metrics(cfg: RunConfig, forests) -> list[list[StatusField]]:
+    """Per forest, its h and H as `metrics` wrote them."""
     _require_stage(cfg, "metrics")
-
-    def parse(path):
-        with np.load(path) as z:
-            return [tuple(StatusField(f.window, f.zeta, z[f"{k}{i}_value"], z[f"{k}{i}_exact"])
-                          for i, f in enumerate(forests, start=1)) for k in keys]
-    return _read(cfg, "metrics.npz", parse)
-
-
-_MEMBERSHIP = ("chain", "ray_cover")   # the layers a later stage reads
+    return [_read(cfg, f"metrics_{i}.umbh", read_metrics, f) for i, f in enumerate(forests, 1)]
 
 
 def stage_prune(cfg: RunConfig) -> int:
@@ -321,22 +310,18 @@ def stage_prune(cfg: RunConfig) -> int:
     if cfg.dim < 3:
         raise UsageError("pruning requires dim >= 3")
     forests = tuple(_load_forests(cfg))
-    pair = pipeline.prune_pair(cfg.params(), forests, *_load_metrics(cfg, forests, "hH"),
-                               threads=cfg.threads)
+    depth, ins_sup = zip(*_load_metrics(cfg, forests))
+    pair = pipeline.prune_pair(cfg.params(), forests, depth, ins_sup, threads=cfg.threads)
     layers = {}
     for i, (keep, chain, ins) in enumerate(zip(pair.keep, pair.chains, pair.insulation), start=1):
         layers.update({f"keep_{i}": keep, f"chain_{i}": chain.layer,
                        f"ball_{i}": ins.ball_layer, f"ray_cover_{i}": ins.ray_layer})
-    mpath = os.path.join(cfg.out, "membership.json")
-    pruning.write_membership(mpath, cfg.params().window,
-                             {k: v for k, v in layers.items() if k.startswith(_MEMBERSHIP)})
     summary = pruning.membership_summary(
         layers, {f"forest_{i}": len(ins.leaf_sites) for i, ins in enumerate(pair.insulation, 1)},
         len(pair.disjoint.certain_overlaps))
-    spath = os.path.join(cfg.out, "membership_summary.json")
-    with open(spath, "w") as f:
-        json.dump(summary, f, indent=1, sort_keys=True)
-    _record_stage(cfg, "prune", [mpath, spath])
+    _record_stage(cfg, "prune", [
+        _write(cfg, "membership.umbm", pruning.write_membership, cfg.params().window, layers),
+        _write(cfg, "membership_summary.json", _write_json, summary)])
     print(f"leaves: {summary['leaf_counts']}, "
           f"unknown overlaps: {pair.disjoint.unknown_overlaps}")
     if not pair.disjoint.disjoint:
@@ -350,15 +335,9 @@ def _load_membership(cfg: RunConfig):
     """The two chain layers that `prune` wrote, and its two certain ray
     covers."""
     _require_stage(cfg, "prune")
-    window = cfg.params().window
-
-    def parse(path):
-        got, layers = pruning.read_membership(path)
-        if got != window:
-            raise ValueError(f"covers {got}, not the window {window}")
-        return [[layers[f"{name}_{i}"] for i in (1, 2)] for name in _MEMBERSHIP]
-    chains, covers = _read(cfg, "membership.json", parse)
-    return chains, tuple(c == pruning.IN for c in covers)
+    layers = _read(cfg, "membership.umbm", pruning.read_membership, cfg.params().window)
+    return ([layers[f"chain_{i}"] for i in (1, 2)],
+            tuple(layers[f"ray_cover_{i}"] == pruning.IN for i in (1, 2)))
 
 
 def stage_env(cfg: RunConfig) -> int:
@@ -368,22 +347,18 @@ def stage_env(cfg: RunConfig) -> int:
         raise UsageError("the patched environment requires dim >= 3")
     params = cfg.params()
     forests = _load_forests(cfg)
-    ins_sup, = _load_metrics(cfg, forests, "H")
+    _, ins_sup = zip(*_load_metrics(cfg, forests))
     chains, inside = _load_membership(cfg)
     rays = pipeline.select_rays(forests, [pruning.leaves(c, f) for c, f in zip(chains, forests)],
                                 params.beta)
     env = pipeline.build_patched(params, rays, ins_sup, inside)
-    env_path = os.path.join(cfg.out, "env.umbe")
-    write_environment(env, env_path)
     man = environment_manifest(env, params.beta)
     man["walk_starts"] = [None if s is None else list(s) for s in pipeline.walk_starts(env.rays)]
     res = supermartingale_residuals(env)
     man["residuals"] = dict(res.__dict__, witness=list(res.witness) if res.witness else None,
                             worst=None if res.eligible == 0 else res.worst)
-    jpath = os.path.join(cfg.out, "env_manifest.json")
-    with open(jpath, "w") as f:
-        json.dump(man, f, indent=1, sort_keys=True)
-    _record_stage(cfg, "env", [env_path, jpath])
+    _record_stage(cfg, "env", [_write(cfg, "env.umbe", write_environment, env),
+                               _write(cfg, "env_manifest.json", _write_json, man)])
     print(f"patched environment: horizon factor {env.horizon_factor:.4g}, "
           f"{int(np.count_nonzero(env.chosen >= 0))} covered sites")
     return 0
@@ -410,9 +385,7 @@ def stage_walk(cfg: RunConfig) -> int:
     # each batch is written out and dropped before the next one runs
     for name, batch in pipeline.trap_walks(row_type, inside, starts, box, cfg.horizon,
                                            cfg.replicas, params.seed):
-        path = os.path.join(cfg.out, f"walks_{name}.csv")
-        walks_csv(batch, path)
-        arts.append(path)
+        arts.append(_write(cfg, f"walks_{name}.csv", walks_csv, batch))
         est = estimates[name] = trap_probability(batch)
         summary[name] = {"survival": est.survival_fraction, "ci": list(est.ci),
                          "ci_pessimistic": list(est.ci_pessimistic),
@@ -420,11 +393,7 @@ def stage_walk(cfg: RunConfig) -> int:
                          "drift_quantiles": est.drift_quantiles,
                          "start": list(batch.config.start)}
         del batch
-    jpath = os.path.join(cfg.out, "walks_summary.json")
-    with open(jpath, "w") as f:
-        json.dump(summary, f, indent=1, sort_keys=True)
-    arts.append(jpath)
-    _record_stage(cfg, "walk", arts)
+    _record_stage(cfg, "walk", arts + [_write(cfg, "walks_summary.json", _write_json, summary)])
     for name, est in estimates.items():
         print(f"{name}: survival {est.survival_fraction:.3f} "
               f"ci [{est.ci[0]:.3f}, {est.ci[1]:.3f}] truncated {est.truncated}")
@@ -436,14 +405,11 @@ def stage_tails(cfg: RunConfig) -> int:
     job = pipeline.TailJob(dim=cfg.dim, side=cfg.window, margin=cfg.margin,
                            seed=cfg.seed, grid=tuple(grid))
     est = pipeline.tail_experiment(job, cfg.replicas, threads=cfg.threads)
-    path = os.path.join(cfg.out, "tails_umbrella.csv")
-    os.makedirs(cfg.out, exist_ok=True)
-    est.to_csv(path)
+    path = _write(cfg, "tails_umbrella.csv", est.to_csv)
     base_job = pipeline.TailJob(dim=cfg.dim, side=cfg.window, margin=0,
                                 seed=cfg.seed, grid=tuple(grid), kind="baseline")
     base = pipeline.tail_experiment(base_job, cfg.replicas, threads=cfg.threads)
-    bpath = os.path.join(cfg.out, "tails_baseline.csv")
-    base.to_csv(bpath)
+    bpath = _write(cfg, "tails_baseline.csv", base.to_csv)
     # the stage is complete only once both fits succeed
     fit = stats.exponent_fit(est)
     bfit = stats.exponent_fit(base)
@@ -454,7 +420,6 @@ def stage_tails(cfg: RunConfig) -> int:
 
 
 def stage_mixing(cfg: RunConfig) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     shifts = cfg.grid or [8, 16, 32, 64]
     if cfg.dim == 2:
         sampler = pipeline.forest_direction_sampler(2, shifts, cfg.margin, cfg.seed)
@@ -464,9 +429,7 @@ def stage_mixing(cfg: RunConfig) -> int:
     else:
         rows = pipeline.environment_mixing(cfg.params(), shifts, cfg.replicas,
                                            threads=cfg.threads)
-    path = os.path.join(cfg.out, "mixing.csv")
-    stats.mixing_to_csv(rows, path)
-    _record_stage(cfg, "mixing", [path])
+    _record_stage(cfg, "mixing", [_write(cfg, "mixing.csv", stats.mixing_to_csv, rows)])
     for r in rows:
         print(f"|s|={r.s_l1}: cov {r.cov:+.5f} +- {r.ci:.5f}  "
               f"|s|^gamma |cov| = {r.s_pow_gamma_cov:.4f}")
@@ -484,13 +447,16 @@ def stage_oracle(cfg: RunConfig) -> int:
 
 
 def stage_report(cfg: RunConfig) -> int:
+    """Collect what `metrics`, `tails`, `walk` and `mixing` recorded; each
+    file read is listed by its stage and checked against its hash."""
     man = _load_manifest(cfg)
     params = cfg.params()
-    written = set(os.listdir(cfg.out))
+    listed = {name for stage in ("metrics", "tails", "walk", "mixing") if stage in man["stages"]
+              for name in _require_stage(cfg, stage)["artifacts"]}
     tails = {f"{name}_csv": _read(cfg, f"{name}.csv", _lines)   # `metrics`, then `tails`
-             for name in ("tails", "tails_umbrella", "tails_baseline") if f"{name}.csv" in written}
-    trapping = _read(cfg, "walks_summary.json", _json) if "walks_summary.json" in written else {}
-    mixing = _read(cfg, "mixing.csv", _lines) if "mixing.csv" in written else []
+             for name in ("tails", "tails_umbrella", "tails_baseline") if f"{name}.csv" in listed}
+    trapping = _read(cfg, "walks_summary.json", _json) if "walks_summary.json" in listed else {}
+    mixing = _read(cfg, "mixing.csv", _lines) if "mixing.csv" in listed else []
     doc = stats.assemble_report(
         params={"dim": params.dim, "window": cfg.window,
                 "margin": cfg.margin, "beta": params.beta,

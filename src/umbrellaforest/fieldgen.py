@@ -19,7 +19,7 @@ the output plus one block's temporaries.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,10 +207,6 @@ def generate_field(p: ModelParams, box: Box | None = None,
         values[planes] = length_from_uniform(u, p)
     values.setflags(write=False)
     return LField(params=p, values=values, box=box)
-
-
-def with_margin(p: ModelParams, margin: int) -> ModelParams:
-    return replace(p, window=Window(p.window.lo, p.window.hi, margin))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ import numpy as np
 
 from . import rng
 from .fieldgen import require_valid, sample_lengths
-from .lattice import Box, DumpLayout, Site, Window, read_box_dump, write_box_dump
+from .lattice import (Box, DumpLayout, Site, Window, read_box_dump, require_codes,
+                      write_box_dump)
 
 # UMBA: per window site a u8 code, the axis 1..d plus UNCERTAIN_BIT on a tie;
 # the i8 orientation, the bounds, then the truncation radius, miss bound, margin
@@ -415,10 +416,7 @@ def read_forest(path: str) -> Forest:
     if zeta not in (1, -1):
         raise ValueError(f"forest dump orientation {zeta} is not +1 or -1")
     axis = (codes & 0x7F).astype(np.int8)
-    off = np.flatnonzero((axis < 1) | (axis > box.dim))
-    if off.size:
-        raise ValueError(f"forest dump axis code {axis.flat[off[0]]} at site index "
-                         f"{off[0]} is not in 1..{box.dim}")
+    require_codes(FOREST_DUMP, "axis code", axis, 1, box.dim)
     uncertain = (codes & UNCERTAIN_BIT) != 0
     axis.setflags(write=False)
     return Forest(window=Window(box.lo, box.hi, margin), zeta=zeta, axis=axis,

@@ -3,8 +3,8 @@
 Everything here is exact integer combinatorics over Z^d, d >= 2.  Sites are
 plain tuples of Python ints in the public API; the heavy array code in other
 modules works on numpy index grids and only converts at the edges.  The
-binary dumps of per-site arrays over a box (fields, forests, environments)
-share one codec, `write_box_dump`/`read_box_dump`.
+binary dumps of per-site arrays over a box (fields, forests, h and H, the
+pruned layers, environments) share one codec, `write_box_dump`/`read_box_dump`.
 """
 
 from __future__ import annotations
@@ -203,13 +203,14 @@ class DumpLayout:
     """A binary dump of one record per site of a box, little-endian: the
     magic, u32 version, u32 d, the `head` fields, per axis i64 lo and hi,
     the `tail` fields, then the records in row-major order.  `head` and
-    `tail` are `struct` formats, `record(d)` is a record's numpy dtype and
-    `name` names the format in every error."""
+    `tail` are `struct` formats, `record(d)` is a record's numpy dtype (a
+    structured one names its fields) and `name` names the format in every
+    error."""
 
     magic: bytes
     version: int
     name: str
-    record: Callable[[int], str]
+    record: Callable[[int], object]
     head: str = "<"
     tail: str = "<"
     max_dim: int = 127   # UMBA's axis codes have 7 bits
@@ -255,6 +256,15 @@ def read_box_dump(path: str, layout: DumpLayout) -> tuple[tuple, Box, tuple, np.
     records = np.frombuffer(data, dtype=rec, offset=at_body).reshape(box.shape + rec.shape)
     return (struct.unpack_from(layout.head, data, 12), box,
             struct.unpack_from(layout.tail, data, at_tail), records)
+
+
+def require_codes(layout: DumpLayout, what: str, codes: np.ndarray, lo: int, hi: int):
+    """Raise ValueError naming the first site whose `what` in `codes` is
+    off lo..hi."""
+    off = np.flatnonzero((codes < lo) | (codes > hi))
+    if off.size:
+        raise ValueError(f"{layout.name} dump {what} {codes.flat[off[0]]} at site index "
+                         f"{off[0]} is not in {lo}..{hi}")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forest import Forest
-from .lattice import Box, Site, Window
+from .lattice import Box, DumpLayout, Site, Window, read_box_dump, require_codes, write_box_dump
 from .stats import wilson_interval
 
 
@@ -264,6 +264,40 @@ def compute_insulation_sup(h: StatusField, beta: float) -> StatusField:
     out.setflags(write=False)
     exact.setflags(write=False)
     return StatusField(window=h.window, zeta=h.zeta, value=out, exact=exact)
+
+
+# UMBH: per window site of one forest h (i32) and its exactness flag (u8),
+# then at d >= 3 the insulation sup H and its flag; the bounds, then the u32
+# margin
+def _metrics_record(d: int) -> list[tuple[str, str]]:
+    names = ("h", "H") if d >= 3 else ("h",)
+    return [(n + s, t) for n in names for s, t in (("", "<i4"), ("_exact", "u1"))]
+
+
+METRICS_DUMP = DumpLayout(b"UMBH", 1, "metrics", _metrics_record, tail="<I")
+
+
+def write_metrics(fields: list[StatusField], path: str):
+    """h, and at d >= 3 H, of one forest."""
+    h = fields[0]
+    records = np.rec.fromarrays([a for f in fields for a in (f.value, f.exact)],
+                                dtype=METRICS_DUMP.record(h.box.dim))
+    write_box_dump(path, METRICS_DUMP, h.box, records, tail=(h.window.margin,))
+
+
+def read_metrics(path: str, forest: Forest) -> list[StatusField]:
+    """Inverse of `write_metrics`, bound to the forest the fields were
+    computed on.  Raises ValueError on what `read_box_dump` rejects, a dump
+    of another window or a flag other than 0 or 1."""
+    _, box, (margin,), records = read_box_dump(path, METRICS_DUMP)
+    if (got := Window(box.lo, box.hi, margin)) != forest.window:
+        raise ValueError(f"metrics dump covers {got}, not the forest's {forest.window}")
+    out = []
+    for name in records.dtype.names[::2]:
+        exact = records[name + "_exact"]
+        require_codes(METRICS_DUMP, f"{name} exactness flag", exact, 0, 1)
+        out.append(StatusField(forest.window, forest.zeta, records[name].copy(), exact == 1))
+    return out
 
 
 def ray(forest: Forest, x: Site) -> list[Site]:

@@ -24,13 +24,12 @@ ball maxima and the insulation unions are `metrics.ball_gather` and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .forest import Forest
-from .lattice import Box, Site, Window
+from .lattice import Box, DumpLayout, Site, Window, read_box_dump, require_codes, write_box_dump
 from .metrics import (RowFrame, StatusField, _progeny_depth, ball_gather, ball_radius,
                       ball_stamp)
 
@@ -295,38 +294,33 @@ def check_disjoint(ball_1: np.ndarray, ball_2: np.ndarray, box: Box) -> Disjoint
 
 
 # ---------------------------------------------------------------------------
-# dump: run-length encoded tri-state layers plus a JSON summary
+# dump: the layers that later stages read, plus a JSON summary
 # ---------------------------------------------------------------------------
 
-def _rle(flat: np.ndarray) -> list[list[int]]:
-    """The runs of `flat` as [value, length] pairs of Python ints."""
-    if flat.size == 0:
-        return []
-    starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
-    lengths = np.diff(np.r_[starts, flat.size])
-    return np.stack((flat[starts].astype(np.int64), lengths), axis=1).tolist()
+# UMBM: per window site the i8 tiers of MEMBERSHIP_LAYERS; the bounds, then
+# the u32 margin
+MEMBERSHIP_LAYERS = ("chain_1", "chain_2", "ray_cover_1", "ray_cover_2")
+MEMBERSHIP_DUMP = DumpLayout(b"UMBM", 1, "membership",
+                             lambda d: [(name, "i1") for name in MEMBERSHIP_LAYERS], tail="<I")
 
 
-def write_membership(path: str, window: Window, layers: dict[str, np.ndarray]):
-    doc = {"window": {"lo": list(window.lo), "hi": list(window.hi),
-                      "margin": window.margin},
-           "layers": {name: _rle(arr.ravel()) for name, arr in layers.items()}}
-    # json.dumps takes the C encoder; json.dump streams through Python's
-    with open(path, "w") as f:
-        f.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+def write_membership(window: Window, layers: dict[str, np.ndarray], path: str):
+    """The `MEMBERSHIP_LAYERS` of `layers`, each over the window box."""
+    records = np.rec.fromarrays([layers[name] for name in MEMBERSHIP_LAYERS],
+                                dtype=MEMBERSHIP_DUMP.record(window.dim))
+    write_box_dump(path, MEMBERSHIP_DUMP, window.box, records, tail=(window.margin,))
 
 
-def read_membership(path: str) -> tuple[Window, dict[str, np.ndarray]]:
-    with open(path) as f:
-        doc = json.load(f)
-    w = doc["window"]
-    window = Window(tuple(w["lo"]), tuple(w["hi"]), w["margin"])
-    shape = window.shape
-    layers = {}
-    for name, runs in doc["layers"].items():
-        runs = np.asarray(runs, dtype=np.int64).reshape(-1, 2)
-        layers[name] = np.repeat(runs[:, 0].astype(np.int8), runs[:, 1]).reshape(shape)
-    return window, layers
+def read_membership(path: str, window: Window) -> dict[str, np.ndarray]:
+    """Inverse of `write_membership`, bound to the window: the layers,
+    read-only.  Raises ValueError on what `read_box_dump` rejects, a dump of
+    another window or a tier off OUT..IN."""
+    _, box, (margin,), records = read_box_dump(path, MEMBERSHIP_DUMP)
+    if (got := Window(box.lo, box.hi, margin)) != window:
+        raise ValueError(f"membership dump covers {got}, not the window {window}")
+    for name in MEMBERSHIP_LAYERS:
+        require_codes(MEMBERSHIP_DUMP, f"{name} tier", records[name], OUT, IN)
+    return {name: records[name] for name in MEMBERSHIP_LAYERS}
 
 
 def membership_summary(layers: dict[str, np.ndarray], leaf_counts: dict[str, int],

@@ -2,6 +2,8 @@ import hashlib
 import json
 import re
 import shutil
+from dataclasses import replace
+from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +14,12 @@ from umbrellaforest import pipeline, pruning
 from umbrellaforest.cli import RunConfig, _build_parser, build_config, main
 from umbrellaforest.environment import write_environment
 from umbrellaforest.fieldgen import default_params
-from umbrellaforest.lattice import Window
+from umbrellaforest.lattice import Box, Window, read_box_dump, write_box_dump
+from umbrellaforest.metrics import METRICS_DUMP
 from umbrellaforest.metrics import ray as ancestor_chain
 from umbrellaforest.pipeline import (build_patched, build_pruned_pair, select_rays,
                                      trap_experiment)
-from umbrellaforest.pruning import IN, write_membership
+from umbrellaforest.pruning import IN, MEMBERSHIP_DUMP, write_membership
 from umbrellaforest.walker import walks_csv
 
 
@@ -273,7 +276,7 @@ def test_prune_and_env_read_the_dumps_of_earlier_stages(staged, in_memory, tmp_p
     params, pair, _, env = in_memory
     layers = {f"{name}_{i}": layer for i in (1, 2) for name, layer in (
         ("chain", pair.chains[i - 1].layer), ("ray_cover", pair.insulation[i - 1].ray_layer))}
-    write_membership(str(tmp_path / "membership.json"), params.window, layers)
+    write_membership(params.window, layers, str(tmp_path / "membership.umbm"))
     write_environment(env, str(tmp_path / "env.umbe"))
 
     # neither stage generates a field, grows a forest or builds the pair,
@@ -291,7 +294,7 @@ def test_prune_and_env_read_the_dumps_of_earlier_stages(staged, in_memory, tmp_p
         monkeypatch.setattr(pipeline, name, no_build)
         monkeypatch.setattr(pruning, name, no_build)
     assert run(["env", *base_args(out)]) == 0
-    for name in ("membership.json", "env.umbe"):
+    for name in ("membership.umbm", "env.umbe"):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
@@ -314,33 +317,48 @@ def test_prune_and_env_require_metrics(staged, tmp_path, capsys, stage):
     assert "'metrics'" in capsys.readouterr().err
 
 
+def rewrite_dump(out, stage, name, layout, fields=None, shift=0):
+    """Rewrite dump `name` keeping only the record `fields` (default all),
+    its box moved by `shift` along the first axis, and rehash it."""
+    head, box, tail, records = read_box_dump(str(out / name), layout)
+    fields = fields or list(records.dtype.names)
+    moved = Box((box.lo[0] + shift,) + box.lo[1:], (box.hi[0] + shift,) + box.hi[1:])
+    short = replace(layout, record=lambda d: [f for f in layout.record(d) if f[0] in fields])
+    write_box_dump(str(out / name), short, moved, records[fields], head, tail)
+    rehash(out, stage, name)
+
+
 @pytest.mark.parametrize("stage", ["prune", "env"])
 def test_metrics_without_insulation_sup_is_integrity_error(staged, tmp_path, capsys, stage):
     out = copy_of(staged, tmp_path)
-    with np.load(out / "metrics.npz") as z:
-        kept = {k: z[k] for k in z.files if not k.startswith("H1_")}
-    np.savez_compressed(out / "metrics.npz", **kept)
-    rehash(out, "metrics", "metrics.npz")
+    rewrite_dump(out, "metrics", "metrics_1.umbh", METRICS_DUMP, fields=["h", "h_exact"])
     assert run([stage, *base_args(out)]) == 1
     err = capsys.readouterr().err
-    assert "integrity error" in err and "H1_" in err
+    assert err.startswith("integrity error: metrics_1.umbh: metrics dump body holds ")
+
+
+@pytest.mark.parametrize("stage", ["prune", "env"])
+def test_metrics_of_another_window_is_integrity_error(staged, tmp_path, capsys, stage):
+    out = copy_of(staged, tmp_path)
+    rewrite_dump(out, "metrics", "metrics_2.umbh", METRICS_DUMP, shift=1)
+    assert run([stage, *base_args(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "integrity error: metrics_2.umbh: metrics dump covers ")
 
 
 @pytest.mark.parametrize("stage", ["env", "walk"])
 @pytest.mark.parametrize("fault", ["ray_cover_2", "window"])
 def test_broken_membership_is_integrity_error(staged, tmp_path, capsys, stage, fault):
     out = copy_of(staged, tmp_path)
-    doc = json.loads((out / "membership.json").read_text())
     if fault == "window":
-        doc["window"]["lo"][0] += 1
-        doc["window"]["hi"][0] += 1
+        rewrite_dump(out, "prune", "membership.umbm", MEMBERSHIP_DUMP, shift=1)
+        message = "membership dump covers "
     else:
-        del doc["layers"][fault]
-    (out / "membership.json").write_text(json.dumps(doc))
-    rehash(out, "prune", "membership.json")
+        rewrite_dump(out, "prune", "membership.umbm", MEMBERSHIP_DUMP,
+                     fields=["chain_1", "chain_2", "ray_cover_1"])
+        message = "membership dump body holds "
     assert run([stage, *base_args(out, WALK if stage == "walk" else ())]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("integrity error: membership.json: ") and fault in err
+    assert capsys.readouterr().err.startswith(f"integrity error: membership.umbm: {message}")
 
 
 def test_walk_requires_prune(staged, tmp_path, capsys):
@@ -354,8 +372,9 @@ def test_walk_requires_prune(staged, tmp_path, capsys):
 
 def test_walk_detects_tampered_membership(staged, tmp_path, capsys):
     out = copy_of(staged, tmp_path)
-    doc = (out / "membership.json").read_text()
-    (out / "membership.json").write_text(doc.replace("[3,", "[2,", 1))
+    blob = bytearray((out / "membership.umbm").read_bytes())
+    blob[blob.index(bytes([IN]), len(blob) // 2)] = 2      # one IN tier made FRONTIER
+    (out / "membership.umbm").write_bytes(bytes(blob))
     assert run(["walk", *base_args(out, WALK)]) == 1
     assert "checksum" in capsys.readouterr().err
 
@@ -392,7 +411,7 @@ def test_bad_environment_dump_is_integrity_error(staged, tmp_path, capsys):
 
 # each dump, the stage that wrote it and the stage that reads it
 DUMPS = [("field_1.umbf", "gen", "forest"), ("forest_1.umba", "forest", "metrics"),
-         ("metrics.npz", "metrics", "prune"), ("membership.json", "prune", "env"),
+         ("metrics_1.umbh", "metrics", "prune"), ("membership.umbm", "prune", "env"),
          ("env.umbe", "env", "walk"), ("env_manifest.json", "env", "walk")]
 
 
@@ -429,3 +448,36 @@ def test_stage_value_error_exits_1(staged, tmp_path, capsys):
     rehash(out, "forest", "forest_1.umba")
     assert run(["metrics", *base_args(out)]) == 1
     assert "bad forest dump magic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, stage", [("walks_summary.json", "walk"), ("tails.csv", "metrics"),
+                                         ("tails_umbrella.csv", "tails"), ("mixing.csv", "mixing")])
+def test_report_reads_only_what_a_stage_recorded(staged, tmp_path, capsys, name, stage):
+    out = copy_of(staged, tmp_path)
+    if not (out / name).exists():
+        # the fixture runs neither `tails` nor `mixing`: a file that no
+        # stage lists is not read, and once listed it is checked
+        (out / name).write_text("n\n0.123456\n")
+        assert run(["report", *base_args(out)]) == 0
+        assert "0.123456" not in (out / "report.json").read_text()
+        man = json.loads((out / "manifest.json").read_text())
+        man["stages"][stage] = {"artifacts": {}}
+        (out / "manifest.json").write_text(json.dumps(man))
+        rehash(out, stage, name)
+    text = (out / name).read_text()
+    (out / name).write_text(text.replace("0.", "0.9", 1))   # edited, not rehashed
+    assert run(["report", *base_args(out)]) == 1
+    assert capsys.readouterr().err == f"integrity error: artifact {name} fails its checksum\n"
+
+
+def test_readme_file_formats_name_every_artifact(staged, tmp_path):
+    out = copy_of(staged, tmp_path)
+    assert run(["report", *base_args(out)]) == 0
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## File formats", 1)[1].split("\n## ", 1)[0]
+    patterns = [re.sub(r"<\w+>", "*", p)
+                for p in re.findall(r"`([\w*<>]+\.(?:umb\w|json|csv))`", section)]
+    man = json.loads((out / "manifest.json").read_text())
+    written = {name for rec in man["stages"].values() for name in rec["artifacts"]}
+    assert {"metrics_1.umbh", "membership.umbm", "report.json"} <= written
+    assert {name for name in written if not any(fnmatch(name, p) for p in patterns)} == set()

@@ -19,9 +19,12 @@ from umbrellaforest.fieldgen import (FIELD_DUMP, default_params, generate_field,
                                      write_field)
 from umbrellaforest.forest import FOREST_DUMP, build_forest, read_forest, write_forest
 from umbrellaforest.lattice import Direction, Window, all_directions, l1_norm
+from umbrellaforest.metrics import (METRICS_DUMP, compute_h, compute_insulation_sup,
+                                    read_metrics, write_metrics)
 from umbrellaforest.oracles import exit_stats_brute
 from umbrellaforest.pipeline import build_pruned_pair, build_patched
-from umbrellaforest.pruning import IN
+from umbrellaforest.pruning import (IN, MEMBERSHIP_DUMP, MEMBERSHIP_LAYERS, read_membership,
+                                    write_membership)
 from umbrellaforest.raygeom import (RayHandle, ellipticity_constant,
                                     tube_geometry)
 
@@ -363,6 +366,30 @@ def dump_case(fmt, path):
             return box == env.box and types.dtype == np.int8 and \
                 np.array_equal(types, env.row_type)
         return ENV_DUMP, 3, same
+    if fmt == "UMBM":
+        window = Window.centered(3, 3, 2)
+        tiers = np.random.default_rng(4).integers(0, 4, size=(4,) + window.shape)
+        layers = dict(zip(MEMBERSHIP_LAYERS, tiers.astype(np.int8)))
+        write_membership(window, layers, path)
+
+        def same():
+            back = read_membership(path, window)
+            return back.keys() == layers.keys() and all(
+                back[k].dtype == np.int8 and np.array_equal(back[k], v) for k, v in layers.items())
+        return MEMBERSHIP_DUMP, 3, same
+    if fmt == "UMBH":
+        forest = build_forest(generate_field(default_params(3, Window.centered(3, 3, 2), 6)), -1)
+        h = compute_h(forest)
+        fields = [h, compute_insulation_sup(h, 0.3)]
+        write_metrics(fields, path)
+
+        def same():
+            back = read_metrics(path, forest)
+            return len(back) == 2 and all(
+                (b.window, b.zeta) == (f.window, f.zeta) and b.value.dtype == np.int32 and
+                np.array_equal(b.value, f.value) and np.array_equal(b.exact, f.exact)
+                for b, f in zip(back, fields))
+        return METRICS_DUMP, 3, same
     p = default_params(2, Window.centered(4, 2, 1), seed=5)
     field = generate_field(p)
     if fmt == "UMBF":
@@ -380,7 +407,7 @@ def dump_case(fmt, path):
     return FOREST_DUMP, 2, same
 
 
-@pytest.mark.parametrize("fmt", ["UMBF", "UMBA", "UMBE"])
+@pytest.mark.parametrize("fmt", ["UMBF", "UMBA", "UMBE", "UMBH", "UMBM"])
 def test_environment_dump_roundtrip_and_rejects(tmp_path, fmt):
     path = str(tmp_path / "dump")
     layout, d, same = dump_case(fmt, path)
@@ -407,6 +434,14 @@ def test_environment_dump_roundtrip_and_rejects(tmp_path, fmt):
         rejects(blob[:12] + bytes(1) + blob[13:], "orientation 0")
         for code in (0, d + 1):
             rejects(blob[:body] + bytes([code]) + blob[body + 1:], f"axis code {code}")
+    if fmt == "UMBM":
+        body = len(blob) - record * 27
+        for tier in (4, -1):
+            rejects(blob[:body + 15] + tier.to_bytes(1, "little", signed=True)
+                    + blob[body + 16:], f"ray_cover_2 tier {tier} at site index 3")
+    if fmt == "UMBH":
+        body = len(blob) - record * 27
+        rejects(blob[:body + 9] + bytes([2]) + blob[body + 10:], "H exactness flag 2")
     if fmt == "UMBE":
         # one numerator of one site's row moved off the table
         head = len(blob) - record * 27

@@ -11,7 +11,7 @@ from umbrellaforest import rng
 from umbrellaforest.fieldgen import (LField, ModelParams, default_params,
                                      generate_field, length_from_uniform,
                                      read_field, sample_length, sample_lengths,
-                                     tail_mass, validate_params, with_margin,
+                                     tail_mass, validate_params,
                                      write_field)
 from umbrellaforest.lattice import Box, Window
 
@@ -91,7 +91,7 @@ def test_tail_mass_at_three():
 
 def test_site_addressability_and_margin_extension():
     p_small = mk(2, side=10, margin=2, seed=77)
-    p_big = with_margin(p_small, 5)
+    p_big = mk(2, side=10, margin=5, seed=77)
     f_small = generate_field(p_small)
     f_big = generate_field(p_big)
     for x in f_small.box.sites():

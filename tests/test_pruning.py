@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import json
 from unittest import mock
 
 import numpy as np
@@ -268,61 +267,18 @@ def test_depth_decay_table_nested_counts():
 
 def test_membership_dump_roundtrip(tmp_path):
     pair = small_pair(seed=41)
-    layers = {"keep_1": pair.keep[0], "chain_1": pair.chains[0].layer}
-    path = tmp_path / "membership.json"
-    write_membership(str(path), pair.params.window, layers)
-    window, back = read_membership(str(path))
-    assert window == pair.params.window
-    for name, arr in layers.items():
-        assert np.array_equal(back[name], arr)
-
-
-def _reference_membership(window, layers) -> bytes:
-    """The membership dump by a plain-Python run encoder."""
-    doc = {"window": {"lo": list(window.lo), "hi": list(window.hi),
-                      "margin": window.margin}, "layers": {}}
-    for name, arr in layers.items():
-        runs = []
-        for v in arr.ravel().tolist():
-            if runs and runs[-1][0] == v:
-                runs[-1][1] += 1
-            else:
-                runs.append([v, 1])
-        doc["layers"][name] = runs
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-
-
-@st.composite
-def tri_state_layers(draw):
-    """A small window and named tri-state layers over it, some of one run."""
-    d = draw(st.sampled_from([2, 3]))
-    lo = tuple(draw(st.integers(-3, 3)) for _ in range(d))
-    hi = tuple(l + draw(st.integers(0, 4)) for l in lo)
-    window = Window(lo, hi, draw(st.integers(0, 5)))
-    states = st.sampled_from([int(OUT), int(UNKNOWN), int(FRONTIER), int(IN)])
-    layers = {}
-    for name in draw(st.sets(st.sampled_from(["keep_1", "chain_2", "ball_1"]),
-                             min_size=1)):
-        size = window.box.size
-        flat = ([draw(states)] * size if draw(st.booleans()) else
-                draw(st.lists(states, min_size=size, max_size=size)))
-        layers[name] = np.array(flat, dtype=np.int8).reshape(window.shape)
-    return window, layers
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(tri_state_layers())
-@example((Window((0, 0), (0, 0), 1), {"keep_1": np.full((1, 1), IN)}))
-@example((Window((0, 0, 0), (2, 1, 3), 0), {"ball_1": np.full((3, 2, 4), OUT)}))
-def test_membership_dump_matches_reference_encoder(tmp_path_factory, inst):
-    window, layers = inst
-    path = tmp_path_factory.mktemp("m") / "membership.json"
-    write_membership(str(path), window, layers)
-    assert path.read_bytes() == _reference_membership(window, layers)
-    back_window, back = read_membership(str(path))
-    assert back_window == window and back.keys() == layers.keys()
-    for name, arr in layers.items():
-        assert back[name].dtype == np.int8 and np.array_equal(back[name], arr)
+    layers = {f"{name}_{i}": layer for i in (1, 2) for name, layer in (
+        ("chain", pair.chains[i - 1].layer), ("ray_cover", pair.insulation[i - 1].ray_layer),
+        ("keep", pair.keep[i - 1]))}
+    path = tmp_path / "membership.umbm"
+    write_membership(pair.params.window, layers, str(path))
+    back = read_membership(str(path), pair.params.window)
+    assert back.keys() == {"chain_1", "chain_2", "ray_cover_1", "ray_cover_2"}
+    for name, arr in back.items():
+        assert arr.dtype == np.int8 and np.array_equal(arr, layers[name])
+    other = Window(pair.params.window.lo, pair.params.window.hi, pair.params.window.margin + 1)
+    with pytest.raises(ValueError, match="membership dump covers"):
+        read_membership(str(path), other)
 
 
 def test_window_growth_never_flips_certain_verdicts():
