@@ -246,8 +246,8 @@ def stage_validate(cfg: RunConfig) -> int:
 def stage_gen(cfg: RunConfig) -> int:
     params = cfg.params()
     arts = [_write(cfg, f"field_{i}.umbf", fieldgen.write_field,
-                   fieldgen.generate_field(pipeline.derived_params(params, "field", i)))
-            for i in ((1, 2) if cfg.dim >= 3 else (1,))]
+                   fieldgen.generate_field(*pipeline.field_spec(params, i, zeta)))
+            for i, zeta in pipeline.orientations(cfg.dim)]
     _record_stage(cfg, "gen", arts)
     print(f"wrote {len(arts)} field dump(s) to {cfg.out}")
     return 0
@@ -257,15 +257,13 @@ def _load_fields(cfg: RunConfig):
     _require_stage(cfg, "gen")
     params = cfg.params()
     return [_read(cfg, f"field_{i}.umbf", fieldgen.read_field,
-                  pipeline.derived_params(params, "field", i))
-            for i in ((1, 2) if cfg.dim >= 3 else (1,))]
+                  *pipeline.field_spec(params, i, zeta))
+            for i, zeta in pipeline.orientations(cfg.dim)]
 
 
 def stage_forest(cfg: RunConfig) -> int:
-    fields = _load_fields(cfg)
     arts = []
-    for i, field in enumerate(fields, start=1):
-        zeta = 1 if i == 1 else -1
+    for (i, zeta), field in zip(pipeline.orientations(cfg.dim), _load_fields(cfg)):
         f = forest_mod.build_forest(field, zeta=zeta)
         arts.append(_write(cfg, f"forest_{i}.umba", forest_mod.write_forest, f))
         print(f"forest {i}: orientation {zeta}, truncation radius {f.radius}, "
@@ -276,8 +274,8 @@ def stage_forest(cfg: RunConfig) -> int:
 
 def _load_forests(cfg: RunConfig):
     _require_stage(cfg, "forest")
-    idx = (1, 2) if cfg.dim >= 3 else (1,)
-    return [_read(cfg, f"forest_{i}.umba", forest_mod.read_forest) for i in idx]
+    return [_read(cfg, f"forest_{i}.umba", forest_mod.read_forest)
+            for i, _ in pipeline.orientations(cfg.dim)]
 
 
 def stage_metrics(cfg: RunConfig) -> int:

@@ -9,8 +9,9 @@ atomless choice; everything downstream only leans on the exact tail branch.
 Sampling is inverse-CDF on a counter-based uniform keyed by (seed, site),
 so fields are site-addressable: enlarging the margin, sampling a smaller
 box or re-partitioning work across processes never changes the value at a
-covered site.  The full field covers window + margin; an in-memory forest
-samples only the box it reads, `Window.forest_box(zeta)`.  A box is
+covered site.  The full field covers window + margin; a forest, in memory
+or staged through the CLI's `*.umbf` dumps, samples only the box it reads,
+`Window.forest_box(zeta)`.  A box is
 hashed by `rng.uniform_blocks`, a block of about 2^16 sites of whole
 leading planes at a time, into the preallocated output, so sampling holds
 the output plus one block's temporaries.
@@ -27,7 +28,7 @@ from . import rng
 from .lattice import (Box, DumpLayout, Site, Window, orthant_sphere_count, read_box_dump,
                       write_box_dump)
 
-# UMBF: one f64 length per site of window + margin, the u64 seed after the bounds
+# UMBF: one f64 length per site of the sampled box, the u64 seed after the bounds
 FIELD_DUMP = DumpLayout(b"UMBF", 1, "field", lambda d: "<f8", tail="<Q")
 
 DEFAULT_SITE_BUDGET = 1 << 27
@@ -217,11 +218,14 @@ def write_field(field: LField, path: str):
     write_box_dump(path, FIELD_DUMP, field.box, field.values, tail=(field.params.seed,))
 
 
-def read_field(path: str, p: ModelParams) -> LField:
-    """Load a dump and bind it to params (box and seed must agree)."""
-    _, box, (seed,), data = read_box_dump(path, FIELD_DUMP)
-    if box != p.window.field_box or seed != (p.seed & (1 << 64) - 1):
-        raise ValueError("field dump does not match the supplied parameters")
+def read_field(path: str, p: ModelParams, box: Box) -> LField:
+    """Load a dump and bind it to params and to the box the caller reads:
+    a dump over another box or of another seed is rejected."""
+    _, got, (seed,), data = read_box_dump(path, FIELD_DUMP)
+    if got != box:
+        raise ValueError(f"field dump covers {got}, not {box}")
+    if seed != (p.seed & (1 << 64) - 1):
+        raise ValueError("field dump was sampled with another seed")
     values = data.astype(np.float64)
     values.setflags(write=False)
-    return LField(params=p, values=values)
+    return LField(params=p, values=values, box=box)

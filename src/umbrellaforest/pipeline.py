@@ -44,6 +44,21 @@ def derived_params(base: ModelParams, label: str, *keys: int) -> ModelParams:
     return replace(base, seed=rng.stream(label, base.seed, *keys))
 
 
+# (i, zeta) per forest: forest i of a pair has orientation zeta
+ORIENTATIONS = ((1, 1), (2, -1))
+
+
+def orientations(dim: int) -> tuple[tuple[int, int], ...]:
+    """The forests of a staged run: the pair at d >= 3, forest 1 alone at d = 2."""
+    return ORIENTATIONS if dim >= 3 else ORIENTATIONS[:1]
+
+
+def field_spec(params: ModelParams, i: int, zeta: int) -> tuple[ModelParams, Box]:
+    """Forest i's field parameters, and the box its forest of orientation
+    zeta reads: what `generate_field` samples and `read_field` binds to."""
+    return derived_params(params, "field", i), params.window.forest_box(zeta)
+
+
 # ---------------------------------------------------------------------------
 # pruned pair of opposite forests
 # ---------------------------------------------------------------------------
@@ -96,8 +111,7 @@ def _each_orientation(fn, jobs, threads: int) -> tuple:
 
 def _grow(params: ModelParams, i: int, zeta: int):
     """Forest i from its own field, with its h and H."""
-    forest = build_forest(generate_field(derived_params(params, "field", i),
-                                         params.window.forest_box(zeta)), zeta=zeta)
+    forest = build_forest(generate_field(*field_spec(params, i, zeta)), zeta=zeta)
     h = compute_h(forest)
     return forest, h, compute_insulation_sup(h, params.beta)
 
@@ -106,7 +120,7 @@ def _grow_pair(params: ModelParams, threads: int) -> tuple[tuple, tuple, tuple]:
     """Two opposite forests from their own fields, with their h and H."""
     if params.beta is None:
         raise ValueError("pruning requires beta")
-    return _each_orientation(_grow, [(params, 1, 1), (params, 2, -1)], threads)
+    return _each_orientation(_grow, [(params, i, zeta) for i, zeta in ORIENTATIONS], threads)
 
 
 def _chain(forest: Forest, h: StatusField, ins_opp: StatusField, beta: float):
@@ -310,17 +324,16 @@ def trap_walks(row_type: np.ndarray, inside: tuple[np.ndarray, np.ndarray],
         if not (box.contains(start) and inside[i - 1][box.local(start)]):
             raise ValueError(f"orientation {i}'s start {list(start)} is not certainly covered")
     rows = row_table(box.dim).rows
-    for i, start in zip((1, 2), starts):
-        sign = 1 if i == 1 else -1
+    for (i, zeta), start in zip(ORIENTATIONS, starts):
         cfg = WalkConfig(start=start, horizon=horizon, replicas=replicas,
                          seed=rng.stream("trap", walk_seed, i))
         yield f"orient_{i}", run_walks(row_type, rows, box, inside[i - 1], cfg,
-                                       orientation_sign=sign)
+                                       orientation_sign=zeta)
         if i == 1:
             cfg = WalkConfig(start=start, horizon=horizon, replicas=replicas,
                              seed=rng.stream("trap-control", walk_seed))
             yield "control", run_walks(np.zeros_like(row_type), rows, box, inside[0], cfg,
-                                       orientation_sign=sign)
+                                       orientation_sign=zeta)
 
 
 def walk_starts(rays: list[RayHandle]) -> list[Site | None]:
@@ -428,7 +441,6 @@ def oracle_suite(max_box: int = 7, seed: int = 5, dims: tuple[int, ...] = (2, 3)
     from . import oracles
     from .forest import lambda_field
     from .lattice import orthant_sphere_count, sphere_count
-    from .fieldgen import length_from_uniform
     from .environment import exit_functionals, ray_environment
     from .raygeom import tube_geometry
 
@@ -451,9 +463,7 @@ def oracle_suite(max_box: int = 7, seed: int = 5, dims: tuple[int, ...] = (2, 3)
         window = Window.centered(side, d, margin=0)
         box = window.field_box
         params = default_params(d, window, seed)
-        vals = np.empty(box.shape)
-        for planes, u in rng.uniform_blocks(rng.stream("oracle", seed, d), box.lo, box.hi):
-            vals[planes] = length_from_uniform(u, params)
+        vals = generate_field(replace(params, seed=rng.stream("oracle", seed, d)), box).values
         site_vals = oracles.enumerate_box_field(vals, box)
         bad = 0
         total = 0

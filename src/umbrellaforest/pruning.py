@@ -314,12 +314,14 @@ def write_membership(window: Window, layers: dict[str, np.ndarray], path: str):
 def read_membership(path: str, window: Window) -> dict[str, np.ndarray]:
     """Inverse of `write_membership`, bound to the window: the layers,
     read-only.  Raises ValueError on what `read_box_dump` rejects, a dump of
-    another window or a tier off OUT..IN."""
+    another window, a chain tier off OUT..FRONTIER (no chain is IN) or a
+    ray-cover tier off OUT..IN."""
     _, box, (margin,), records = read_box_dump(path, MEMBERSHIP_DUMP)
     if (got := Window(box.lo, box.hi, margin)) != window:
         raise ValueError(f"membership dump covers {got}, not the window {window}")
     for name in MEMBERSHIP_LAYERS:
-        require_codes(MEMBERSHIP_DUMP, f"{name} tier", records[name], OUT, IN)
+        top = FRONTIER if name.startswith("chain") else IN
+        require_codes(MEMBERSHIP_DUMP, f"{name} tier", records[name], OUT, top)
     return {name: records[name] for name in MEMBERSHIP_LAYERS}
 
 

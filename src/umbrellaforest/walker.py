@@ -8,7 +8,8 @@ each word is compared with the rows' exact integer thresholds, so every
 step is the one the scalar `step` takes on the same row and word.  A walk
 that reaches the window safety buffer is truncated there and flagged: the
 window cannot testify about anything beyond it, so truncated survivors are
-censored observations, never fabricated ones.
+censored observations, never fabricated ones.  A batch records the drift
+of the steps walked, up to the step its last walk stops at.
 """
 
 from __future__ import annotations
@@ -76,13 +77,14 @@ def row_sampler(rows: Sequence[Sequence[Fraction]]):
 
 @dataclass
 class WalkBatch:
-    """Vectorized traces: exit bookkeeping plus the full drift history."""
+    """Vectorized traces: exit bookkeeping plus the drift history."""
 
     config: WalkConfig
     exit_step: np.ndarray       # int64, -1 = no exit observed
     truncated_at: np.ndarray    # int64, -1 = never hit the buffer
     effective_horizon: np.ndarray  # int64: horizon or truncation step
-    proj: np.ndarray            # (replicas, horizon+1) signed drift projection
+    proj: np.ndarray            # (replicas, effective_horizon.max()+1) signed drift
+    #                             projection, from the start to the last step walked
     positions: np.ndarray       # (replicas, d) final positions
     spine_visits: np.ndarray    # int64 steps spent on tracked spine sites
 
@@ -96,15 +98,13 @@ class WalkBatch:
         return vals
 
     def min_tail_drift(self) -> np.ndarray:
-        """Per-replica min over n in [N'/2, N'] of proj_n / n; N' observed."""
-        out = np.full(self.config.replicas, np.nan)
-        for k in range(self.config.replicas):
-            n1 = int(self.effective_horizon[k])
-            if self.exit_step[k] >= 0 or n1 < 2:
-                continue
-            ns = np.arange(max(n1 // 2, 1), n1 + 1)
-            out[k] = float(np.min(self.proj[k, ns] / ns))
-        return out
+        """Per-replica min over n in [N'/2, N'] of proj_n / n; N' observed.
+        NaN where the walk exited or stopped before step 2."""
+        n1 = self.effective_horizon
+        n = np.arange(self.proj.shape[1])
+        ratio = self.proj / np.maximum(n, 1)
+        ratio[(n < np.maximum(n1 // 2, 1)[:, None]) | (n > n1[:, None])] = np.inf
+        return np.where((self.exit_step < 0) & (n1 >= 2), ratio.min(axis=1), np.nan)
 
 
 def run_walks(row_type: np.ndarray, rows: Sequence[Sequence[Fraction]], box: Box,
@@ -115,7 +115,8 @@ def run_walks(row_type: np.ndarray, rows: Sequence[Sequence[Fraction]], box: Box
     row_type: (*box.shape,) index into `rows`, a table of exact rational
     rows; inside_mask: the membership event being tracked (exit = first
     step landing outside it).  A walk that exits
-    or hits the buffer freezes in place so batch arithmetic stays branch-free.
+    or hits the buffer freezes in place so batch arithmetic stays branch-free;
+    the batch ends once every walk has stopped.
     """
     d = box.dim
     R = config.replicas
@@ -137,13 +138,12 @@ def run_walks(row_type: np.ndarray, rows: Sequence[Sequence[Fraction]], box: Box
     truncated_at = np.full(R, -1, dtype=np.int64)
     spine_visits = np.zeros(R, dtype=np.int64)
     replica_ids = np.arange(R, dtype=np.int64)
-    proj = np.zeros((R, config.horizon + 1), dtype=np.float32)
+    proj = [np.zeros(R, dtype=np.float32)]
 
     seed = rng.stream("walk", config.seed)
     start_sum = sum(config.start)
     for t in range(1, config.horizon + 1):
         if not active.any():
-            proj[:, t:] = proj[:, t - 1][:, None]
             break
         flat = ((pos - lo) * strides).sum(axis=1)
         words = rng.u64_vec(seed, [replica_ids, np.full(R, t, dtype=np.int64)])
@@ -161,28 +161,26 @@ def run_walks(row_type: np.ndarray, rows: Sequence[Sequence[Fraction]], box: Box
 
         if spine_flat is not None:
             spine_visits[active & spine_flat[flat]] += 1
-        proj[:, t] = orientation_sign * (pos.sum(axis=1) - start_sum)
+        proj.append((orientation_sign * (pos.sum(axis=1) - start_sum)).astype(np.float32))
 
     effective = np.where(truncated_at >= 0, truncated_at, config.horizon)
     effective = np.where(exit_step >= 0, np.minimum(effective, exit_step), effective)
     return WalkBatch(config=config, exit_step=exit_step, truncated_at=truncated_at,
-                     effective_horizon=effective, proj=proj,
+                     effective_horizon=effective, proj=np.stack(proj, axis=1),
                      positions=pos, spine_visits=spine_visits)
 
 
 @dataclass
 class TrapEstimate:
-    """Survival (no exit observed) with its interval, drift quantiles, and
-    the exit-time histogram.  Truncated-while-inside runs are censored
-    survivors, reported separately; the pessimistic bracket books them as
-    exits."""
+    """Survival (no exit observed) with its interval, and drift quantiles.
+    Truncated-while-inside runs are censored survivors, reported
+    separately; the pessimistic bracket books them as exits."""
 
     replicas: int
     survivors: int
     truncated: int
     ci: tuple[float, float]
     ci_pessimistic: tuple[float, float]
-    exit_histogram: dict[int, int]
     drift_quantiles: dict[str, float]
 
     @property
@@ -194,20 +192,15 @@ def trap_probability(batch: WalkBatch) -> TrapEstimate:
     exit_step = batch.exit_step
     survivors = int(np.count_nonzero(exit_step < 0))
     truncated = int(np.count_nonzero((exit_step < 0) & (batch.truncated_at >= 0)))
-    hist: dict[int, int] = {}
-    for t in exit_step[exit_step >= 0]:
-        hist[int(t)] = hist.get(int(t), 0) + 1
     drifts = batch.min_tail_drift()
     drifts = drifts[np.isfinite(drifts)]
-    q = {}
-    if drifts.size:
-        for name, frac in (("p05", 0.05), ("p25", 0.25), ("p50", 0.5)):
-            q[name] = float(np.quantile(drifts, frac))
+    q = {name: float(np.quantile(drifts, frac)) for name, frac in
+         (("p05", 0.05), ("p25", 0.25), ("p50", 0.5))} if drifts.size else {}
     return TrapEstimate(
         replicas=batch.config.replicas, survivors=survivors, truncated=truncated,
         ci=wilson_interval(survivors, batch.config.replicas),
         ci_pessimistic=wilson_interval(survivors - truncated, batch.config.replicas),
-        exit_histogram=hist, drift_quantiles=q)
+        drift_quantiles=q)
 
 
 def exit_tail_curve(exit_step: np.ndarray, grid: list[int]) -> list[dict]:
@@ -227,27 +220,19 @@ def stretched_exp_slope(exit_step: np.ndarray, grid: list[int], beta: float) -> 
     A negative slope is the qualitative stretched-exponential shape of tube
     exit-time tails; only the sign is diagnostic, never the constant.
     """
-    xs, ys = [], []
-    total = exit_step.size
-    for n in grid:
-        alive = int(np.count_nonzero((exit_step < 0) | (exit_step > n)))
-        if alive > 0:
-            xs.append(float(n) ** beta)
-            ys.append(np.log(alive / total))
-    if len(xs) < 2:
+    points = [(float(r["n"]) ** beta, np.log(r["survive"]))
+              for r in exit_tail_curve(exit_step, grid) if r["survive"] > 0]
+    if len(points) < 2:
         raise ValueError("survival vanished too early for a slope")
-    x = np.asarray(xs)
-    y = np.asarray(ys)
+    x, y = np.array(points).T.copy()
     xm = x - x.mean()
     return float(np.dot(xm, y) / np.dot(xm, xm))
 
 
 def walks_csv(batch: WalkBatch, path: str):
-    n_half = batch.config.horizon // 2
-    n_3q = (3 * batch.config.horizon) // 4
-    d_half = batch.drift_at(np.minimum(n_half, batch.effective_horizon))
-    d_3q = batch.drift_at(np.minimum(n_3q, batch.effective_horizon))
-    d_full = batch.drift_at(batch.effective_horizon)
+    horizon = batch.config.horizon
+    d_half, d_3q, d_full = (batch.drift_at(np.minimum(n, batch.effective_horizon))
+                            for n in (horizon // 2, (3 * horizon) // 4, horizon))
     with open(path, "w") as f:
         f.write("replica,survived,exit_step,drift_half,drift_3q,drift_full,truncated_flag\n")
         for k in range(batch.config.replicas):

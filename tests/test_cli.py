@@ -13,7 +13,7 @@ from umbrellaforest import forest as forest_mod
 from umbrellaforest import pipeline, pruning
 from umbrellaforest.cli import RunConfig, _build_parser, build_config, main
 from umbrellaforest.environment import write_environment
-from umbrellaforest.fieldgen import default_params
+from umbrellaforest.fieldgen import FIELD_DUMP, default_params, generate_field, write_field
 from umbrellaforest.lattice import Box, Window, read_box_dump, write_box_dump
 from umbrellaforest.metrics import METRICS_DUMP
 from umbrellaforest.metrics import ray as ancestor_chain
@@ -430,7 +430,8 @@ def test_truncated_dump_is_integrity_error(staged, tmp_path, capsys, name, produ
 @pytest.mark.parametrize("start, message", [
     (None, "error: no rays for orientation 2"),
     ([99, 0, 0], "error: orientation 2's start [99, 0, 0] is not certainly covered"),
-    ("abc", "integrity error: env_manifest.json: "), (7, "integrity error: env_manifest.json: ")])
+    ("abc", "integrity error: env_manifest.json: "), (7, "integrity error: env_manifest.json: ")],
+    ids=["none", "uncovered", "text", "number"])
 def test_walk_checks_the_recorded_starts(staged, tmp_path, capsys, start, message):
     out = copy_of(staged, tmp_path)
     man = json.loads((out / "env_manifest.json").read_text())
@@ -439,6 +440,26 @@ def test_walk_checks_the_recorded_starts(staged, tmp_path, capsys, start, messag
     rehash(out, "env", "env_manifest.json")
     assert run(["walk", *base_args(out, WALK)]) == 1
     assert capsys.readouterr().err.startswith(message)
+
+
+def test_field_dumps_cover_the_boxes_their_forests_read(staged):
+    window = Window.centered(22, 3, 7)
+    for i, zeta in ((1, 1), (2, -1)):
+        _, box, _, _ = read_box_dump(str(staged / f"field_{i}.umbf"), FIELD_DUMP)
+        assert box == window.forest_box(zeta)
+
+
+@pytest.mark.parametrize("box", ["field_box", "opposite_forest_box"])
+def test_field_dump_over_another_box_is_integrity_error(staged, tmp_path, capsys, box):
+    out = copy_of(staged, tmp_path)
+    params = default_params(3, Window.centered(22, 3, 7), 12)
+    other = params.window.field_box if box == "field_box" else params.window.forest_box(-1)
+    write_field(generate_field(pipeline.derived_params(params, "field", 1), other),
+                str(out / "field_1.umbf"))
+    rehash(out, "gen", "field_1.umbf")
+    assert run(["forest", *base_args(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"integrity error: field_1.umbf: field dump covers {other}, not ")
 
 
 def test_stage_value_error_exits_1(staged, tmp_path, capsys):

@@ -369,6 +369,7 @@ def dump_case(fmt, path):
     if fmt == "UMBM":
         window = Window.centered(3, 3, 2)
         tiers = np.random.default_rng(4).integers(0, 4, size=(4,) + window.shape)
+        tiers[:2] %= 3                                  # no chain is IN
         layers = dict(zip(MEMBERSHIP_LAYERS, tiers.astype(np.int8)))
         write_membership(window, layers, path)
 
@@ -394,7 +395,8 @@ def dump_case(fmt, path):
     field = generate_field(p)
     if fmt == "UMBF":
         write_field(field, path)
-        return FIELD_DUMP, 2, lambda: np.array_equal(read_field(path, p).values, field.values)
+        return FIELD_DUMP, 2, lambda: np.array_equal(
+            read_field(path, p, p.window.field_box).values, field.values)
     forest = build_forest(field, zeta=-1)
     write_forest(forest, path)
 
@@ -439,6 +441,8 @@ def test_environment_dump_roundtrip_and_rejects(tmp_path, fmt):
         for tier in (4, -1):
             rejects(blob[:body + 15] + tier.to_bytes(1, "little", signed=True)
                     + blob[body + 16:], f"ray_cover_2 tier {tier} at site index 3")
+        rejects(blob[:body + 13] + bytes([3]) + blob[body + 14:],
+                "chain_2 tier 3 at site index 3 is not in 0..2")
     if fmt == "UMBH":
         body = len(blob) - record * 27
         rejects(blob[:body + 9] + bytes([2]) + blob[body + 10:], "H exactness flag 2")

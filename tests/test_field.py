@@ -186,13 +186,17 @@ def test_generate_field_memory_is_the_output_plus_a_block():
 
 def test_field_dump_roundtrip(tmp_path):
     p = mk(2, side=6, margin=1, seed=5)
-    f = generate_field(p)
+    box = p.window.forest_box(1)
+    f = generate_field(p, box)
     path = tmp_path / "f.umbf"
     write_field(f, str(path))
-    g = read_field(str(path), p)
-    assert np.array_equal(f.values, g.values)
-    with pytest.raises(ValueError):
-        read_field(str(path), mk(2, side=6, margin=1, seed=6))
+    g = read_field(str(path), p, box)
+    assert g.box == box and np.array_equal(f.values, g.values)
+    with pytest.raises(ValueError, match="another seed"):
+        read_field(str(path), mk(2, side=6, margin=1, seed=6), box)
+    for other in (p.window.field_box, p.window.forest_box(-1)):
+        with pytest.raises(ValueError, match=re.escape(f"covers {box}, not {other}")):
+            read_field(str(path), p, other)
 
 
 def test_field_dump_is_byte_stable(tmp_path):

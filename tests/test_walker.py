@@ -166,7 +166,6 @@ def test_trap_estimate_bookkeeping_and_csv(tmp_path):
     batch = run_walks(uniform_env(box), ROWS[2], box, inside, cfg)
     est = trap_probability(batch)
     assert 0 <= est.survival_fraction <= 1
-    assert sum(est.exit_histogram.values()) == est.replicas - est.survivors
     assert est.ci[0] <= est.survival_fraction <= est.ci[1]
     path = tmp_path / "walks.csv"
     walks_csv(batch, str(path))
@@ -174,6 +173,30 @@ def test_trap_estimate_bookkeeping_and_csv(tmp_path):
     assert lines[0] == ("replica,survived,exit_step,drift_half,drift_3q,"
                        "drift_full,truncated_flag")
     assert len(lines) == 1 + 64
+
+
+def test_batch_records_the_steps_walked(tmp_path):
+    # every walk leaves the strip |y| <= 3 or reaches the buffer long before
+    # the horizon: the record ends at the last step walked, and a longer,
+    # unused horizon changes no output
+    box = Box((-6, -6), (6, 6))
+    inside = np.zeros(box.shape, dtype=bool)
+    inside[:, 3:10] = True
+    out = {}
+    for horizon in (400, 4000):
+        cfg = WalkConfig(start=(0, 0), horizon=horizon, replicas=64, seed=12, buffer=1)
+        batch = run_walks(uniform_env(box), ROWS[2], box, inside, cfg)
+        last = batch.effective_horizon.max()
+        assert last < 200 and batch.proj.shape == (64, last + 1)
+        assert (batch.exit_step >= 0).any() and (batch.truncated_at >= 0).any()
+        want = [min(np.float64(batch.proj[k, n]) / n for n in range(max(n1 // 2, 1), n1 + 1))
+                if batch.exit_step[k] < 0 and n1 >= 2 else np.nan
+                for k, n1 in enumerate(batch.effective_horizon)]
+        np.testing.assert_array_equal(batch.min_tail_drift(), want)
+        walks_csv(batch, str(tmp_path / "walks.csv"))
+        out[horizon] = (tmp_path / "walks.csv").read_bytes(), trap_probability(batch)
+    assert out[400] == out[4000]
+    assert out[400][1].drift_quantiles
 
 
 def test_survival_nonincreasing_in_horizon():
