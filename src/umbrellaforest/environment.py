@@ -18,17 +18,22 @@ absorbing column.  `exit_table` is the one exit-time dynamic program: it
 takes one horizon per site, or several along a second axis, stacks the
 operators of the tubes with a live entry block-diagonally over one shared
 absorbing column, orders the stack by largest horizon and, at step t,
-multiplies only the prefix of tubes still live.  Patching, the horizon
-calibration and one-site queries (`exit_functionals`) each make one call,
-so they pay the per-step cost once, under one budget on the stacked sites.
-Each step is two matrix-vector products, with rounding error far below the
-1e-9 assertion tolerance at desk horizons.  The values are reproducible bit
-for bit, and equal to one tube swept alone, because scipy's CSR product
-sums each row's stored entries in order, starting from 0, rounding each
-product on its own (checked on x86-64, where the compiled kernel does not
-fuse multiply-add); the stacked rows keep their entries in stored order,
-and no operator is ever canonicalised, which would merge a row's exits into
-one entry and change that order.  The DP is the package's only scipy user:
+multiplies only the prefix of tubes still live.  It stops at the first step
+that returns its input bit for bit on that prefix, and reads every later
+horizon off the vectors it holds.  That is exact: a tube's rows read only
+its own columns and the absorbing column, fixed at p = 1, e = 0, and the
+prefix only drops whole tubes, so each later step would return the same
+bits.  Patching, the horizon calibration and one-site queries
+(`exit_functionals`) each make one call, so they pay the per-step cost
+once, under one budget on the stacked sites.  Each step is two
+matrix-vector products, with rounding error far below the 1e-9 assertion
+tolerance at desk horizons.  The values are reproducible bit for bit, and
+equal to one tube swept alone, because scipy's CSR product sums each row's
+stored entries in order, starting from 0, rounding each product on its own
+(checked on x86-64, where the compiled kernel does not fuse multiply-add);
+the stacked rows keep their entries in stored order, and no operator is
+ever canonicalised, which would merge a row's exits into one entry and
+change that order.  The DP is the package's only scipy user:
 `_block_operator` and `exit_table` import `scipy.sparse` when called, so
 importing the package, and every CLI stage but `env` and `oracle`, never
 loads scipy.
@@ -231,7 +236,12 @@ def exit_table(envs: list[RayEnvironment], horizons: list[np.ndarray],
     largest one; entry n of a site is read off after step n.  Step t
     multiplies only the rows of the tubes whose largest horizon is at least
     t, a prefix of the stack, and every row keeps its stored entries, so the
-    values equal those of each tube swept alone.  The sweep holds two
+    values equal those of each tube swept alone.  The sweep stops at the
+    first step that returns its input on every live row and reads the
+    entries of that step and later off the vectors it holds: a tube's rows
+    read only its own columns and the constant absorbing column, and the
+    prefix drops whole tubes, so every later step would return the same
+    bits.  A sweep with no fixed point runs to the end.  The sweep holds two
     vectors over the stacked sites, whatever the horizons: `state_budget`
     bounds that count of sites, not the number of steps.  Entry N of the
     swept p and e is the absorbed state: p = 1, e = 0.
@@ -265,19 +275,28 @@ def exit_table(envs: list[RayEnvironment], horizons: list[np.ndarray],
     e = np.zeros(N + 1)
     p[N] = 1.0
     op, R = W, N
-    for t in range(top[order[0]] + 1):
+    last = top[order[0]]
+    for t in range(last + 1):
         if t:
             if rows[t] < R:
                 R = int(rows[t])
                 end = W.indptr[R]
                 op = csr_array((W.data[:end], W.indices[:end], W.indptr[:R + 1]),
                                shape=(R, N + 1))
-            e[:R] = op @ (e + p)
-            p[:R] = op @ p
+            e_next, p_next = op @ (e + p), op @ p
+            if np.array_equal(e_next, e[:R]) and np.array_equal(p_next, p[:R]):
+                break   # a fixed point: every later step returns these bits
+            e[:R], p[:R] = e_next, p_next
         if t in capture:
             at = capture[t]
             p_out[at] = p[row[at]]
             e_out[at] = e[row[at]]
+    else:
+        t = last + 1
+    for s in times[times >= t].tolist():    # after a fixed point at step t
+        at = capture[s]
+        p_out[at] = p[row[at]]
+        e_out[at] = e[row[at]]
     cuts = np.cumsum([horizons[k].size for k in order])[:-1]
     for k, p, e in zip(order, np.split(p_out, cuts), np.split(e_out, cuts)):
         out[k] = (p.reshape(horizons[k].shape), e.reshape(horizons[k].shape))

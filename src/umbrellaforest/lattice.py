@@ -9,6 +9,7 @@ pruned layers, environments) share one codec, `write_box_dump`/`read_box_dump`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import struct
 from collections.abc import Callable
@@ -76,13 +77,14 @@ def orthant_sphere_count(d: int, n: int) -> int:
     return comb(n - 1, d - 1)
 
 
+@functools.lru_cache
 def min_sphere_ratio(d: int, scan_limit: int = 10_000) -> Fraction:
     """Largest exact rational c with c * sphere_count(d, n) <= n^(d-1) for all n >= 1.
 
     The ratio n^(d-1) / sphere_count(d, n) tends to the constant
     (d-1)! / 2^d from below-ish; its minimum sits at small n.  We scan a
     prefix and require the ratio to be nondecreasing over the scanned tail
-    as a certificate that the minimum was captured.
+    as a certificate that the minimum was captured.  Cached per argument.
     """
     if d < 2:
         raise ValueError("d >= 2 required")

@@ -188,8 +188,8 @@ def build_patched(params: ModelParams, rays: list[RayHandle],
     in some forest's ray cover (`inside[i-1]`: forest i's `ray_layer == IN`),
     at horizons from the insulation sups `ins_sup`.  The horizon factor,
     unless given, is calibrated on at most 24 sites of each of the first 6
-    tubes, swept 2048 steps; the returned `PatchedEnv` records it and the
-    rays."""
+    tubes, swept to 2048 steps or to the exit DP's fixed point, whichever
+    comes first; the returned `PatchedEnv` records it and the rays."""
     if not rays:
         raise ValueError("no rays deep enough to build an environment")
     envs = ray_environments(rays)

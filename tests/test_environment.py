@@ -26,7 +26,7 @@ from umbrellaforest.pipeline import build_pruned_pair, build_patched
 from umbrellaforest.pruning import (IN, MEMBERSHIP_DUMP, MEMBERSHIP_LAYERS, read_membership,
                                     write_membership)
 from umbrellaforest.raygeom import (RayHandle, ellipticity_constant,
-                                    tube_geometry)
+                                    solve_insulation_constants, tube_geometry)
 
 
 def straight_ray(depth=40, beta=0.45, d=3):
@@ -216,6 +216,117 @@ def test_block_exit_table_equals_each_tube_alone(case):
         assert e[j] == pytest.approx(float(e_want), abs=1e-12)
 
 
+def swept_every_step(envs, horizons):
+    """Reference `exit_table` with no stop: the tubes stacked in the given
+    order, every row multiplied at every step up to the largest horizon.
+    horizons[k] is (S_k, c); returns [(p, e)] in the same shapes."""
+    W = _block_operator(envs)
+    N = W.shape[0]
+    hz = np.concatenate(horizons)
+    p_out, e_out = np.full(hz.shape, np.nan), np.full(hz.shape, np.nan)
+    p, e = np.zeros(N + 1), np.zeros(N + 1)
+    p[N] = 1.0
+    for t in range(int(hz.max()) + 1):
+        if t:
+            e[:N] = W @ (e + p)
+            p[:N] = W @ p
+        rows, cols = np.nonzero(hz == t)
+        p_out[rows, cols] = p[rows]
+        e_out[rows, cols] = e[rows]
+    cuts = np.cumsum([env.geom.size for env in envs])[:-1]
+    return list(zip(np.split(p_out, cuts), np.split(e_out, cuts)))
+
+
+def fixed_point_steps(envs, limit=4096):
+    """Per tube, the first step whose (p, e) equals its input on the tube's
+    own rows."""
+    W = _block_operator(envs)
+    N = W.shape[0]
+    starts = np.cumsum([0] + [env.geom.size for env in envs])[:-1]
+    p, e = np.zeros(N + 1), np.zeros(N + 1)
+    p[N] = 1.0
+    stop = np.full(len(envs), -1)
+    for t in range(1, limit + 1):
+        e_next, p_next = W @ (e + p), W @ p
+        same = (e_next == e[:N]) & (p_next == p[:N])
+        stop[(stop < 0) & np.logical_and.reduceat(same, starts)] = t
+        if (stop > 0).all():
+            return stop
+        e[:N], p[:N] = e_next, p_next
+    raise AssertionError(f"no fixed point within {limit} steps")
+
+
+@st.composite
+def fixed_point_cases(draw):
+    """1-4 random directed spines in one dimension, with a seed for their
+    horizons and one or two horizon columns."""
+    d = draw(st.sampled_from([2, 3]))
+    envs = []
+    for _ in range(draw(st.integers(1, 4))):
+        zeta = draw(st.sampled_from([1, -1]))
+        depth = draw(st.integers(1, 40))
+        axes = draw(st.lists(st.integers(0, d - 1), min_size=depth, max_size=depth))
+        spine = np.zeros((depth + 1, d), dtype=np.int64)
+        for n, a in enumerate(axes, start=1):
+            spine[n:, a] += zeta
+        envs.append(ray_environment(RayHandle(zeta=zeta, beta=draw(st.floats(0.1, 0.6)),
+                                              spine=spine)))
+    return envs, draw(st.integers(0, 2 ** 32 - 1)), draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(fixed_point_cases())
+def test_exit_table_past_the_fixed_point_equals_every_step(case):
+    # Each tube stops changing at its own step s.  Its horizons reach up to
+    # 2048, on both sides of s, or stay below it; some tubes skip every site.
+    # The table must equal the sweep of every step bit for bit, NaN included.
+    envs, seed, cols = case
+    stops = fixed_point_steps(envs)
+    gen = np.random.default_rng(seed)
+    horizons = []
+    for env, s in zip(envs, stops.tolist()):
+        S = env.geom.size
+        kind = gen.choice(["across", "across", "before", "skipped"])
+        before = gen.integers(0, s, (S, cols))
+        hz = np.where(gen.random((S, cols)) < 0.5, before, gen.integers(s, 2049, (S, cols)))
+        if kind == "before":
+            hz = before
+        elif kind == "across":
+            edge = [s - 1, s, s + 1, 2048]
+            at = gen.integers(0, S, len(edge))
+            hz[at, gen.integers(0, cols, len(edge))] = edge
+        hz[gen.random((S, cols)) < 0.2] = -1
+        if kind == "skipped":
+            hz[:] = -1
+        horizons.append(hz)
+    got = exit_table(envs, horizons)
+    want = swept_every_step(envs, horizons)
+    for (p, e), (p_ref, e_ref) in zip(got, want):
+        assert p.tobytes() == p_ref.tobytes() and e.tobytes() == e_ref.tobytes()
+
+
+def test_exit_table_stops_at_the_fixed_point(monkeypatch):
+    # a short tube swept to 2048 steps: after its fixed point no product runs
+    from scipy.sparse import csr_array
+    env = ray_environment(straight_ray(depth=10, beta=0.3))
+    [stop] = fixed_point_steps([env]).tolist()
+    products = []
+    matmul = csr_array.__matmul__
+
+    def counted(op, x):
+        products.append(op.shape)
+        return matmul(op, x)
+
+    monkeypatch.setattr(csr_array, "__matmul__", counted)
+    hz = np.full((env.geom.size, 2), 2048)
+    hz[:, 0] = np.arange(env.geom.size) % (stop + 2)
+    [(p, e)] = exit_table([env], [hz])
+    assert stop < 400 and len(products) == 2 * stop
+    monkeypatch.undo()
+    [(p_ref, e_ref)] = swept_every_step([env], [hz])
+    assert p.tobytes() == p_ref.tobytes() and e.tobytes() == e_ref.tobytes()
+
+
 def test_exit_mass_nondecreasing_in_horizon():
     ray = straight_ray(depth=30, beta=0.45)
     env = ray_environment(ray)
@@ -283,6 +394,21 @@ def test_choose_horizon_factor_floor_and_error():
         choose_horizon_factor([env], pairs, Fraction(1, 1), floor=13.0)
     with pytest.raises(ValueError):
         choose_horizon_factor([env], [], kappa, floor=13.0)
+
+
+def test_horizon_calibration_climbs_on_a_pinned_instance():
+    # d = 3, side 96, margin 10, seed 70 007: the calibration pairs of the
+    # deepest 6 rays pass neither the floor nor twice it, so the factor is
+    # 4x the floor.  Sides 56, 64, 72, 80 and 88 at this seed stay at it.
+    p = default_params(3, Window.centered(96, 3, 10), seed=70_007)
+    pair = build_pruned_pair(p)
+    rays = uf.select_rays(pair.forests, [ins.leaf_sites for ins in pair.insulation], p.beta,
+                          min_depth=3)
+    inside = tuple(ins.ray_layer == IN for ins in pair.insulation)
+    # the calibration reads the first 6 tubes only
+    env = build_patched(p, rays[:6], pair.ins_sup, inside)
+    floor = solve_insulation_constants(3, p.beta).depth_factor
+    assert env.horizon_factor == 4 * floor == 51.5347949428704
 
 
 def test_calibrated_tail_mass_plugs_back():
