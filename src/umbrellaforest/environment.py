@@ -17,26 +17,24 @@ moves in direction order, and every move off the tube points at one
 absorbing column.  `exit_table` is the one exit-time dynamic program: it
 takes one horizon per site, or several along a second axis, stacks the
 operators of the tubes with a live entry block-diagonally over one shared
-absorbing column, orders the stack by largest horizon and, at step t,
-multiplies only the prefix of tubes still live.  It stops at the first step
-that returns its input bit for bit on that prefix, and reads every later
-horizon off the vectors it holds.  That is exact: a tube's rows read only
-its own columns and the absorbing column, fixed at p = 1, e = 0, and the
-prefix only drops whole tubes, so each later step would return the same
-bits.  Patching, the horizon calibration and one-site queries
-(`exit_functionals`) each make one call, so they pay the per-step cost
-once, under one budget on the stacked sites.  Each step is two
-matrix-vector products, with rounding error far below the 1e-9 assertion
-tolerance at desk horizons.  The values are reproducible bit for bit, and
-equal to one tube swept alone, because scipy's CSR product sums each row's
-stored entries in order, starting from 0, rounding each product on its own
-(checked on x86-64, where the compiled kernel does not fuse multiply-add);
-the stacked rows keep their entries in stored order, and no operator is
-ever canonicalised, which would merge a row's exits into one entry and
-change that order.  The DP is the package's only scipy user:
-`_block_operator` and `exit_table` import `scipy.sparse` when called, so
-importing the package, and every CLI stage but `env` and `oracle`, never
-loads scipy.
+absorbing column and sweeps the whole stack, every row at every step.  It
+stops at the first step that returns its input bit for bit, and reads every
+later horizon off the vectors it holds.  That is exact: the operator is
+block-diagonal, each tube's rows reading only its own columns and the
+absorbing column, fixed at p = 1, e = 0, so a step that maps the stack to
+itself does so at every later step.  Patching, the horizon calibration and
+one-site queries (`exit_functionals`) each make one call, so they pay the
+per-step cost once, under one budget on the stacked sites.  Each step is
+two matrix-vector products, with rounding error far below the 1e-9
+assertion tolerance at desk horizons.  The values are reproducible bit for
+bit, and equal to one tube swept alone, because scipy's CSR product sums
+each row's stored entries in order, starting from 0, rounding each product
+on its own (checked on x86-64, where the compiled kernel does not fuse
+multiply-add); the stacked rows keep their entries in stored order, and no
+operator is ever canonicalised, which would merge a row's exits into one
+entry and change that order.  The DP is the package's only scipy user:
+`_block_operator` imports `scipy.sparse` when called, so importing the
+package, and every CLI stage but `env` and `oracle`, never loads scipy.
 
 Patching picks, per covered site, the covering ray whose truncated expected
 exit-time mass is smallest (lexicographic tie-break), which is exactly what
@@ -232,61 +230,50 @@ def exit_table(envs: list[RayEnvironment], horizons: list[np.ndarray],
     asks one site for several horizons, and -1 skips an entry.  p and e come
     back in the shape of horizons[k], NaN on skipped entries.  This is the
     package's one backward induction.  The tubes with a live entry are
-    stacked by largest horizon, descending, and swept together to the
-    largest one; entry n of a site is read off after step n.  Step t
-    multiplies only the rows of the tubes whose largest horizon is at least
-    t, a prefix of the stack, and every row keeps its stored entries, so the
-    values equal those of each tube swept alone.  The sweep stops at the
-    first step that returns its input on every live row and reads the
-    entries of that step and later off the vectors it holds: a tube's rows
-    read only its own columns and the constant absorbing column, and the
-    prefix drops whole tubes, so every later step would return the same
-    bits.  A sweep with no fixed point runs to the end.  The sweep holds two
-    vectors over the stacked sites, whatever the horizons: `state_budget`
-    bounds that count of sites, not the number of steps.  Entry N of the
-    swept p and e is the absorbed state: p = 1, e = 0.
+    stacked in order and the whole stack is swept to the largest horizon;
+    entry n of a site is read off after step n.  Every row keeps its stored
+    entries, so the values equal those of each tube swept alone.  The sweep
+    stops at the first step that returns its input on every row and reads
+    the entries of that step and later off the vectors it holds.  That is
+    exact because the operator is block-diagonal: a tube's rows read only
+    its own columns and the constant absorbing column, so a step that maps
+    the whole stack to itself does so at every later step.  A sweep with no
+    fixed point runs to the end.  The sweep holds two vectors over the
+    stacked sites, whatever the horizons: `state_budget` bounds that count
+    of sites, not the number of steps.  Entry N of the swept p and e is the
+    absorbed state: p = 1, e = 0.
     """
-    from scipy.sparse import csr_array
-
     horizons = [np.asarray(h, dtype=np.int64) for h in horizons]
     out = [(np.full(h.shape, np.nan), np.full(h.shape, np.nan)) for h in horizons]
-    top = [int(h.max(initial=-1)) for h in horizons]
-    order = sorted((k for k in range(len(envs)) if top[k] >= 0), key=lambda k: -top[k])
-    if not order:
+    live = [k for k, h in enumerate(horizons) if h.max(initial=-1) >= 0]
+    if not live:
         return out
-    sizes = [envs[k].geom.size for k in order]
+    sizes = [envs[k].geom.size for k in live]
     N = sum(sizes)
     if N > state_budget:
         raise MemoryError(f"exit DP stacks {N} tube sites, budget {state_budget}")
     # every entry's row in the stack; the live entries grouped by horizon
-    flat = np.concatenate([horizons[k].ravel() for k in order])
-    row = np.repeat(np.arange(N), np.repeat([horizons[k].size // S for k, S in zip(order, sizes)],
+    flat = np.concatenate([horizons[k].ravel() for k in live])
+    row = np.repeat(np.arange(N), np.repeat([horizons[k].size // S for k, S in zip(live, sizes)],
                                             sizes))
-    live = np.flatnonzero(flat >= 0)
-    live = live[np.argsort(flat[live], kind="stable")]
-    times, first = np.unique(flat[live], return_index=True)
-    capture = dict(zip(times.tolist(), np.split(live, first[1:])))
+    entries = np.flatnonzero(flat >= 0)
+    entries = entries[np.argsort(flat[entries], kind="stable")]
+    times, first = np.unique(flat[entries], return_index=True)
+    capture = dict(zip(times.tolist(), np.split(entries, first[1:])))
     p_out = np.full(flat.size, np.nan)
     e_out = np.full(flat.size, np.nan)
 
-    W = _block_operator([envs[k] for k in order])
-    rows = _live_rows(sizes, [top[k] for k in order])
+    W = _block_operator([envs[k] for k in live])
     p = np.zeros(N + 1)
     e = np.zeros(N + 1)
     p[N] = 1.0
-    op, R = W, N
-    last = top[order[0]]
+    last = int(times[-1])
     for t in range(last + 1):
         if t:
-            if rows[t] < R:
-                R = int(rows[t])
-                end = W.indptr[R]
-                op = csr_array((W.data[:end], W.indices[:end], W.indptr[:R + 1]),
-                               shape=(R, N + 1))
-            e_next, p_next = op @ (e + p), op @ p
-            if np.array_equal(e_next, e[:R]) and np.array_equal(p_next, p[:R]):
+            e_next, p_next = W @ (e + p), W @ p
+            if np.array_equal(e_next, e[:N]) and np.array_equal(p_next, p[:N]):
                 break   # a fixed point: every later step returns these bits
-            e[:R], p[:R] = e_next, p_next
+            e[:N], p[:N] = e_next, p_next
         if t in capture:
             at = capture[t]
             p_out[at] = p[row[at]]
@@ -297,17 +284,10 @@ def exit_table(envs: list[RayEnvironment], horizons: list[np.ndarray],
         at = capture[s]
         p_out[at] = p[row[at]]
         e_out[at] = e[row[at]]
-    cuts = np.cumsum([horizons[k].size for k in order])[:-1]
-    for k, p, e in zip(order, np.split(p_out, cuts), np.split(e_out, cuts)):
+    cuts = np.cumsum([horizons[k].size for k in live])[:-1]
+    for k, p, e in zip(live, np.split(p_out, cuts), np.split(e_out, cuts)):
         out[k] = (p.reshape(horizons[k].shape), e.reshape(horizons[k].shape))
     return out
-
-
-def _live_rows(sizes: list[int], tops: list[int]) -> np.ndarray:
-    """Rows of a stack of tubes still live at steps 0 .. tops[0]: the tubes
-    whose largest horizon is at least t.  tops must be descending."""
-    ends = np.cumsum([0] + sizes)
-    return ends[np.searchsorted(-np.asarray(tops), -np.arange(tops[0] + 1), side="right")]
 
 
 # ---------------------------------------------------------------------------

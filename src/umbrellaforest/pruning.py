@@ -269,8 +269,12 @@ def insulate(chain: ChainResult, h_own: StatusField, forest: Forest,
     ray_layer = combine(ray_certain, ray_potential)
     del ray_certain, ray_potential
     ball_r = ball_radius(h_own.value, beta)
-    ball_layer = combine(ball_stamp(layer >= FRONTIER, ball_r),
-                         ball_stamp(layer >= UNKNOWN, ball_r))
+    # the max of the chain tiers over the covering balls clears a tier k
+    # exactly when some covering source has tier >= k
+    tier = ball_stamp(layer, ball_r)
+    certain, potential = tier >= FRONTIER, tier >= UNKNOWN
+    del tier
+    ball_layer = combine(certain, potential)
     return Insulation(ball_layer=ball_layer, ray_layer=ray_layer, leaf_sites=leaf_sites)
 
 

@@ -234,8 +234,8 @@ def tube_geometries(rays: list[RayHandle]) -> list[TubeGeometry]:
     s(x) = w . (x - leaf).  An index with |s(x) - n| > r_max then scores
     below 0, while some index within r_max scores at least 0, so the scan
     over s(x) - r_max .. s(x) + r_max in increasing order, keeping ties,
-    equals the scan over the whole spine.  A spine that is not directed is
-    refused with ValueError.
+    equals the scan over the whole spine.  A spine that is not directed,
+    or a batch of mixed d or beta, is refused with ValueError.
 
     u: a member with a neighbour off the tube is at distance 1, and one at
     distance k + 1 has a neighbour at distance k, so each frontier round
@@ -244,21 +244,17 @@ def tube_geometries(rays: list[RayHandle]) -> list[TubeGeometry]:
     """
     if not rays:
         return []
-    d = rays[0].dim
+    d, beta = rays[0].dim, rays[0].beta
     if any(ray.dim != d for ray in rays):
         raise ValueError("the rays of one batch must share a dimension")
+    if any(ray.beta != beta for ray in rays):
+        raise ValueError("the rays of one batch must share a beta")
     count = np.array([ray.depth + 1 for ray in rays])
     first = np.cumsum(count) - count
     spine = np.concatenate([ray.spine for ray in rays])
     of = np.repeat(np.arange(len(rays)), count)    # ray of each spine row
     index = np.arange(spine.shape[0]) - first[of]   # spine index of each row
-    betas = np.array([ray.beta for ray in rays])
-    rad = np.empty(spine.shape[0])
-    for beta in np.unique(betas):
-        rows = betas[of] == beta
-        ray = rays[int(np.argmax(betas == beta))]
-        rad[rows] = np.array([ray.radius_at(n) for n in range(int(index[rows].max()) + 1)])[
-            index[rows]]
+    rad = np.array([rays[0].radius_at(n) for n in range(int(index.max()) + 1)])[index]
     reach = np.floor(rad).astype(np.int64)
     r_max = reach[first + count - 1]              # radii never shrink along a spine
     # per ray, the orientation of each axis: every step must be one unit
@@ -314,11 +310,7 @@ def tube_geometries(rays: list[RayHandle]) -> list[TubeGeometry]:
     # toward n = base_dist and falls beyond it
     base_dist = np.abs(sites - leaf).sum(axis=1)
     n_peak = np.maximum(depth + 1, base_dist).astype(np.float64)
-    beyond = np.empty(N)
-    for beta in np.unique(betas):
-        on = betas[owner] == beta
-        beyond[on] = np.power(n_peak[on], beta) - (n_peak[on] - base_dist[on])
-    censored = beyond >= v
+    censored = np.power(n_peak, beta) - (n_peak - base_dist) >= v
 
     # neighbours in direction order, N off the tube
     nbr = np.empty((N, 2 * d), dtype=np.int64)

@@ -142,20 +142,6 @@ def mixing_to_csv(rows: list[MixingRow], path: str):
                     f"{r.s_pow_gamma_cov!r}\n")
 
 
-def insulation_tail_table(tail, beta: float) -> list[dict]:
-    """Scaled tail of the insulation field: n^((1-beta)d-1) * P[H >= n], per
-    censoring bracket, from the bracketed counts of a `metrics.TailEstimate`.
-
-    The scaled column should stay bounded over the tested range; asserted
-    over the range only, never as an asymptotic claim.
-    """
-    expo = (1 - beta) * tail.dim - 1
-    return [{"n": n, "p_lo": lo / tail.total, "p_hi": hi / tail.total,
-             "scaled_lo": n ** expo * lo / tail.total,
-             "scaled_hi": n ** expo * hi / tail.total}
-            for n, lo, hi in zip(tail.grid, tail.count_lo, tail.count_hi)]
-
-
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------

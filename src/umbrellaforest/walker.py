@@ -1,4 +1,4 @@
-"""Random walks in a fixed environment: trapping, drift, exit-time tails.
+"""Random walks in a fixed environment: trapping and drift.
 
 Replicas are simulated in one vectorized batch; each replica's step noise
 is a counter-based 64-bit word keyed by (seed, replica, step), so traces
@@ -86,7 +86,6 @@ class WalkBatch:
     proj: np.ndarray            # (replicas, effective_horizon.max()+1) signed drift
     #                             projection, from the start to the last step walked
     positions: np.ndarray       # (replicas, d) final positions
-    spine_visits: np.ndarray    # int64 steps spent on tracked spine sites
 
     def drift_at(self, n: np.ndarray) -> np.ndarray:
         """proj at per-replica step n, divided by n (NaN where unreached)."""
@@ -108,8 +107,7 @@ class WalkBatch:
 
 
 def run_walks(row_type: np.ndarray, rows: Sequence[Sequence[Fraction]], box: Box,
-              inside_mask: np.ndarray, config: WalkConfig, orientation_sign: int = 1,
-              spine_mask: np.ndarray | None = None) -> WalkBatch:
+              inside_mask: np.ndarray, config: WalkConfig, orientation_sign: int = 1) -> WalkBatch:
     """Walk `replicas` chains for `horizon` steps in a per-site row field.
 
     row_type: (*box.shape,) index into `rows`, a table of exact rational
@@ -125,7 +123,6 @@ def run_walks(row_type: np.ndarray, rows: Sequence[Sequence[Fraction]], box: Box
     pick = row_sampler(rows)
     type_flat = row_type.ravel()
     inside_flat = inside_mask.ravel()
-    spine_flat = spine_mask.ravel() if spine_mask is not None else None
 
     lo = np.asarray(box.lo, dtype=np.int64)
     hi = np.asarray(box.hi, dtype=np.int64)
@@ -136,7 +133,6 @@ def run_walks(row_type: np.ndarray, rows: Sequence[Sequence[Fraction]], box: Box
     active = np.ones(R, dtype=bool)
     exit_step = np.full(R, -1, dtype=np.int64)
     truncated_at = np.full(R, -1, dtype=np.int64)
-    spine_visits = np.zeros(R, dtype=np.int64)
     replica_ids = np.arange(R, dtype=np.int64)
     proj = [np.zeros(R, dtype=np.float32)]
 
@@ -159,15 +155,13 @@ def run_walks(row_type: np.ndarray, rows: Sequence[Sequence[Fraction]], box: Box
         truncated_at[newly_trunc] = t
         active &= ~near_edge
 
-        if spine_flat is not None:
-            spine_visits[active & spine_flat[flat]] += 1
         proj.append((orientation_sign * (pos.sum(axis=1) - start_sum)).astype(np.float32))
 
     effective = np.where(truncated_at >= 0, truncated_at, config.horizon)
     effective = np.where(exit_step >= 0, np.minimum(effective, exit_step), effective)
     return WalkBatch(config=config, exit_step=exit_step, truncated_at=truncated_at,
                      effective_horizon=effective, proj=np.stack(proj, axis=1),
-                     positions=pos, spine_visits=spine_visits)
+                     positions=pos)
 
 
 @dataclass
@@ -201,32 +195,6 @@ def trap_probability(batch: WalkBatch) -> TrapEstimate:
         ci=wilson_interval(survivors, batch.config.replicas),
         ci_pessimistic=wilson_interval(survivors - truncated, batch.config.replicas),
         drift_quantiles=q)
-
-
-def exit_tail_curve(exit_step: np.ndarray, grid: list[int]) -> list[dict]:
-    """Empirical survival P[T > n] over a grid, with intervals."""
-    total = exit_step.size
-    out = []
-    for n in grid:
-        alive = int(np.count_nonzero((exit_step < 0) | (exit_step > n)))
-        lo, hi = wilson_interval(alive, total)
-        out.append({"n": n, "survive": alive / total, "ci_lo": lo, "ci_hi": hi})
-    return out
-
-
-def stretched_exp_slope(exit_step: np.ndarray, grid: list[int], beta: float) -> float:
-    """Least-squares slope of log survival against n^beta.
-
-    A negative slope is the qualitative stretched-exponential shape of tube
-    exit-time tails; only the sign is diagnostic, never the constant.
-    """
-    points = [(float(r["n"]) ** beta, np.log(r["survive"]))
-              for r in exit_tail_curve(exit_step, grid) if r["survive"] > 0]
-    if len(points) < 2:
-        raise ValueError("survival vanished too early for a slope")
-    x, y = np.array(points).T.copy()
-    xm = x - x.mean()
-    return float(np.dot(xm, y) / np.dot(xm, xm))
 
 
 def walks_csv(batch: WalkBatch, path: str):

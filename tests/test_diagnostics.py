@@ -1,19 +1,20 @@
 """Monte Carlo diagnostics the construction is required to exhibit:
 penetration decay of large umbrellas, bracket validity under window
-growth, stretched-exponential exit tails, drift concentration, and the
-scaled insulation-sup tail staying bounded over its tested range."""
+growth, walk survival in a tube against the exact exit DP, drift
+concentration, and the scaled insulation-sup tail staying bounded over its
+tested range."""
 
 import numpy as np
 
-from umbrellaforest.environment import ray_environment, row_table
+from umbrellaforest.environment import exit_table, ray_environment, row_table
 from umbrellaforest.fieldgen import default_params, generate_field
 from umbrellaforest.forest import build_forest
 from umbrellaforest.lattice import Box, Window
 from umbrellaforest.metrics import compute_h, interior_mask, tail_estimate
 from umbrellaforest.pipeline import build_pruned_pair
 from umbrellaforest.raygeom import RayHandle, tube_geometry
-from umbrellaforest.stats import insulation_tail_table, ols_loglog
-from umbrellaforest.walker import (WalkConfig, run_walks, stretched_exp_slope)
+from umbrellaforest.stats import ols_loglog
+from umbrellaforest.walker import WalkConfig, run_walks
 
 
 def test_umbrella_penetration_decay():
@@ -58,7 +59,10 @@ def test_depth_brackets_valid_under_window_growth():
             assert v_b == v_s
 
 
-def test_exit_tail_stretched_exponential_shape():
+def test_walk_survival_matches_the_exit_dp():
+    # Monte Carlo survival P[T > n] in a straight depth-60 tube against the
+    # exact 1 - p(n) of `exit_table`, at every n: within 4 standard errors
+    # plus one walk.  The tail is the walk running off the tube's far end.
     spine = np.zeros((61, 3), dtype=np.int64)
     spine[:, 0] = np.arange(61)
     ray = RayHandle(zeta=1, beta=0.45, spine=spine)
@@ -67,18 +71,22 @@ def test_exit_tail_stretched_exponential_shape():
     box = Box((-10, -16, -16), (74, 16, 16))
     types = np.zeros(box.shape, dtype=np.int8)
     types[tuple((geom.sites - box.lo).T)] = env.row_type
-    inside = types > 0
-    spine_mask = np.zeros(box.shape, dtype=bool)
-    for n in range(61):
-        spine_mask[box.local(tuple(map(int, spine[n])))] = True
-    cfg = WalkConfig(start=(12, 0, 0), horizon=400, replicas=500, seed=21, buffer=1)
-    batch = run_walks(types, row_table(3).rows, box, inside, cfg, spine_mask=spine_mask)
-    slope = stretched_exp_slope(batch.exit_step, [4, 8, 16, 32, 64], beta=0.45)
-    assert slope < 0
-    # return-time bookkeeping: survivors revisit the spine often
-    surv = batch.exit_step < 0
-    if surv.any():
-        assert batch.spine_visits[surv].mean() > 10
+    horizon, replicas = 160, 2000
+    n = np.arange(horizon + 1)
+    for start in [(12, 0, 0), (30, 2, 1)]:
+        j = geom.locate(start)
+        assert j >= 0
+        hz = np.full((geom.size, n.size), -1)
+        hz[j] = n
+        [(p, _)] = exit_table([env], [hz])
+        exact = 1 - p[j]
+        assert exact[0] == 1 and exact[-1] < 1e-3
+        cfg = WalkConfig(start=start, horizon=horizon, replicas=replicas, seed=21, buffer=1)
+        batch = run_walks(types, row_table(3).rows, box, types > 0, cfg)
+        assert (batch.truncated_at < 0).all()
+        alive = (batch.exit_step[:, None] < 0) | (batch.exit_step[:, None] > n)
+        slack = 4 * np.sqrt(exact * (1 - exact) / replicas) + 1 / replicas
+        assert (np.abs(alive.mean(axis=0) - exact) <= slack).all()
 
 
 def test_drift_concentration_trend():
@@ -116,8 +124,9 @@ def test_insulation_sup_tail_bounded_over_range():
     H = pair.ins_sup[0]
     mask = interior_mask(H)
     tail = tail_estimate(3, [4, 8, 16, 32], [(H.value[mask], H.exact[mask])])
-    table = insulation_tail_table(tail, beta=p.beta)
-    scaled = [r["scaled_hi"] for r in table]
+    # n^((1-beta)d-1) P[H >= n], upper censoring bracket
+    scaled = [n ** ((1 - p.beta) * 3 - 1) * hi / tail.total
+              for n, hi in zip(tail.grid, tail.count_hi)]
     assert all(np.isfinite(s) for s in scaled)
     # bounded over the tested range: no blow-up beyond a small multiple
     positive = [s for s in scaled if s > 0]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import umbrellaforest as uf
-from umbrellaforest.environment import (ENV_DUMP, PatchedEnv, _block_operator, _live_rows,
+from umbrellaforest.environment import (ENV_DUMP, PatchedEnv, _block_operator,
                                         choose_horizon_factor,
                                         environment_manifest, exit_functionals,
                                         exit_table, patch, ray_environment,
@@ -177,13 +177,6 @@ def test_block_exit_table_equals_each_tube_alone(case):
     W.check_format(full_check=True)
     N = sum(env.geom.size for env in envs)
     assert W.shape == (N, N + 1) and W.nnz == sum(_block_operator([env]).nnz for env in envs)
-    # each step sweeps exactly the tubes still live, largest horizon first
-    tops = sorted((int(hz.max()) for hz in horizons if hz.max() >= 0), reverse=True)
-    sizes = [env.geom.size for env, hz in sorted(zip(envs, horizons), key=lambda c: -c[1].max())
-             if hz.max() >= 0]
-    if tops:
-        assert _live_rows(sizes, tops).tolist() == [
-            sum(s for s, top in zip(sizes, tops) if top >= t) for t in range(tops[0] + 1)]
     together = exit_table(envs, horizons)
     assert len(together) == len(envs)
     # a second column asks each site for another horizon: each column of the

@@ -87,9 +87,10 @@ def test_tube_geometry_matches_scalar_references(ray, horizon, pick):
 
 @st.composite
 def ray_batches(draw):
-    """2-5 directed rays in one dimension, depth 0 included, with leaves
-    close enough that their tubes overlap."""
+    """2-5 directed rays in one dimension and one beta, depth 0 included,
+    with leaves close enough that their tubes overlap."""
     d = draw(st.sampled_from([2, 3]))
+    beta = draw(st.floats(0.1, 0.6))
     rays = []
     for _ in range(draw(st.integers(2, 5))):
         zeta = draw(st.sampled_from([1, -1]))
@@ -99,7 +100,7 @@ def ray_batches(draw):
         spine = np.tile(np.asarray(leaf, dtype=np.int64), (depth + 1, 1))
         for n, a in enumerate(axes, start=1):
             spine[n:, a] += zeta
-        rays.append(RayHandle(zeta=zeta, beta=draw(st.floats(0.1, 0.6)), spine=spine))
+        rays.append(RayHandle(zeta=zeta, beta=beta, spine=spine))
     return rays
 
 
@@ -124,8 +125,15 @@ def test_tube_batch_equals_each_ray_alone(rays):
             assert same_array(getattr(W, name), getattr(W1, name)), name
 
 
+def test_tube_batch_refuses_mixed_dimension_or_beta():
+    with pytest.raises(ValueError, match="share a dimension"):
+        tube_geometries([straight_ray(depth=3, d=2), straight_ray(depth=3, d=3)])
+    with pytest.raises(ValueError, match="share a beta"):
+        tube_geometries([straight_ray(depth=3, beta=0.2), straight_ray(depth=3, beta=0.3)])
+
+
 def test_tube_batch_refuses_undirected_spines_and_key_overflow():
-    back = RayHandle(zeta=1, beta=0.3, spine=np.array([[0, 0], [1, 0], [0, 0]], dtype=np.int64))
+    back = RayHandle(zeta=1, beta=0.2, spine=np.array([[0, 0], [1, 0], [0, 0]], dtype=np.int64))
     with pytest.raises(ValueError, match="monotone"):
         tube_geometries([straight_ray(depth=3, d=2), back])
     # a d = 6 staircase whose box holds about 1506^6 > 2^63 sites

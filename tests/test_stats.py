@@ -7,8 +7,7 @@ from umbrellaforest import rng
 from umbrellaforest.metrics import TailEstimate, tail_estimate
 from umbrellaforest.pipeline import block_covered_sums, block_radius
 from umbrellaforest.stats import (assemble_report, canonical_json,
-                                  covariance_rows, exponent_fit,
-                                  insulation_tail_table, load_report,
+                                  covariance_rows, exponent_fit, load_report,
                                   mixing_covariance, mixing_to_csv, ols_loglog,
                                   wilson_interval)
 
@@ -129,15 +128,6 @@ def test_mixing_csv_columns(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "target,functional,s_l1,cov,ci,s_pow_gamma_cov"
     assert lines[1].startswith("t,f,2,")
-
-
-def test_insulation_tail_table_scaling():
-    vals = np.array([0, 1, 2, 4, 8, 16, 32])
-    exact = np.ones(7, dtype=bool)
-    table = insulation_tail_table(tail_estimate(3, [2, 4, 8], [(vals, exact)]), beta=0.1)
-    for row in table:
-        n, p = row["n"], row["p_lo"]
-        assert row["scaled_lo"] == pytest.approx(n ** ((1 - 0.1) * 3 - 1) * p)
 
 
 def test_report_roundtrip_and_schema():
