@@ -20,12 +20,20 @@ cover is the union of 2^(d-1) cubes of side 2^floor(log2 e), so one table
 of cube maxima, pushed down from side 2^floor(log2 R) to 1, gives the
 supremum in about log2 R passes.  Reaches that at least one vertex in 16
 has are dropped into the table as shifted maxima, rarer ones vertex by
-vertex.  A cover on side i stays in its vertex's plane x_i = y_i, so each
-axis is swept in blocks of whole planes perpendicular to it, each exact on
-its own: the kernel's working set is one block of about 2^16 sites, and
+vertex.  A pass runs only where its cubes can still reach the target: a
+cube of side 2^k cornered more than 2^k - 1 sites before the target on
+some axis covers none of it, and a vertex whose cover ends before the
+target is not listed.  So the passes shrink from the halo slab at the top
+level to the target at the bottom; at R = 64 around a side-16 window the
+seven levels touch about 40 % of the sites that whole-slab passes did.
+Max is exact and no cube that could reach the target is skipped, so the
+suprema are the whole-slab ones bit for bit.  A cover on side i stays in
+its vertex's plane x_i = y_i, so each axis is swept in blocks of whole
+planes perpendicular to it, each exact on its own: the kernel's working
+set is three float64 copies of one block of about 2^16 sites, and
 `build_forest` folds each block into its running argmin.  The kernel is
-cross-checked against brute enumeration, at every block size, in the test
-suite.
+cross-checked against brute enumeration, at every block size and on halos
+wider than its cubes, in the test suite.
 
 A caller that needs the parent axis at a few sites only, such as the
 mixing sampler, uses the point query `axes_at`: it samples just the
@@ -54,24 +62,23 @@ FOREST_DUMP = DumpLayout(b"UMBA", 1, "forest", lambda d: "u1", head="<b", tail="
 
 # A reach that at least one block vertex in this many has is written by
 # whole-block shifts, a rarer one vertex by vertex: the crossover of a few
-# whole-block passes against one scatter per corner and vertex.  On the d=2
-# and d=3 tail shapes 16 and 32 tie, 4 and 8 are up to 1.8x slower.
+# whole-block passes against one scatter per corner and vertex.  On the
+# tail2d, tail3d, pair3d and cli3d forest shapes 16 and 32 tie, 4 and 8
+# are up to 2x slower.
 _DENSE_SHARE = 16
 
 # Slab sites per block of the supremum sweep (at least one plane per
-# block).  On the tail2d, tail3d and pair3d forest shapes 2^16 is the
-# fastest; 2^14 is up to 1.5x slower, whole slabs 1.1-1.2x slower and
-# 4x the memory (docs/decisions.md).
+# block).  On the tail2d, pair3d and cli3d forest shapes 2^16 is the
+# fastest or tied; tail3d is faster at 2^17 (one block) but tail2d 13%
+# slower; 2^14 is 1.6-2.6x slower, and whole slabs are up to 1.4x slower
+# and 4x the memory (docs/decisions.md).
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _shift_max(dst: np.ndarray, src: np.ndarray, offsets) -> None:
-    """dst[t + offsets] = max(dst[t + offsets], src[t]) wherever both exist."""
-    if any(o >= n for o, n in zip(offsets, dst.shape)):
-        return
-    to = tuple(slice(o, None) for o in offsets)
-    np.maximum(dst[to], src[tuple(slice(0, n - o) for o, n in zip(offsets, dst.shape))],
-               out=dst[to])
+def _shift_max(out: np.ndarray, a: np.ndarray, b: np.ndarray, shift: int, start: int) -> None:
+    """out[t] = max(a[t], b[t - shift]) from t = start on, over flat tables
+    (start >= shift)."""
+    np.maximum(a[start:], b[start - shift:b.size - shift], out=out[start:])
 
 
 def _scatter_corners(U: np.ndarray, flat: np.ndarray, delta: np.ndarray,
@@ -117,49 +124,104 @@ def directed_supremum(slab: np.ndarray, axis_i: int, reach_cap: int,
     as shifted maxima of the slab masked to that reach; the corners of
     rarer reaches are scattered vertex by vertex.  U starts at 0, below
     every covering length (reach >= 1 means L >= 1), and sites left at 0
-    read -inf.  Max is exact and order-free, so the result is the brute
-    enumeration's bit for bit.
+    read -inf.
+
+    Level regions: a side-s cube cornered at t covers a target site only
+    if t_j + s - 1 >= h_j on every perpendicular axis j, with h_j the
+    halo, so level k drops and halves only on the corners
+    t_j >= h_j - s + 1; its dense drops read sources up to s sites
+    earlier.  Halving along axis j writes from the next level's start on j
+    and on the axes halved before it, and reads this level's start on the
+    others: every value a region site reads is one that the region holds
+    complete.  The scatter lists only the vertices whose cover gets to the
+    target, y_j + e >= h_j.  Sites outside a region may hold anything,
+    since none of them is read into a region site again.  So U over the
+    target is the same max of the same lengths as the whole-slab push-down
+    and the brute enumeration, bit for bit: max is exact and order-free,
+    and no cube that could reach a target site is skipped.
+
+    Layout: the halo is cropped or zero-padded to exactly the cap on every
+    perpendicular axis (a vertex farther back reaches no target site), and
+    the table is flat with a perpendicular axis outermost.  Each step runs
+    on the tail of the flat table from its region's first corner: every
+    region start is at least the shift read along it, so a region site's
+    flat source is its true one, and the other sites of the tail get
+    values of no later use.  So each step is one contiguous maximum (numpy
+    runs strided views with short rows about 3x slower), and the regions
+    save work along the outermost axis.  The working set is three float64
+    copies of the slab (the slab, the table, and the spare that holds the
+    dense masks and that the table halves into) and two one-byte ones (the
+    reach, a mask).
 
     No cover leaves its plane, so `slab` may be any run of whole planes
     perpendicular to axis_i, as `_axis_suprema` passes them; the
-    dense/sparse split, decided per call, is exact either way.  The
-    working set is about four float64 copies of `slab`.
+    dense/sparse split, decided per call, is exact either way.
     """
     d = slab.ndim
-    perp = [j for j in range(d) if j != axis_i - 1]
+    plane = axis_i - 1
+    # a perpendicular axis outermost, so that the regions cut the flat
+    # tables short (at d = 2 that would take a transpose)
+    order = list(range(d))
+    if d > 2 and plane == 0:
+        order[:2] = [1, 0]
+    perp = [q for q, j in enumerate(order) if j != plane]
+    # the halo cropped, or padded with zero lengths (reach 0), to the cap
+    extra = [halo[j] - reach_cap if j != plane else 0 for j in order]
+    slab = slab.transpose(order)[tuple(slice(max(0, e), None) for e in extra)]
+    if min(extra) < 0:
+        slab = np.pad(slab, [(max(0, -e), 0) for e in extra])
+    slab = np.ascontiguousarray(slab)
+    strides = [x // slab.itemsize for x in slab.strides]
     # truncation is floor on the clipped, nonnegative lengths
     reach = np.clip(slab, 0, reach_cap).astype(np.min_scalar_type(reach_cap))
     count = np.bincount(reach.ravel(), minlength=reach_cap + 1)
     dense = count * _DENSE_SHARE >= reach.size
     sparse = ~dense
     sparse[0] = False
-    # the sparse vertices, ordered by reach so that each level is a slice
-    listed = np.flatnonzero(sparse[reach])
-    listed = listed[np.argsort(reach.ravel()[listed], kind="stable")]
-    lr, lv = reach.ravel()[listed], slab.ravel()[listed]
+    # the sparse vertices whose cover gets to the target, y_j + e >= cap on
+    # every perpendicular axis: one comparison with the reach each site
+    # needs (at least the smallest sparse reach), then the sparse among
+    # those; ordered by reach so that each level is a slice
+    need = functools.reduce(np.maximum, (
+        np.arange(reach_cap, reach_cap - slab.shape[q], -1).reshape(
+            [-1 if x == q else 1 for x in range(d)]) for q in perp), np.argmax(sparse))
+    listed = np.flatnonzero(reach >= need.astype(reach.dtype))
+    values, reach = slab.ravel(), reach.ravel()
+    listed = listed[sparse[reach[listed]]]
+    listed = listed[np.argsort(reach[listed], kind="stable")]
+    lr, lv = reach[listed], values[listed]
     corners = list(np.ndindex((2,) * (d - 1)))
     top = int(np.flatnonzero(count)[-1]).bit_length()
     bounds = np.searchsorted(lr, [1 << k for k in range(top + 1)])
-    U = np.zeros(slab.shape)
-    masked = np.empty_like(slab)
+    U = np.zeros(slab.size)
+    spare = np.zeros(slab.size)
+    # level k's region, corners t_j >= cap - s + 1, is the flat table from
+    # the index of `start` on
+    start = [reach_cap - (1 << top) // 2 + 1 if q in perp else 0 for q in range(d)]
+    row = sum(strides[q] for q in perp)
     for k in reversed(range(top)):
         s = 1 << k
+        at = int(np.dot(start, strides))
+        src = max(0, at - s * row)
         for r in map(int, np.flatnonzero(dense[s:2 * s]) + s):
-            np.multiply(slab, reach == r, out=masked)  # 0 off reach r
+            np.multiply(values[src:], reach[src:] == r, out=spare[src:])  # 0 off reach r
             for b in corners if r > s else corners[:1]:
-                off = [0] * d
-                for j, bj in zip(perp, b):
-                    off[j] = 1 + (r - s) * bj
-                _shift_max(U, masked, off)
+                off = sum(strides[q] * (1 + (r - s) * bq) for q, bq in zip(perp, b))
+                _shift_max(U, U, spare, off, at)
         lo, hi = bounds[k], bounds[k + 1]
         if hi > lo:
-            _scatter_corners(U, listed[lo:hi], lr[lo:hi].astype(np.int64) - s, lv[lo:hi],
-                             perp, corners)
+            _scatter_corners(U.reshape(slab.shape), listed[lo:hi],
+                             lr[lo:hi].astype(np.int64) - s, lv[lo:hi], perp, corners)
         if k:
-            for j in perp:
-                np.copyto(masked, U)  # each cube halves from its own value
-                _shift_max(U, masked, [s // 2 if q == j else 0 for q in range(d)])
-    out = np.ascontiguousarray(U[tuple(slice(c, None) for c in halo)])
+            # halve along each axis in turn, into the spare table, from the
+            # next level's start on the axes halved so far
+            for q in perp:
+                start[q] += s // 2
+                _shift_max(spare, U, U, s // 2 * strides[q], int(np.dot(start, strides)))
+                U, spare = spare, U
+    out = U.reshape(slab.shape)[tuple(slice(reach_cap if q in perp else 0, None)
+                                      for q in range(d))].transpose(order)
+    out = np.ascontiguousarray(out)
     out[out == 0] = -np.inf
     return out
 
@@ -190,7 +252,7 @@ def _axis_suprema(values: np.ndarray, zeta: int, reach_cap: int,
         for a in range(0, n, step):
             b = min(a + step, n)
             block = slab[(slice(None),) * ax + (slice(a, b),)]
-            lam = directed_supremum(np.ascontiguousarray(block), ax + 1, reach_cap, halo)
+            lam = directed_supremum(block, ax + 1, reach_cap, halo)
             planes = slice(a, b) if zeta == 1 else slice(n - b, n - a)
             yield ax, (slice(None),) * ax + (planes,), lam if zeta == 1 else lam[flip]
 

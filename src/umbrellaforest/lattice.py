@@ -84,12 +84,24 @@ def min_sphere_ratio(d: int, scan_limit: int = 10_000) -> Fraction:
     The ratio n^(d-1) / sphere_count(d, n) tends to the constant
     (d-1)! / 2^d from below-ish; its minimum sits at small n.  We scan a
     prefix and require the ratio to be nondecreasing over the scanned tail
-    as a certificate that the minimum was captured.  Cached per argument.
+    as a certificate that the minimum was captured.  For n >= 1 the count
+    is a polynomial of degree d - 1 in n, so the scan steps it by exact
+    integer forward differences instead of evaluating it at each n.
+    Cached per argument.
     """
     if d < 2:
         raise ValueError("d >= 2 required")
+    # forward differences of the count at n = 1, from its values at n = 1..d
+    diff = [sphere_count(d, n) for n in range(1, d + 1)]
+    for k in range(1, d):
+        for j in range(d - 1, k - 1, -1):
+            diff[j] -= diff[j - 1]
     # ratios as (numerator, denominator) pairs, compared by cross-multiplying
-    ratios = [(n ** (d - 1), sphere_count(d, n)) for n in range(1, scan_limit + 1)]
+    ratios = []
+    for n in range(1, scan_limit + 1):
+        ratios.append((n ** (d - 1), diff[0]))
+        for j in range(d - 1):
+            diff[j] += diff[j + 1]
     best = 0
     for i, (a, b) in enumerate(ratios):
         if a * ratios[best][1] <= ratios[best][0] * b:  # <=: the last minimum

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from umbrellaforest import forest as forest_module
 from umbrellaforest import rng
-from umbrellaforest.fieldgen import LField, default_params, generate_field
-from umbrellaforest.forest import (axes_at, build_forest, choose_direction,
+from umbrellaforest.fieldgen import LField, ModelParams, default_params, generate_field
+from umbrellaforest.forest import (axes_at, build_forest, choose_direction, directed_supremum,
                                    example1_forest, lambda_at, lambda_field,
                                    miss_probability_bound, read_forest,
                                    write_forest)
@@ -377,6 +378,119 @@ def test_forest_blocks_give_the_one_block_forest(inst):
             got = build_forest(field, zeta=zeta, radius=radius)
         assert np.array_equal(got.axis, want.axis)
         assert np.array_equal(got.uncertain, want.uncertain)
+
+
+def covered_max(values, lo, shape, axis_i, cap, zeta=1):
+    """Brute enumeration of one axis's truncated supremum.  At each site x
+    of the box of `shape` at offset `lo` in `values`, the largest L(y) over
+    the vertices y = x - zeta * delta with delta_i = 0 and every other
+    delta_j in [1, cap] whose reach min(floor(L(y)), cap) is at least
+    max(delta), that is L(y) >= max(delta); -inf where there is none.
+    Vertices outside `values` do not exist."""
+    padded = np.pad(values, cap, constant_values=-np.inf)
+    best = np.full(shape, -np.inf)
+    for rest in itertools.product(range(1, cap + 1), repeat=values.ndim - 1):
+        delta = np.insert(rest, axis_i - 1, 0)
+        L = padded[tuple(slice(l + cap - zeta * c, l + cap - zeta * c + n)
+                         for l, c, n in zip(lo, delta, shape))]
+        np.maximum(best, np.where(L >= max(rest), L, -np.inf), out=best)
+    return best
+
+
+def heavy_or_few(gen, shape, cap, heavy):
+    """Lengths with P[L >= t] = 1/t for t >= 1, so that reaches from 1 up
+    to the cap all occur, some often and some rarely; or lengths drawn
+    from three of a few values (ties, integers, reaches at powers of two,
+    at the cap and past it, and below 1)."""
+    if heavy:
+        return 1.0 / (1.0 - gen.random(shape))
+    few = [0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 7.0, 8.0, 9.5, 16.0, 17.0, 31.5, float(cap), cap + 0.5]
+    return gen.choice(gen.choice(few, 3), size=shape)
+
+
+@st.composite
+def wide_halo_slabs(draw):
+    """A slab for `directed_supremum`: d in {2, 3, 4}, a cap of up to 40 at
+    d = 2 (20 at d = 3, 9 at d = 4), mostly near the largest, a target of
+    a few sites, and a halo of 0 to cap + 3 sites on each perpendicular
+    axis, mostly near the cap as `build_forest` passes it.  So the level
+    regions start inside the slab, past the cube side 2^k of several
+    levels."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    cap = {2: 40, 3: 20, 4: 9}[d] - draw(st.integers(0, {2: 39, 3: 19, 4: 8}[d]))
+    axis_i = draw(st.integers(1, d))
+    halo = tuple(0 if j == axis_i - 1 else max(0, cap - draw(st.integers(-3, cap)))
+                 for j in range(d))
+    target = tuple(draw(st.integers(1, {2: 12, 3: 5, 4: 3}[d])) for _ in range(d))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    shape = tuple(t + h for t, h in zip(target, halo))
+    return heavy_or_few(gen, shape, cap, draw(st.booleans())), axis_i, cap, halo
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(wide_halo_slabs())
+@example((heavy_or_few(np.random.default_rng(5), (4, 28, 28), 24, True), 1, 24, (0, 24, 24)))
+@example((heavy_or_few(np.random.default_rng(6), (45, 9), 40, True), 2, 40, (40, 0)))
+@example((heavy_or_few(np.random.default_rng(7), (20, 3, 19), 17, False), 2, 17, (17, 0, 16)))
+def test_supremum_on_wide_halos_matches_brute_force(inst):
+    # each level runs only where its cubes can reach the target: the
+    # suprema are the brute enumeration's at every target site, bit for bit
+    values, axis_i, cap, halo = inst
+    target = tuple(n - h for n, h in zip(values.shape, halo))
+    lam = directed_supremum(values, axis_i, cap, halo)
+    want = covered_max(values, halo, target, axis_i, cap)
+    assert lam.shape == target
+    assert np.array_equal(lam, want)
+    # the enumeration is the oracle's at a few target sites
+    box = Box(halo, tuple(n - 1 for n in values.shape))
+    for x in list(box.sites())[::max(1, box.size // 3)]:
+        near = Box(tuple(max(0, c - cap) for c in x), x)
+        vals = {y: float(values[y]) for y in near.sites()}
+        assert want[box.local(x)] == lambda_brute(vals, x, axis_i, 1)
+
+
+@st.composite
+def wide_radius_forests(draw):
+    """A window of a few sites in d = 2, 3 or 4 with a margin of up to 40 at
+    d = 2 (16 at d = 3, 7 at d = 4), mostly near the largest, a radius
+    from half the margin to the margin, an orientation, heavy-tailed or
+    few-value lengths on the full field box or on the forest box, and a
+    block budget of one plane or the pinned one.  No d = 4 preset exists,
+    so d = 4 takes hand-set constants that pass `validate_params`."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    margin = {2: 40, 3: 16, 4: 7}[d] - draw(st.integers(0, {2: 39, 3: 15, 4: 6}[d]))
+    radius = margin - draw(st.integers(0, margin // 2))
+    lo = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+    hi = tuple(l + draw(st.integers(0, {2: 9, 3: 4, 4: 2}[d])) for l in lo)
+    window = Window(lo, hi, margin)
+    zeta = draw(st.sampled_from([1, -1]))
+    box = window.forest_box(zeta) if draw(st.booleans()) else window.field_box
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    values = heavy_or_few(gen, box.shape, radius, draw(st.booleans()))
+    if d == 4:
+        p = ModelParams(dim=4, tail_start=14, tail_weight=2600.0, orthant_ratio=0.1,
+                        window=window, seed=0, beta=0.2)
+    else:
+        p = default_params(d, window, seed=0)
+    return LField(params=p, values=values, box=box), zeta, radius, draw(st.booleans())
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(wide_radius_forests())
+def test_forest_at_wide_radii_matches_brute_force(inst):
+    # through the block sweep of `_axis_suprema`: axis and tie flag are the
+    # argmin and tie of the brute-force suprema at every window site
+    field, zeta, radius, one_plane = inst
+    window = field.window.box
+    lo = tuple(w - b for w, b in zip(window.lo, field.box.lo))
+    budget = 1 if one_plane else forest_module._BLOCK_ELEMENTS
+    with mock.patch.object(forest_module, "_BLOCK_ELEMENTS", budget):
+        forest = build_forest(field, zeta=zeta, radius=radius)
+    lams = np.stack([covered_max(field.values, lo, window.shape, i, radius, zeta)
+                     for i in range(1, window.dim + 1)], axis=-1)
+    axis, tie = choose_direction(lams)
+    assert np.array_equal(forest.axis, axis)
+    assert np.array_equal(forest.uncertain, tie)
 
 
 def test_build_forest_memory_is_bounded_by_its_window():

@@ -54,6 +54,15 @@ def test_min_sphere_ratio_d4_is_global_min_of_scan():
     assert c == min(Fraction(n ** 3, sphere_count(4, n)) for n in range(1, 2001))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_min_sphere_ratio_steps_the_exact_counts(d):
+    # the scan steps the counts by forward differences: its minimum is the
+    # one over sphere_count at every n, and the d = 2..5 values are 1/(2d)
+    c = min_sphere_ratio(d, scan_limit=3000)
+    assert c == min(Fraction(n ** (d - 1), sphere_count(d, n)) for n in range(1, 3001))
+    assert min_sphere_ratio(d) == Fraction(1, 2 * d)
+
+
 def test_umbrella_side_examples():
     assert umbrella_side(1, 2, (0, 0)) == {(0, 1), (0, 2)}
     assert umbrella_side(2, 1, (0, 0)) == {(1, 0)}
