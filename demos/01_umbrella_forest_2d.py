@@ -6,8 +6,9 @@ prints the parent arrows on a small window, one ancestor ray, and the
 supremum values at the origin.
 """
 
-from umbrellaforest import build_forest, generate_field, lambda_at, ray
+from umbrellaforest import build_forest, generate_field, ray
 from umbrellaforest.fieldgen import default_params
+from umbrellaforest.forest import lambda_field
 from umbrellaforest.lattice import Window
 
 window = Window.centered(21, 2, margin=16)
@@ -22,10 +23,11 @@ for y in range(box.hi[1], box.lo[1] - 1, -1):
     row = "".join(arrows[forest.axis_at((x, y))] for x in range(box.lo[0], box.hi[0] + 1))
     print("   " + row)
 
+# the suprema over the whole field box, truncated at the margin
+lam = lambda_field(field.values, 1, window.margin)
 for axis in (1, 2):
-    val, exact = lambda_at(field, (0, 0), axis, radius=16)
-    print(f"largest umbrella blocking axis {axis} at the origin: "
-          f"{val:.3f} (neighborhood complete: {exact})")
+    val = lam[(axis - 1,) + field.box.local((0, 0))]
+    print(f"largest umbrella blocking axis {axis} at the origin: {val:.3f}")
 print(f"parent of the origin: {forest.parent_of((0, 0))}")
 
 chain = ray(forest, (0, 0))

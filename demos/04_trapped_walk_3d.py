@@ -28,7 +28,8 @@ for name in ("orient_1", "orient_2", "control"):
     est = run.estimates[name]
     lo, hi = est.ci
     drift = est.drift_quantiles.get("p05")
-    print(f"{name:>9}: start {run.starts[name]}, survival {est.survival_fraction:.2f} "
+    start = run.batches[name].config.start
+    print(f"{name:>9}: start {start}, survival {est.survival_fraction:.2f} "
           f"[{lo:.2f}, {hi:.2f}], censored-at-buffer {est.truncated}, "
           f"5th-pct drift {'n/a' if drift is None else f'{drift:+.2f}'}")
 

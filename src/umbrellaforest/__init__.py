@@ -14,7 +14,7 @@ from .lattice import Box, Direction, Site, Window, l1_norm, min_sphere_ratio, \
 from .fieldgen import LField, ModelParams, default_params, generate_field, \
     sample_length, validate_params
 from .forest import Forest, axes_at, build_forest, choose_direction, \
-    example1_forest, lambda_at
+    example1_forest
 from .metrics import StatusField, TailEstimate, compute_h, \
     compute_insulation_sup, interior_mask, ray, tail_estimate
 from .pruning import FRONTIER, IN, OUT, UNKNOWN, check_disjoint, insulate, \
@@ -23,7 +23,7 @@ from .raygeom import InsulationConstants, RayHandle, build_rays, \
     drift_directions, ellipticity_constant, score_and_index, \
     solve_insulation_constants, tube_geometries, tube_geometry
 from .environment import ExitStats, PatchedEnv, exit_functionals, patch, \
-    ray_environment, ray_environments, ray_row, supermartingale_residuals, \
+    ray_environment, ray_row, supermartingale_residuals, tube_environments, \
     tube_row, uniform_row
 from .walker import TrapEstimate, WalkConfig, run_walks, step, trap_probability
 from .stats import exponent_fit, load_report, assemble_report, \

@@ -181,16 +181,19 @@ def _json(path: str):
 
 
 def _load_manifest(cfg: RunConfig) -> dict:
-    if os.path.exists(_manifest_path(cfg)):
-        return _read(cfg, "manifest.json", _json)
-    return {"config_hash": cfg.hash(), "stages": {}}
+    """The run directory's manifest, or an empty one for this config.
+    Raises InvariantFailure if it belongs to another config."""
+    if not os.path.exists(_manifest_path(cfg)):
+        return {"config_hash": cfg.hash(), "stages": {}}
+    man = _read(cfg, "manifest.json", _json)
+    if man.get("config_hash") != cfg.hash():
+        raise InvariantFailure("manifest belongs to a different config; "
+                               "use a fresh --out directory")
+    return man
 
 
 def _record_stage(cfg: RunConfig, stage: str, artifacts: list[str]):
     man = _load_manifest(cfg)
-    if man.get("config_hash") != cfg.hash():
-        raise InvariantFailure("manifest belongs to a different config; "
-                               "use a fresh --out directory")
     man["stages"][stage] = {
         "artifacts": {os.path.basename(a): _sha256(a) for a in artifacts}}
     with open(_manifest_path(cfg), "w") as f:
@@ -499,6 +502,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         cfg = build_config(args)
         os.makedirs(cfg.out, exist_ok=True)
+        if args.stage not in ("validate", "oracle"):
+            _load_manifest(cfg)   # a run of another config is refused before any write
         return _STAGES[args.stage](cfg)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -10,7 +10,7 @@ store a small integer row type per site.  Dumps are written from the
 table's exact rows and read back by one sorted lookup of each row among
 them, and walks read the same rows.
 
-`ray_environments` takes the row types of a whole batch of tubes from one
+`tube_environments` takes the row types of a whole batch of tubes from one
 drift pass over all their sites.  A tube's operator comes from its row
 types and its neighbour rows: row j holds the float weights of site j's 2d
 moves in direction order, and every move off the tube points at one
@@ -55,7 +55,7 @@ from .lattice import (Box, Direction, DumpLayout, Site, Window, all_directions,
                       read_box_dump, write_box_dump)
 from .metrics import StatusField
 from .raygeom import (RayHandle, TubeGeometry, drift_directions, drift_indices,
-                      ellipticity_constant, tube_geometries, tube_geometry)
+                      ellipticity_constant, tube_geometry)
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
@@ -137,11 +137,6 @@ class RayEnvironment:
         return self.geom.ray.dim
 
 
-def ray_environments(rays: list[RayHandle]) -> list[RayEnvironment]:
-    """The tube environment of every ray, from one `tube_geometries` batch."""
-    return tube_environments(tube_geometries(rays))
-
-
 def ray_environment(ray: RayHandle, geom: TubeGeometry | None = None) -> RayEnvironment:
     """The tube environment of one ray: `tube_environments` of a batch of one."""
     return tube_environments([tube_geometry(ray) if geom is None else geom])[0]
@@ -168,18 +163,13 @@ def tube_environments(geoms: list[TubeGeometry]) -> list[RayEnvironment]:
 
 @dataclass
 class ExitStats:
-    """Exit-time functionals of one start site at chosen horizons.
-
-    exit_prob and exit_mass are P[T <= horizon] and E[T; T <= horizon] for
-    the main horizon; mass_at maps each extra horizon N to E[T; T <= N],
-    a nondecreasing lower bracket of the infinite-horizon mass.
-    """
+    """Exit-time functionals of one start site: exit_prob and exit_mass are
+    P[T <= horizon] and E[T; T <= horizon]."""
 
     site: Site
     horizon: int
     exit_prob: float
     exit_mass: float
-    mass_at: dict[int, float]
 
 
 def _block_operator(envs: list[RayEnvironment]) -> csr_array:
@@ -202,9 +192,9 @@ def _block_operator(envs: list[RayEnvironment]) -> csr_array:
                      shape=(N, N + 1))
 
 
-def exit_functionals(env: RayEnvironment, x: Site, horizon: int,
-                     extra_horizons: tuple[int, ...] = ()) -> ExitStats:
-    """Exact DP values for one start site: one `exit_table` row.
+def exit_functionals(env: RayEnvironment, x: Site, horizon: int) -> ExitStats:
+    """Exact DP values for one start site: one `exit_table` entry.  Several
+    horizons of one site are one `exit_table` call with a second axis.
 
     A start outside the tube exits at time zero: probability one, mass zero.
     """
@@ -212,14 +202,12 @@ def exit_functionals(env: RayEnvironment, x: Site, horizon: int,
         raise ValueError("horizon must be nonnegative")
     j = env.geom.locate(x)
     if j < 0:
-        return ExitStats(site=tuple(x), horizon=horizon, exit_prob=1.0, exit_mass=0.0,
-                         mass_at={n: 0.0 for n in extra_horizons})
-    hz = np.full((env.geom.size, 1 + len(extra_horizons)), -1, dtype=np.int64)
-    hz[j] = (horizon, *extra_horizons)
+        return ExitStats(site=tuple(x), horizon=horizon, exit_prob=1.0, exit_mass=0.0)
+    hz = np.full(env.geom.size, -1, dtype=np.int64)
+    hz[j] = horizon
     [(p, e)] = exit_table([env], [hz])
-    return ExitStats(site=tuple(x), horizon=horizon, exit_prob=float(p[j, 0]),
-                     exit_mass=float(e[j, 0]),
-                     mass_at={n: float(m) for n, m in zip(extra_horizons, e[j, 1:])})
+    return ExitStats(site=tuple(x), horizon=horizon, exit_prob=float(p[j]),
+                     exit_mass=float(e[j]))
 
 
 def exit_table(envs: list[RayEnvironment], horizons: list[np.ndarray],
@@ -295,11 +283,11 @@ def exit_table(envs: list[RayEnvironment], horizons: list[np.ndarray],
 # ---------------------------------------------------------------------------
 
 def choose_horizon_factor(envs: list[RayEnvironment], pairs: list[tuple[int, int, int]],
-                          kappa: Fraction, floor: float,
-                          n_max: int = 4096) -> float:
+                          kappa: Fraction, floor: float, n_max: int) -> float:
     """Smallest dyadic multiple of `floor`, up to 2^20, whose horizon keeps
     the measured beyond-horizon exit mass below kappa^u on every calibration
-    pair.
+    pair.  Horizons are capped at n_max, and the beyond-horizon mass is the
+    mass at n_max less the mass at the candidate's horizon.
 
     pairs: (env_index, site_index, insulation_sup_value).  The returned
     factor is recorded in the run manifest; a fresh-sample plug-back check
@@ -368,7 +356,7 @@ class PatchedEnv:
 
 
 def patch(window: Window, envs: list[RayEnvironment], ins_sup: tuple[StatusField, ...],
-          horizon_factor: float, certain_cover: np.ndarray | None = None,
+          horizon_factor: float, certain_cover: np.ndarray,
           objective: str = "min") -> PatchedEnv:
     """Assemble the global environment from per-ray tube environments.
 
@@ -377,8 +365,8 @@ def patch(window: Window, envs: list[RayEnvironment], ins_sup: tuple[StatusField
     insulation sup `ins_sup[i-1]` of the ray's forest i, and install the
     row of the minimizing ray (ties: lexicographically smallest leaf).
     Sites whose insulation sup is censored get the first covering ray's
-    row and a flag.  `certain_cover` optionally restricts installation to
-    certainly-covered sites.  Every tube's exit masses come from one
+    row and a flag.  Rows are installed only on `certain_cover`, the
+    window's certainly covered sites.  Every tube's exit masses come from one
     `exit_table` call, under its stacked-site budget.  `objective="max"`
     installs the worst ray instead and exists only so tests can prove the
     checker catches a mispatched environment.
@@ -404,9 +392,8 @@ def patch(window: Window, envs: list[RayEnvironment], ins_sup: tuple[StatusField
         geom = envs[rank].geom
         ins = ins_sup[rays[rank].forest_index - 1]
         j, at = box.locate(geom.sites)
-        if certain_cover is not None:
-            keep = certain_cover.reshape(-1)[at]
-            j, at = j[keep], at[keep]
+        keep = certain_cover.reshape(-1)[at]
+        j, at = j[keep], at[keep]
         exact = ins.exact.reshape(-1)[at]
         hval = np.maximum(ins.value.reshape(-1)[at[exact]], 1)
         hz = np.full(geom.size, -1, dtype=np.int64)

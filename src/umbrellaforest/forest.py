@@ -39,8 +39,7 @@ A caller that needs the parent axis at a few sites only, such as the
 mixing sampler, uses the point query `axes_at`: it samples just the
 R^(d-1) vertices per site and axis that each supremum reads, and builds
 neither a field box nor the kernel's table.  It gives `build_forest`'s axis
-and tie flag bit for bit.  `lambda_at` reads the same offset table from a
-stored field.
+and tie flag bit for bit.
 """
 
 from __future__ import annotations
@@ -334,27 +333,6 @@ def _cover_offsets(dim: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
     delta.setflags(write=False)
     need.setflags(write=False)
     return delta, need
-
-
-def lambda_at(field, x: Site, axis_i: int, radius: int, zeta: int = 1) -> tuple[float, bool]:
-    """Scalar truncated supremum at one site, with its exactness flag.
-
-    The flag is False when the trailing radius-R cube of x for orientation
-    zeta, x - zeta * [0, R]^d, which holds every vertex the supremum reads,
-    is not fully contained in the stored field box.  Window sites keep a
-    True flag on the full field box and on `window.forest_box(zeta)` as
-    long as R does not exceed the margin.
-    """
-    box = field.box
-    if field.window.box.contains(x) and radius > field.window.margin:
-        raise ValueError(
-            f"radius {radius} exceeds margin {field.window.margin}; "
-            f"regenerate the field with margin >= {radius}")
-    exact = box.contains(x) and box.contains(tuple(c - zeta * radius for c in x))
-    delta, need = _cover_offsets(box.dim, radius)
-    rows, flat = box.locate(np.asarray(x) - zeta * delta[axis_i - 1])
-    L = field.values.ravel()[flat]
-    return float(L[need[rows] <= L].max(initial=-np.inf)), exact
 
 
 def choose_direction(lams) -> tuple[np.ndarray, np.ndarray]:

@@ -133,6 +133,17 @@ def umbrella_side(i: int, t: float, base: Site) -> set[Site]:
     return side
 
 
+def depth_power(n, beta: float):
+    """n^beta in float64 for a depth or spine index n >= 0, scalar or array.
+
+    Every ball and tube radius, and every face band built from one, is
+    this value or its floor.  numpy's `power` and Python's `**` can round
+    apart by one unit in the last place (2187^(1/7) reads 2.9999999999999996
+    against 3.0), which moves the floor, so only this one is used.
+    """
+    return np.power(np.asarray(n, dtype=np.float64), beta)
+
+
 def l1_ball_offsets(d: int, r: int) -> list[Site]:
     """All integer offsets with l1-norm <= r (closed ball around 0)."""
     if r < 0:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forest import Forest
-from .lattice import Box, DumpLayout, Site, Window, read_box_dump, require_codes, write_box_dump
+from .lattice import (Box, DumpLayout, Site, Window, depth_power, read_box_dump, require_codes,
+                      write_box_dump)
 from .stats import wilson_interval
 
 
@@ -230,11 +231,11 @@ def ball_gather(values: np.ndarray, radius: np.ndarray) -> np.ndarray:
 
 
 def ball_radius(v: np.ndarray, beta: float) -> np.ndarray:
-    """floor(max(v, 0)^beta) per entry: the ball radius of a depth, read
-    from one table over 0 .. max(v), in the narrowest unsigned dtype that
-    holds the largest radius (uint8 at every preset)."""
+    """floor(`depth_power`(max(v, 0), beta)) per entry: the ball radius of a
+    depth, read from one table over 0 .. max(v), in the narrowest unsigned
+    dtype that holds the largest radius (uint8 at every preset)."""
     top = max(int(v.max(initial=0)), 0)
-    table = np.floor(np.power(np.arange(top + 1, dtype=np.float64), beta))
+    table = np.floor(depth_power(np.arange(top + 1), beta))
     table = table.astype(np.min_scalar_type(int(table[-1])))
     return table.take(v, mode="clip")  # "clip" reads every v < 0 at 0
 
@@ -258,7 +259,7 @@ def compute_insulation_sup(h: StatusField, beta: float) -> StatusField:
     unc_reach = ball_stamp(~h.exact, radius)
 
     max_h = int(hv.max()) if hv.size else 0
-    band = max_h ** beta if max_h > 0 else 0.0
+    band = depth_power(max(max_h, 0), beta)
     face_dist = h.box.boundary_distance()
     exact = ~unc_reach & ~(face_dist < band)
     out.setflags(write=False)

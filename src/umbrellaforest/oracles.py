@@ -2,7 +2,8 @@
 
 Deliberately naive and slow: direct enumeration of the defining sets, used
 to cross-check the production kernels on small boxes.  Nothing here shares
-code with the fast paths it checks.
+code with the fast paths it checks; radii read `lattice.depth_power`, the
+package's one rounding of n^beta.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import Box, Site, l1_norm
+from .lattice import Box, Site, depth_power, l1_norm
 
 
 def sphere_count_brute(d: int, n: int) -> int:
@@ -65,7 +66,7 @@ def insulation_sup_brute(h_values: dict[Site, int], x: Site, beta: float) -> int
     for y, hv in h_values.items():
         if hv < 0:
             continue
-        if l1_norm(tuple(a - b for a, b in zip(x, y))) <= hv ** beta:
+        if l1_norm(tuple(a - b for a, b in zip(x, y))) <= depth_power(hv, beta):
             best = max(best, hv)
     return best
 

@@ -23,8 +23,8 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import rng
-from .environment import (PatchedEnv, choose_horizon_factor, patch,
-                          ray_environments, row_table)
+from .environment import (PatchedEnv, choose_horizon_factor, patch, row_table,
+                          tube_environments)
 from .fieldgen import ModelParams, default_params, generate_field
 from .forest import Forest, axes_at, build_forest, example1_forest
 from .lattice import Box, Site, Window
@@ -35,7 +35,7 @@ from .pruning import (IN, ChainResult, DisjointReport, Insulation,
                       check_disjoint, decay_rows, depth_decay_table, insulate,
                       prune_to_infinite, tilde_membership)
 from .raygeom import (RayHandle, build_rays, ellipticity_constant,
-                      solve_insulation_constants)
+                      solve_insulation_constants, tube_geometries)
 from .stats import MixingRow, covariance_rows
 from .walker import TrapEstimate, WalkBatch, WalkConfig, run_walks, trap_probability
 
@@ -192,7 +192,7 @@ def build_patched(params: ModelParams, rays: list[RayHandle],
     comes first; the returned `PatchedEnv` records it and the rays."""
     if not rays:
         raise ValueError("no rays deep enough to build an environment")
-    envs = ray_environments(rays)
+    envs = tube_environments(tube_geometries(rays))
     if horizon_factor is None:
         pairs = []
         for k, env in enumerate(envs[:6]):
@@ -286,9 +286,11 @@ def _decay_replica(args) -> np.ndarray:
 
 @dataclass
 class TrapRun:
+    """Per walk name, its estimate and its batch; a batch's start is
+    `batches[name].config.start`."""
+
     estimates: dict[str, TrapEstimate]
     batches: dict[str, WalkBatch]
-    starts: dict[str, Site]
 
 
 def trap_experiment(env: PatchedEnv, inside: tuple[np.ndarray, np.ndarray], horizon: int,
@@ -296,12 +298,11 @@ def trap_experiment(env: PatchedEnv, inside: tuple[np.ndarray, np.ndarray], hori
     """Walks in a patched environment from each orientation's deepest kept
     leaf, inside the certain ray covers `inside` it was patched on, plus the
     uniform control (see `trap_walks`), kept in memory."""
-    run = TrapRun(estimates={}, batches={}, starts={})
+    run = TrapRun(estimates={}, batches={})
     for name, batch in trap_walks(env.row_type, inside, walk_starts(env.rays), env.box,
                                   horizon, replicas, walk_seed):
         run.estimates[name] = trap_probability(batch)
         run.batches[name] = batch
-        run.starts[name] = batch.config.start
     return run
 
 
@@ -436,8 +437,9 @@ def default_threads() -> int:
 # brute-force oracle suite
 # ---------------------------------------------------------------------------
 
-def oracle_suite(max_box: int = 7, seed: int = 5, dims: tuple[int, ...] = (2, 3)) -> list[dict]:
-    """Compare every fast kernel against direct enumeration on small boxes."""
+def oracle_suite(max_box: int = 7, seed: int = 5) -> list[dict]:
+    """Compare every fast kernel against direct enumeration on small boxes,
+    at d = 2 and 3."""
     from . import oracles
     from .forest import lambda_field
     from .lattice import orthant_sphere_count, sphere_count
@@ -458,7 +460,7 @@ def oracle_suite(max_box: int = 7, seed: int = 5, dims: tuple[int, ...] = (2, 3)
                 mismatch += 1
     check("sphere_counts", mismatch == 0, f"d<=4, n<=12, {mismatch} mismatches")
 
-    for d in dims:
+    for d in (2, 3):
         side = min(max_box, 9 if d == 2 else 7)
         window = Window.centered(side, d, margin=0)
         box = window.field_box

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forest import Forest
-from .lattice import Box, DumpLayout, Site, Window, read_box_dump, require_codes, write_box_dump
+from .lattice import (Box, DumpLayout, Site, Window, depth_power, read_box_dump, require_codes,
+                      write_box_dump)
 from .metrics import (RowFrame, StatusField, _progeny_depth, ball_gather, ball_radius,
                       ball_stamp)
 
@@ -253,11 +254,9 @@ def insulate(chain: ChainResult, h_own: StatusField, forest: Forest,
     del depth
     depth, _ = _progeny_depth(forest, layer >= UNKNOWN)
     ray_potential = ball_stamp(depth >= 0, ball_radius(depth, beta))
-    max_depth = int(depth.max()) if depth.size else -1
     del depth
 
-    band = int(np.floor(max(max_depth, int(h_own.value.max()), 0) ** beta)) \
-        if max_depth >= 0 or h_own.value.max() > 0 else 0
+    band = int(np.floor(depth_power(max(int(h_own.value.max()), 0), beta)))
     near_face = forest.box.boundary_distance() < band
 
     def combine(certain, potential):

@@ -31,7 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .forest import Forest
-from .lattice import Box, Direction, Site, all_directions, l1_ball_offsets, l1_norm
+from .lattice import (Box, Direction, Site, all_directions, depth_power, l1_ball_offsets,
+                      l1_norm)
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,8 @@ class RayHandle:
         return self.spine.shape[1]
 
     def radius_at(self, n: int) -> float:
-        return float(n) ** self.beta if n > 0 else 0.0
+        """The real tube radius n^beta at spine index n (`depth_power`)."""
+        return float(depth_power(n, self.beta))
 
 
 def build_rays(forest: Forest, leaves: list[Site], beta: float) -> list[RayHandle]:
@@ -100,47 +102,35 @@ def build_rays(forest: Forest, leaves: list[Site], beta: float) -> list[RayHandl
     return [RayHandle(zeta=forest.zeta, beta=beta, spine=spine) for spine in spines]
 
 
-class RayDepthError(RuntimeError):
-    """The stored spine is too short to settle a depth-score query."""
+def score_and_index(ray: RayHandle, x: Site) -> tuple[float, int]:
+    """(v, n): best ball-depth score over the stored spine and the largest
+    index attaining it, the in-window tube convention.
 
-
-def score_and_index(ray: RayHandle, x: Site, settled: bool = True) -> tuple[float, int]:
-    """(v, n): best ball-depth score and the largest index attaining it.
-
-    Scans spine indices with the directedness cutoff.  With settled=True the
-    result is certified against the full (infinite) ray: RayDepthError is
-    raised if the spine ends before the cutoff proves no deeper index can
-    win.  With settled=False the maximum over the stored spine is returned
-    as-is, which is the documented in-window tube convention.
+    Scans spine indices with the directedness cutoff.  Whether a deeper
+    spine could raise v is `TubeGeometry.score_censored`.
     """
     base_dist = l1_norm(tuple(a - b for a, b in zip(x, ray.leaf)))
     best = -math.inf
     best_n = -1
     spine = ray.spine
+    rad = depth_power(np.arange(spine.shape[0]), ray.beta).tolist()   # radius_at(n), every n
     for n in range(spine.shape[0]):
-        bound = ray.radius_at(n) - abs(n - base_dist)
+        bound = rad[n] - abs(n - base_dist)
         if n >= base_dist and bound < best:
             return best, best_n
         dist = int(np.abs(np.asarray(x) - spine[n]).sum())
-        term = ray.radius_at(n) - dist
+        term = rad[n] - dist
         if term >= best:
             best = term
             best_n = n
-    if not settled:
-        return best, best_n
-    k = spine.shape[0]
-    if k - 1 >= base_dist and ray.radius_at(k) - (k - base_dist) < best:
-        return best, best_n
-    raise RayDepthError(
-        f"spine of depth {k - 1} exhausted at query distance {base_dist}; "
-        f"a deeper window is required to settle the supremum")
+    return best, best_n
 
 
 def drift_directions(ray: RayHandle, x: Site,
                      n_attain: int | None = None) -> tuple[Direction, Direction]:
     """(forward, inward) at one site: `drift_indices` as Directions."""
     if n_attain is None:
-        v, n_attain = score_and_index(ray, x, settled=False)
+        v, n_attain = score_and_index(ray, x)
         if v < 0:
             raise ValueError(f"{x} is not inside the tube")
     forward, inward = drift_indices(ray.spine, 0, ray.depth, np.asarray([x]),
@@ -254,7 +244,7 @@ def tube_geometries(rays: list[RayHandle]) -> list[TubeGeometry]:
     spine = np.concatenate([ray.spine for ray in rays])
     of = np.repeat(np.arange(len(rays)), count)    # ray of each spine row
     index = np.arange(spine.shape[0]) - first[of]   # spine index of each row
-    rad = np.array([rays[0].radius_at(n) for n in range(int(index.max()) + 1)])[index]
+    rad = depth_power(np.arange(int(index.max()) + 1), beta)[index]
     reach = np.floor(rad).astype(np.int64)
     r_max = reach[first + count - 1]              # radii never shrink along a spine
     # per ray, the orientation of each axis: every step must be one unit
@@ -310,7 +300,7 @@ def tube_geometries(rays: list[RayHandle]) -> list[TubeGeometry]:
     # toward n = base_dist and falls beyond it
     base_dist = np.abs(sites - leaf).sum(axis=1)
     n_peak = np.maximum(depth + 1, base_dist).astype(np.float64)
-    censored = np.power(n_peak, beta) - (n_peak - base_dist) >= v
+    censored = depth_power(n_peak, beta) - (n_peak - base_dist) >= v
 
     # neighbours in direction order, N off the tube
     nbr = np.empty((N, 2 * d), dtype=np.int64)
@@ -363,8 +353,9 @@ class InsulationConstants:
         return self.outer * 2.0 ** self.beta
 
 
-def solve_insulation_constants(d: int, beta: float, tol: float = 1e-13) -> InsulationConstants:
-    """Bisection for the gap constant; f(c) = c^-beta (c-1) is increasing."""
+def solve_insulation_constants(d: int, beta: float) -> InsulationConstants:
+    """Bisection for the gap constant, to a relative width of 1e-13;
+    f(c) = c^-beta (c-1) is increasing."""
     if d < 2 or not 0 < beta < 1:
         raise ValueError("need d >= 2 and beta in (0, 1)")
     target = math.sqrt(d)
@@ -381,7 +372,7 @@ def solve_insulation_constants(d: int, beta: float, tol: float = 1e-13) -> Insul
             hi = mid
         else:
             lo = mid
-        if hi - lo <= tol * hi:
+        if hi - lo <= 1e-13 * hi:
             break
     gap = hi * (1.0 + 1e-9)
     outer = 2.0 + d * d * gap ** beta

@@ -11,7 +11,8 @@ The mixer is splitmix64, applied as a short absorb-permute chain over the
 key sequence.  It is not cryptographic; it is a well-tested 64-bit finalizer
 with full avalanche, which is all a desk-scale Monte Carlo needs.
 
-Scattered keys are hashed by `mix_vec` and its uniform and raw-word forms.
+Scattered keys are hashed by `mix_vec`, raw 64-bit words, and its uniform
+form `uniform_vec`.
 A whole box of sites is hashed by `uniform_blocks`, a block of leading
 planes at a time: the chain's state after the first j coordinates is
 shared by every site with that prefix, so only the last absorb step runs
@@ -99,11 +100,6 @@ def mix_vec(seed: int, key_arrays: list[np.ndarray]) -> np.ndarray:
 def uniform_vec(seed: int, key_arrays: list[np.ndarray]) -> np.ndarray:
     """Vectorized open-interval uniforms keyed by (seed, keys[i])."""
     return _unit(mix_vec(seed, key_arrays))
-
-
-def u64_vec(seed: int, key_arrays: list[np.ndarray]) -> np.ndarray:
-    """Vectorized raw 64-bit words keyed by (seed, keys[i])."""
-    return mix_vec(seed, key_arrays)
 
 
 # Sites per block of `uniform_blocks`: each array of a block is 512 kB,

@@ -142,7 +142,7 @@ def run_walks(row_type: np.ndarray, rows: Sequence[Sequence[Fraction]], box: Box
         if not active.any():
             break
         flat = ((pos - lo) * strides).sum(axis=1)
-        words = rng.u64_vec(seed, [replica_ids, np.full(R, t, dtype=np.int64)])
+        words = rng.mix_vec(seed, [replica_ids, np.full(R, t, dtype=np.int64)])
         pos = np.where(active[:, None], pos + steps[pick(type_flat[flat], words)], pos)
 
         flat = ((pos - lo) * strides).sum(axis=1).clip(0, inside_flat.size - 1)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import shutil
+import tracemalloc
 from dataclasses import replace
 from fnmatch import fnmatch
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from umbrellaforest import forest as forest_mod
 from umbrellaforest import pipeline, pruning
 from umbrellaforest.cli import RunConfig, _build_parser, build_config, main
-from umbrellaforest.environment import write_environment
+from umbrellaforest.environment import ENV_DUMP, write_environment
 from umbrellaforest.fieldgen import FIELD_DUMP, default_params, generate_field, write_field
 from umbrellaforest.lattice import Box, Window, read_box_dump, write_box_dump
 from umbrellaforest.metrics import METRICS_DUMP
@@ -321,10 +322,12 @@ def rewrite_dump(out, stage, name, layout, fields=None, shift=0):
     """Rewrite dump `name` keeping only the record `fields` (default all),
     its box moved by `shift` along the first axis, and rehash it."""
     head, box, tail, records = read_box_dump(str(out / name), layout)
-    fields = fields or list(records.dtype.names)
     moved = Box((box.lo[0] + shift,) + box.lo[1:], (box.hi[0] + shift,) + box.hi[1:])
-    short = replace(layout, record=lambda d: [f for f in layout.record(d) if f[0] in fields])
-    write_box_dump(str(out / name), short, moved, records[fields], head, tail)
+    short = layout
+    if fields:
+        short = replace(layout, record=lambda d: [f for f in layout.record(d) if f[0] in fields])
+        records = records[fields]
+    write_box_dump(str(out / name), short, moved, records, head, tail)
     rehash(out, stage, name)
 
 
@@ -502,3 +505,52 @@ def test_readme_file_formats_name_every_artifact(staged, tmp_path):
     written = {name for rec in man["stages"].values() for name in rec["artifacts"]}
     assert {"metrics_1.umbh", "membership.umbm", "report.json"} <= written
     assert {name for name in written if not any(fnmatch(name, p) for p in patterns)} == set()
+
+
+def test_a_run_of_another_config_is_refused_before_it_writes(tmp_path, capsys):
+    out = tmp_path / "run"
+    args = ["--dim", "2", "--window", "12", "--margin", "4", "--out", str(out)]
+    assert run(["gen", "--seed", "1", *args]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    for stage in ("gen", "forest"):
+        assert run([stage, "--seed", "2", *args]) == 1
+        assert "different config" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # the original run goes on
+    assert run(["forest", "--seed", "1", *args]) == 0
+
+
+def test_a_box_over_the_site_budget_exits_3_before_allocating(tmp_path, capsys):
+    # the d = 3 forest box of side 530 holds 148 877 000 sites, over 2^27
+    tracemalloc.start()
+    try:
+        code = run(["gen", "--dim", "3", "--window", "520", "--margin", "10",
+                    "--out", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "148877000 sites, budget 134217728" in capsys.readouterr().err
+    assert peak < 1 << 24
+
+
+def test_bad_config_line_is_usage_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("dim = 3\nwindow 16\n")
+    assert run(["validate", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == "error: bad config line: 'window 16'\n"
+
+
+def test_missing_artifact_is_integrity_error(staged, tmp_path, capsys):
+    out = copy_of(staged, tmp_path)
+    (out / "forest_2.umba").unlink()
+    assert run(["metrics", *base_args(out)]) == 1
+    assert capsys.readouterr().err == "integrity error: artifact forest_2.umba missing\n"
+
+
+def test_environment_of_another_window_is_integrity_error(staged, tmp_path, capsys):
+    out = copy_of(staged, tmp_path)
+    rewrite_dump(out, "env", "env.umbe", ENV_DUMP, shift=1)
+    assert run(["walk", *base_args(out, WALK)]) == 1
+    assert capsys.readouterr().err.startswith("integrity error: env.umbe covers ")

@@ -323,9 +323,13 @@ def test_exit_table_stops_at_the_fixed_point(monkeypatch):
 def test_exit_mass_nondecreasing_in_horizon():
     ray = straight_ray(depth=30, beta=0.45)
     env = ray_environment(ray)
-    st = exit_functionals(env, (10, 1, 0), horizon=64, extra_horizons=(8, 16, 32, 64))
-    masses = [st.mass_at[n] for n in (8, 16, 32, 64)]
+    j = env.geom.locate((10, 1, 0))
+    hz = np.full((env.geom.size, 4), -1, dtype=np.int64)
+    hz[j] = (8, 16, 32, 64)
+    [(_, e)] = exit_table([env], [hz])
+    masses = e[j].tolist()
     assert all(a <= b + 1e-15 for a, b in zip(masses, masses[1:]))
+    assert exit_functionals(env, (10, 1, 0), horizon=64).exit_mass == masses[-1]
 
 
 def test_depth_one_sites_mass_at_least_kappa():
@@ -384,9 +388,9 @@ def test_choose_horizon_factor_floor_and_error():
     c = choose_horizon_factor([env], pairs, kappa, floor=13.0, n_max=1024)
     assert c >= 13.0
     with pytest.raises(ValueError):
-        choose_horizon_factor([env], pairs, Fraction(1, 1), floor=13.0)
+        choose_horizon_factor([env], pairs, Fraction(1, 1), floor=13.0, n_max=1024)
     with pytest.raises(ValueError):
-        choose_horizon_factor([env], [], kappa, floor=13.0)
+        choose_horizon_factor([env], [], kappa, floor=13.0, n_max=1024)
 
 
 def test_horizon_calibration_climbs_on_a_pinned_instance():
@@ -418,14 +422,16 @@ def test_calibrated_tail_mass_plugs_back():
              for jj in range(geom.size)
              if geom.u[jj] >= 1 and 19 <= geom.sites[jj][0] <= 26]][:4]
     assert fresh
+    # per fresh site, its calibrated horizon and the scan cap, in one sweep
+    hz = np.full((geom.size, 2), -1, dtype=np.int64)
     for j, hval in fresh:
-        x = tuple(map(int, geom.sites[j]))
-        hz = max(1, int(np.ceil(c * hval)))
-        st = exit_functionals(env, x, horizon=hz, extra_horizons=(1024,))
-        tail = st.mass_at[1024] - st.exit_mass
+        hz[j] = (max(1, int(np.ceil(c * hval))), 1024)
+    [(p, e)] = exit_table([env], [hz])
+    for j, _ in fresh:
+        tail = e[j, 1] - e[j, 0]
         u = int(geom.u[j])
         assert tail <= float(kappa) ** u + 1e-12
-        assert float(kappa) ** u <= st.exit_prob + 1e-12
+        assert float(kappa) ** u <= p[j, 0] + 1e-12
 
 
 def built_instance(seed=13, side=30, margin=8):
@@ -719,7 +725,8 @@ def test_patch_budget_holds_many_steps_on_few_sites():
     steps = (1 << 24) // size + 1
     assert size * steps > 1 << 24
     window = Window((0, 0, 0), (30, 30, 30), 0)
-    got = patch(window, [env], (certain_sup(window),), float(steps))
+    got = patch(window, [env], (certain_sup(window),), float(steps),
+                np.ones(window.box.shape, dtype=bool))
     j, at = window.box.locate(env.geom.sites)
     hz = np.full(size, -1)
     hz[j] = steps
@@ -752,7 +759,7 @@ def test_certain_ray_displaces_censored_placeholder():
     shape = window.box.shape
     sup = (SimpleNamespace(value=np.ones(shape, dtype=np.int64),
                            exact=np.zeros(shape, dtype=bool)), certain_sup(window))
-    got = patch(window, [first, second], sup, 1.0)
+    got = patch(window, [first, second], sup, 1.0, np.ones(shape, dtype=bool))
     _, a = window.box.locate(first.geom.sites)
     _, b = window.box.locate(second.geom.sites)
     shared, alone = np.intersect1d(a, b), np.setdiff1d(a, b)

@@ -89,6 +89,19 @@ def test_tail_mass_at_three():
     assert tail_mass(mk(2), 3.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_tail_mass_inverts_the_length_law_on_both_sides_of_the_onset(dim):
+    # below the onset tail_mass is the linear body (1 < t < n0) and 1 at
+    # t <= 1; above it the power tail
+    p = mk(dim)
+    p0 = p.tail_mass_at_start
+    us = [1e-9, 0.5 * p0, np.nextafter(p0, 0.0), p0, np.nextafter(p0, 1.0),
+          0.5 * (1 + p0), 1 - 1e-9]
+    for u in us:
+        assert tail_mass(p, length_from_uniform(u, p)) == pytest.approx(u, rel=1e-12), u
+    assert tail_mass(p, 1) == 1.0 and tail_mass(p, 0.5) == 1.0
+
+
 def test_site_addressability_and_margin_extension():
     p_small = mk(2, side=10, margin=2, seed=77)
     p_big = mk(2, side=10, margin=5, seed=77)

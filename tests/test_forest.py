@@ -12,7 +12,7 @@ from umbrellaforest import forest as forest_module
 from umbrellaforest import rng
 from umbrellaforest.fieldgen import LField, ModelParams, default_params, generate_field
 from umbrellaforest.forest import (axes_at, build_forest, choose_direction, directed_supremum,
-                                   example1_forest, lambda_at, lambda_field,
+                                   example1_forest, lambda_field,
                                    miss_probability_bound, read_forest,
                                    write_forest)
 from umbrellaforest.lattice import Box, Window
@@ -118,34 +118,6 @@ def test_lambda_truncated_matches_capped_brute():
                     best = max(best, L)
             got = lam[(i - 1,) + box.local(x)]
             assert (np.isinf(got) and np.isinf(best)) or got == best
-
-
-def test_lambda_at_scalar_and_flags():
-    f = random_field(2, 7, 3, seed=4)
-    x = (0, 0)
-    val, exact = lambda_at(f, x, 1, radius=3)
-    site_vals = enumerate_box_field(f.values, f.box)
-    best = -np.inf
-    for y, L in site_vals.items():
-        delta = tuple(a - b for a, b in zip(x, y))
-        if delta[0] != 0:
-            continue
-        if max(abs(c) for c in delta) > 3:
-            continue
-        if 1 <= delta[1] <= min(L, 3):
-            best = max(best, L)
-    assert val == best and exact
-    with pytest.raises(ValueError):
-        lambda_at(f, x, 1, radius=5)  # exceeds margin: names required margin
-    # the flag checks the trailing cube only: a window site reads all it
-    # needs from the forest box, but not from the other orientation's box
-    w = Window.centered(8, 2, 3)
-    p = default_params(2, w, seed=4)
-    full, trailing = generate_field(p), generate_field(p, w.forest_box(1))
-    want = lambda_at(full, (3, 3), 1, radius=3)
-    assert want[1] and lambda_at(trailing, (3, 3), 1, radius=3) == want
-    assert not lambda_at(trailing, (3, 3), 1, radius=3, zeta=-1)[1]
-    assert not lambda_at(trailing, (-6, 0), 1, radius=3)[1]  # halo site
 
 
 def test_choose_direction_rules():
@@ -358,6 +330,9 @@ def test_trailing_field_gives_the_full_field_forest(inst):
         hi[k] -= 1
     with pytest.raises(ValueError):
         build_forest(crop(full, Box(tuple(lo), tuple(hi))), zeta=zeta, radius=radius)
+    # and so is a radius past the margin, naming the margin it needs
+    with pytest.raises(ValueError, match=f"required margin {window.margin + 1}$"):
+        build_forest(full, zeta=zeta, radius=window.margin + 1)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

@@ -115,6 +115,22 @@ def test_insulation_sup_trivial_and_radius():
         assert H.value[w.box.local(x)] == want
 
 
+def test_insulation_sup_rounds_like_its_oracle_at_a_whole_power():
+    # h = 2187 = 3^7 at beta = 1/7: numpy's power reads 2187^beta as
+    # 2.9999999999999996 and Python's ** as 3.0.  Kernel and oracle both
+    # take lattice.depth_power, so both stamp radius 2 (25 sites), not 3 (63)
+    beta = 1 / 7
+    w = Window.centered(7, 3, 0)
+    v = np.zeros(w.box.shape, dtype=np.int32)
+    v[3, 3, 3] = 2187
+    f = StatusField(window=w, zeta=1, value=v, exact=np.ones(w.box.shape, dtype=bool))
+    H = compute_insulation_sup(f, beta)
+    hv = {x: int(v[w.box.local(x)]) for x in w.box.sites()}
+    assert [x for x in w.box.sites()
+            if H.value[w.box.local(x)] != insulation_sup_brute(hv, x, beta)] == []
+    assert np.count_nonzero(H.value == 2187) == 25
+
+
 def test_insulation_sup_matches_brute():
     p = default_params(2, Window.centered(9, 2, 3), seed=12)
     forest = build_forest(generate_field(p), zeta=1)

@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbrellaforest.environment import (_block_operator, exit_functionals,
-                                        ray_environment, ray_environments, ray_row)
+                                        ray_environment, ray_row, tube_environments)
 from umbrellaforest.fieldgen import default_params
 from umbrellaforest.forest import Forest
-from umbrellaforest.lattice import Direction, Window, all_directions, l1_norm
+from umbrellaforest.lattice import (Box, Direction, Window, all_directions, l1_ball_offsets,
+                                   l1_norm)
+from umbrellaforest.metrics import ball_radius, ball_stamp
 from umbrellaforest.metrics import ray as ancestor_chain
 from umbrellaforest.oracles import exit_stats_brute, tube_distance_brute
 from umbrellaforest.pipeline import build_pruned_pair, select_rays
-from umbrellaforest.raygeom import (RayDepthError, RayHandle, build_rays,
+from umbrellaforest.raygeom import (RayHandle, build_rays,
                                     drift_directions, ellipticity_constant,
                                     score_and_index, solve_insulation_constants,
                                     tube_geometries, tube_geometry)
@@ -52,7 +54,7 @@ def directed_rays(draw):
 def test_tube_geometry_matches_scalar_references(ray, horizon, pick):
     geom = tube_geometry(ray)
     box = geom.box
-    ref = {x: score_and_index(ray, x, settled=False) for x in box.sites()}
+    ref = {x: score_and_index(ray, x) for x in box.sites()}
     member = {x: v >= 0 for x, (v, _) in ref.items()}
     # the box holds the whole tube with a non-member shell on every face
     face = box.boundary_distance() == 0
@@ -111,7 +113,7 @@ def same_array(a, b):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(ray_batches())
 def test_tube_batch_equals_each_ray_alone(rays):
-    together = ray_environments(rays)
+    together = tube_environments(tube_geometries(rays))
     for ray, geom, env in zip(rays, tube_geometries(rays), together):
         alone = ray_environment(ray)
         for g in (geom, env.geom):
@@ -182,13 +184,17 @@ def test_score_on_spine_at_32():
     assert n == 32                              # 33^0.2 - 1 < 2
 
 
-def test_score_cutoff_error_on_short_spine():
+def test_score_censored_on_short_spine():
     ray = straight_ray(depth=4, beta=0.45)
-    with pytest.raises(RayDepthError):
-        score_and_index(ray, (6, 0, 0))  # supremum may sit past the window
-    # but the end of the stored spine itself is settled
-    v, n = score_and_index(ray, (4, 0, 0))
-    assert n == 4 and v == pytest.approx(4 ** 0.45)
+    geom = tube_geometry(ray)
+    # past the stored spine: index 5 would score 5^0.45 > 4^0.45 - 1
+    j = geom.locate((5, 0, 0))
+    assert (geom.v[j], geom.n_attain[j]) == score_and_index(ray, (5, 0, 0))
+    assert geom.n_attain[j] == 4 and geom.score_censored[j]
+    # the end of the stored spine itself is settled
+    j = geom.locate((4, 0, 0))
+    assert geom.n_attain[j] == 4 and geom.v[j] == pytest.approx(4 ** 0.45)
+    assert not geom.score_censored[j]
 
 
 def test_score_lipschitz_property():
@@ -201,12 +207,30 @@ def test_score_lipschitz_property():
         for e in range(3):
             y = list(x)
             y[e] += 1
-            try:
-                vx, _ = score_and_index(ray, x)
-                vy, _ = score_and_index(ray, tuple(y))
-            except RayDepthError:
-                continue
+            vx, _ = score_and_index(ray, x)
+            vy, _ = score_and_index(ray, tuple(y))
             assert abs(vx - vy) <= 1 + 1e-12
+
+
+def test_tube_and_ray_layer_round_n_beta_alike():
+    # spine index 2187 = 3^7 at beta = 1/7, where numpy's power and Python's
+    # ** round n^beta to either side of 3: the tube's balls and the ray
+    # layer's stamps (`ball_stamp` at `ball_radius` of the depth, as
+    # `pruning.insulate` builds it) cover the same sites of the radius-3
+    # sphere around it
+    beta = 1 / 7
+    ray = staircase_ray(depth=2187, beta=beta)
+    geom = tube_geometry(ray)
+    end = ray.spine[2187]
+    box = Box(tuple(map(int, ray.spine[2150] - 4)), tuple(map(int, end + 4)))
+    depth = np.full(box.shape, -1, dtype=np.int64)
+    for n in range(2150, 2188):
+        depth[box.local(tuple(map(int, ray.spine[n])))] = n
+    stamped = ball_stamp(depth >= 0, ball_radius(depth, beta))
+    sphere = [tuple(map(int, end + o)) for o in l1_ball_offsets(3, 3) if l1_norm(o) == 3]
+    assert len(sphere) == 38 and math.floor(ray.radius_at(2187)) == 2
+    assert [x for x in sphere if (geom.locate(x) >= 0) != stamped[box.local(x)]] == []
+    assert 0 < sum(geom.locate(x) >= 0 for x in sphere) < 38
 
 
 def test_tube_distance_trivial_and_matches_brute():

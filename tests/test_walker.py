@@ -58,7 +58,7 @@ def test_vectorized_pick_equals_step_at_every_threshold():
 
 
 def test_step_frequencies_uniform_and_skewed():
-    words = rng.u64_vec(9, [np.arange(200000, dtype=np.int64)])
+    words = rng.mix_vec(9, [np.arange(200000, dtype=np.int64)])
     uniform = [Fraction(1, 6)] * 6
     skew = [Fraction(19, 20)] + [Fraction(1, 100)] * 5
     pick = row_sampler([uniform, skew])
